@@ -11,7 +11,7 @@ let fast_mode = Array.exists (( = ) "--fast") Sys.argv
 
 (* --scaling-smoke: run only the E15 scaling sweep at a reduced scope
    and exit nonzero if --jobs 4 is materially slower than --jobs 1 —
-   the CI regression gate for the BENCH_E11 0.47x slowdown. *)
+   the CI regression gate for the old 0.47x --jobs 4 slowdown. *)
 let scaling_smoke = Array.exists (( = ) "--scaling-smoke") Sys.argv
 
 (* --cluster-smoke: run only the E16 sharded-cluster sweep at a reduced
@@ -40,7 +40,7 @@ let failover_smoke = Array.exists (( = ) "--failover-smoke") Sys.argv
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
-(* Timing methodology shared by E11/E12/E15: a discarded warm-up run
+(* Timing methodology of the timed benches: a discarded warm-up run
    first (paging in the allocator and code paths used to make whatever
    configuration ran first look slower — the source of the old
    "journaled jobs=1 faster than plain" anomaly), then the
@@ -153,13 +153,7 @@ let run_loss_sweep () =
     !converged !total
 
 (* ------------------------------------------------------------------ *)
-(* E11: the multicore driver — the Result-1/Result-2 policy matrix
-   sharded over a Parallel.Pool, at --jobs 1/2/4, plus a certified
-   portfolio race. Wall-clock speedup only materialises on a machine
-   with that many cores, so the trajectory point records the core count
-   alongside the timings; what is unconditional — and asserted here —
-   is that the verdict table is byte-identical at every job count, and
-   that the portfolio winner's proof survives the independent checker. *)
+(* Shared by the BENCH_*.json writers. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -173,209 +167,16 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let run_parallel_sweep () =
-  section "E11 - Multicore sweep (policy matrix over a worker pool)";
-  let cores = Parallel.Pool.available_jobs () in
-  let scope =
-    if fast_mode then
-      { Core.Mca_model.small_scope with Core.Mca_model.states = 4;
-        Core.Mca_model.values = 5 }
-    else Core.Mca_model.small_scope
-  in
-  let scopes =
-    [ (Printf.sprintf "2p2v/%dst" scope.Core.Mca_model.states, scope) ]
-  in
-  let budget () = Netsim.Budget.create ~wall_s:300.0 () in
-  let job_counts = [ 1; 2; 4 ] in
-  let repeats = 3 in
-  ignore
-    (Core.Experiments.run_sweep ~jobs:1 ~seed:1 ~budget:(budget ()) ~scopes ());
-  let walls = List.map (fun j -> (j, ref [])) job_counts in
-  let reports = ref [] in
-  for _ = 1 to repeats do
-    List.iter
-      (fun jobs ->
-        let r =
-          Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ()) ~scopes ()
-        in
-        let acc = List.assoc jobs walls in
-        acc := r.Core.Experiments.sweep_wall :: !acc;
-        reports := (jobs, r) :: !reports)
-      job_counts
-  done;
-  let wall jobs = median !(List.assoc jobs walls) in
-  let runs =
-    List.map (fun jobs -> (jobs, List.assoc jobs !reports)) job_counts
-  in
-  List.iter
-    (fun jobs ->
-      Format.printf "  --jobs %d: wall %.2fs (median of %d)@." jobs (wall jobs)
-        repeats)
-    job_counts;
-  let canonical (_, r) = Core.Experiments.render_sweep r in
-  let reference = canonical (List.hd runs) in
-  let identical =
-    List.for_all (fun (_, r) -> Core.Experiments.render_sweep r = reference)
-      !reports
-  in
-  if not identical then failwith "E11: sweep verdicts differ across job counts";
-  let speedup = wall 1 /. wall 4 in
-  Format.printf "  verdicts identical across job counts: true@.";
-  Format.printf "  speedup (jobs 1 -> 4): %.2fx on %d core(s)@." speedup cores;
-  (* certified portfolio: the race winner's DRUP trail must pass the
-     independent checker, exactly as in sequential --certify runs *)
-  let verdict =
-    Sat.Portfolio.solve ~jobs:(min 4 (max 2 cores)) ~certify:true
-      (Sat.Gen.pigeonhole 6)
-  in
-  let cert_ok =
-    match (verdict.Sat.Portfolio.result, verdict.Sat.Portfolio.certification) with
-    | Sat.Solver.Decided Sat.Solver.Unsat, Some _ -> true
-    | _ -> false
-  in
-  if not cert_ok then failwith "E11: portfolio certification failed";
-  Format.printf "  portfolio winner %s certified: true@."
-    (match verdict.Sat.Portfolio.winner with Some w -> w | None -> "?");
-  (* the BENCH trajectory point *)
-  let oc = open_out "BENCH_E11.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E11-multicore-sweep\",\n";
-  p "  \"cores\": %d,\n" cores;
-  p "  \"scope\": \"%s\",\n" (json_escape (fst (List.hd scopes)));
-  p "  \"cells\": %d,\n"
-    (List.length (snd (List.hd runs)).Core.Experiments.cells);
-  p "  \"repeats\": %d,\n" repeats;
-  p "  \"wall_seconds_median\": {%s},\n"
-    (String.concat ", "
-       (List.map (fun j -> Printf.sprintf "\"jobs_%d\": %.3f" j (wall j))
-          job_counts));
-  p "  \"speedup_jobs1_over_jobs4\": %.3f,\n" speedup;
-  p "  \"verdicts_identical_across_jobs\": %b,\n" identical;
-  p "  \"portfolio_winner\": \"%s\",\n"
-    (json_escape
-       (match verdict.Sat.Portfolio.winner with Some w -> w | None -> ""));
-  p "  \"portfolio_certified\": %b\n" cert_ok;
-  p "}\n";
-  close_out oc;
-  Format.printf "  wrote BENCH_E11.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E12: crash-safe sweeps — what the write-ahead journal costs (every
-   completed cell is framed, CRC'd and fsync'd) and what resuming from
-   it saves (a fully journaled matrix reloads with zero verification
-   work). The verdict table must stay byte-identical across plain,
-   journaled and resumed runs — the journal is pure bookkeeping. *)
-
-let run_crashsafe_sweep () =
-  section "E12 - Crash-safe sweep (journal overhead, resume savings)";
-  let scope =
-    if fast_mode then
-      { Core.Mca_model.small_scope with Core.Mca_model.states = 4;
-        Core.Mca_model.values = 5 }
-    else Core.Mca_model.small_scope
-  in
-  let scopes =
-    [ (Printf.sprintf "2p2v/%dst" scope.Core.Mca_model.states, scope) ]
-  in
-  let budget () = Netsim.Budget.create ~wall_s:300.0 () in
-  let journal = Filename.temp_file "bench_e12" ".wal" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
-    (fun () ->
-      let job_counts = [ 1; 2 ] in
-      let repeats = 3 in
-      ignore
-        (Core.Experiments.run_sweep ~jobs:1 ~seed:1 ~budget:(budget ())
-           ~scopes ());
-      let rows =
-        List.map
-          (fun jobs ->
-            (* plain and journaled interleaved within each round: the
-               old fixed plain-then-journaled order let warm-up effects
-               masquerade as negative journal overhead *)
-            let wps = ref [] and wjs = ref [] in
-            let check_identical a b what =
-              if
-                Core.Experiments.render_sweep a
-                <> Core.Experiments.render_sweep b
-              then failwith ("E12: " ^ what ^ " changed the verdict table")
-            in
-            let reference = ref None in
-            for _ = 1 to repeats do
-              let plain =
-                Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ())
-                  ~scopes ()
-              in
-              (try Sys.remove journal with Sys_error _ -> ());
-              let journaled =
-                Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ())
-                  ~scopes ~journal ()
-              in
-              check_identical plain journaled "journaling";
-              (match !reference with
-              | None -> reference := Some plain
-              | Some r -> check_identical r plain "repetition");
-              wps := plain.Core.Experiments.sweep_wall :: !wps;
-              wjs := journaled.Core.Experiments.sweep_wall :: !wjs
-            done;
-            let resumed =
-              Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ())
-                ~scopes ~journal ~resume:true ()
-            in
-            (match !reference with
-            | Some r -> check_identical r resumed "resuming"
-            | None -> ());
-            if
-              resumed.Core.Experiments.sweep_resumed
-              <> List.length resumed.Core.Experiments.cells
-            then failwith "E12: resume re-ran journaled cells";
-            let wp = median !wps and wj = median !wjs in
-            let wr = resumed.Core.Experiments.sweep_wall in
-            Format.printf
-              "  --jobs %d: plain %.2fs, journaled %.2fs (overhead %+.1f%%), \
-               resumed %.3fs (medians of %d)@."
-              jobs wp wj
-              (100.0 *. (wj -. wp) /. Float.max wp 1e-9)
-              wr repeats;
-            (jobs, wp, wj, wr))
-          job_counts
-      in
-      Format.printf "  verdicts identical across plain/journaled/resumed: true@.";
-      let oc = open_out "BENCH_E12.json" in
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n";
-      p "  \"experiment\": \"E12-crashsafe-sweep\",\n";
-      p "  \"scope\": \"%s\",\n" (json_escape (fst (List.hd scopes)));
-      p "  \"runs\": [\n";
-      List.iteri
-        (fun i (jobs, wp, wj, wr) ->
-          p
-            "    {\"jobs\": %d, \"plain_s\": %.3f, \"journaled_s\": %.3f, \
-             \"journal_overhead_pct\": %.2f, \"resume_s\": %.3f, \
-             \"resume_speedup\": %.1f}%s\n"
-            jobs wp wj
-            (100.0 *. (wj -. wp) /. Float.max wp 1e-9)
-            wr
-            (wp /. Float.max wr 1e-9)
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      p "  ],\n";
-      p "  \"verdicts_identical\": true\n";
-      p "}\n";
-      close_out oc;
-      Format.printf "  wrote BENCH_E12.json@.")
-
 (* ------------------------------------------------------------------ *)
 (* E15: the scaling sweep — what the shared translation and the
    group-commit journal bought. One translation per scope is built up
    front and every policy cell solves it under three selector
    assumptions (no per-cell build/translate), and the worker pool caps
    its domain count at the available cores; together these are the fix
-   for the BENCH_E11 regression where --jobs 4 ran at 0.47x the speed
-   of --jobs 1. The journal is measured with group commit (one fsync
-   per batch instead of per cell) against the plain run. Methodology as
-   in E11/E12: warm-up, interleaved configurations, medians. *)
+   for the old regression where --jobs 4 ran at 0.47x the speed of
+   --jobs 1. The journal is measured with group commit (one fsync per
+   batch instead of per cell) against the plain run. Methodology: see
+   [median] — warm-up, interleaved configurations, medians. *)
 
 let run_scaling_sweep () =
   section "E15 - Scaling sweep (shared translation, group-commit journal)";
@@ -474,11 +275,13 @@ let run_scaling_sweep () =
     "  journal (group commit, flush_every=%d, --jobs 2): plain %.2fs, \
      journaled %.2fs (overhead %+.1f%%)@."
     flush_every wp wj overhead_pct;
-  (* the shared translation's certified path: the DRUP certificate must
-     cover the assumed (selector-fixed) problem and pass the checker *)
+  (* the shared translation's certified path, on a throwaway certified
+     session: the DRUP certificate must cover the assumed
+     (selector-fixed) problem and pass the checker *)
   let shared = Core.Mca_model.build_shared Core.Mca_model.Efficient scope_2p2v in
   let cert =
-    Core.Mca_model.check_consensus_shared_certified shared
+    Core.Mca_model.check_consensus_incremental_certified
+      (Core.Mca_model.incremental_session ~certify:true shared)
       Core.Mca_model.honest_submodular
   in
   let drup_ok =
@@ -488,7 +291,7 @@ let run_scaling_sweep () =
     | _ -> false
   in
   if not drup_ok then failwith "E15: shared-translation DRUP check failed";
-  Format.printf "  shared translation certified (DRUP, selector units): true@.";
+  Format.printf "  shared translation certified (DRUP, assumed selectors): true@.";
   let oc = open_out "BENCH_E15.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -525,15 +328,17 @@ let run_scaling_sweep () =
 (* ------------------------------------------------------------------ *)
 (* E17: the incremental matrix — one warm session solving all six
    policy cells of the shared translation, against six independent
-   fresh-solver solves of the same translation. The session amortizes
+   solves of the same translation, each on a throwaway session (a cold
+   solver opened for one cell and dropped). The warm session amortizes
    watch-list construction, variable activities and learnt clauses
    across cells, so the whole matrix should come in under the
    independent cost (the CI smoke gate asks for <= 0.9x). Alongside
    the wall clocks: per-cell verdict identity every round, the session
    solver's lifetime counters, and the certified 3p2v differential pin
-   — the warm certified path must agree with the fresh certified path
-   on every cell and carry a checked DRUP/model certificate, without
-   ever asserting selector units as clauses into the warm solver. *)
+   — the warm certified session must agree with a throwaway certified
+   session on every cell and carry a checked DRUP/model certificate,
+   without ever asserting selector units as clauses into the warm
+   solver. *)
 
 let run_incremental_matrix () =
   section "E17 - Incremental matrix (warm session vs independent solves)";
@@ -561,7 +366,8 @@ let run_incremental_matrix () =
       (fun (name, p) ->
         ( name,
           tag_of
-            (Core.Mca_model.check_consensus_shared ~budget:(budget ()) shared
+            (Core.Mca_model.check_consensus_incremental ~budget:(budget ())
+               (Core.Mca_model.incremental_session shared)
                p) ))
       policies
   in
@@ -610,7 +416,7 @@ let run_incremental_matrix () =
         st.Sat.Solver.conflicts st.Sat.Solver.propagations
         st.Sat.Solver.learnt_literals
   | None -> ());
-  (* certified 3p2v pin: warm certified verdicts = fresh certified
+  (* certified 3p2v pin: warm certified verdicts = cold certified
      verdicts, each carrying a checked certificate of the right kind *)
   let shared_3p2v =
     Core.Mca_model.build_shared Core.Mca_model.Efficient scope_3p2v
@@ -626,7 +432,9 @@ let run_incremental_matrix () =
             certified_session p
         in
         let fresh =
-          Core.Mca_model.check_consensus_shared_certified shared_3p2v p
+          Core.Mca_model.check_consensus_incremental_certified
+            (Core.Mca_model.incremental_session ~certify:true shared_3p2v)
+            p
         in
         let verdict_agrees =
           match
@@ -650,7 +458,7 @@ let run_incremental_matrix () =
   if not cert_ok then
     failwith "E17: certified 3p2v pin failed (verdict or certificate)";
   Format.printf
-    "  3p2v certified pin: warm session = fresh certified on all %d cells@."
+    "  3p2v certified pin: warm session = cold certified on all %d cells@."
     (List.length policies);
   let oc = open_out "BENCH_E17.json" in
   let p fmt = Printf.fprintf oc fmt in
@@ -1511,8 +1319,6 @@ let () =
     Format.printf "MCA verification library — benchmark & experiment harness@.";
     Format.printf "(%s mode)@." (if fast_mode then "fast" else "full");
     run_experiments ();
-    run_parallel_sweep ();
-    run_crashsafe_sweep ();
     ignore (run_scaling_sweep () : bool);
     ignore (run_incremental_matrix () : bool);
     run_overload_service ();

@@ -92,8 +92,7 @@ let budget_of_timeout = function
    flush the journal, print the partial report, exit 11) and a second
    run with --resume picks up exactly where the first one stopped. *)
 let run_sweep jobs seed agents items states timeout journal resume
-    journal_flush_every journal_flush_interval task_deadline retries
-    incremental =
+    journal_flush_every journal_flush_interval task_deadline retries =
   let jobs = if jobs = 0 then Parallel.Pool.available_jobs () else jobs in
   let scope =
     { Core.Mca_model.pnodes = agents; vnodes = items; states; values = 6;
@@ -119,7 +118,7 @@ let run_sweep jobs seed agents items states timeout journal resume
     Core.Experiments.run_sweep ~jobs ~seed ~budget:(budget_of_timeout timeout)
       ~scopes:[ (scope_tag, scope) ] ?journal ~resume
       ?journal_flush_every ?journal_flush_interval_s:journal_flush_interval
-      ~supervision ~incremental ()
+      ~supervision ()
   in
   Format.printf "%a" (Core.Experiments.pp_sweep ~timings:true) report;
   if report.Core.Experiments.sweep_partial then begin
@@ -283,14 +282,13 @@ let run backend encoding symmetry certify non_submodular release_outbid
       end
 
 let run_safe sweep jobs sweep_states journal resume journal_flush_every
-    journal_flush_interval task_deadline retries incremental backend encoding
-    symmetry certify ns ro ra target agents items topology seed drop duplicate
+    journal_flush_interval task_deadline retries backend encoding symmetry
+    certify ns ro ra target agents items topology seed drop duplicate
     max_delay crashes max_drops max_dups timeout =
   match
     if sweep then
       run_sweep jobs seed agents items sweep_states timeout journal resume
         journal_flush_every journal_flush_interval task_deadline retries
-        incremental
     else
       run backend encoding symmetry certify ns ro ra target agents items
         topology seed drop duplicate max_delay crashes max_drops max_dups
@@ -458,27 +456,10 @@ let term =
                    quarantined (crashing or stalled cells never poison the \
                    rest of the matrix)" ~docv:"N")
   in
-  let incremental =
-    Arg.(value
-         & vflag true
-             [
-               ( true,
-                 info [ "incremental" ]
-                   ~doc:"--sweep: thread one warm SAT solver per worker \
-                         through its cells, so learnt clauses carry across \
-                         the policy matrix (the default; verdicts are \
-                         byte-identical either way)" );
-               ( false,
-                 info [ "no-incremental" ]
-                   ~doc:"--sweep: give every cell a fresh solver over the \
-                         shared translation — the escape hatch / baseline \
-                         for --incremental" );
-             ])
-  in
   Term.(
     const run_safe $ sweep $ jobs $ sweep_states $ journal $ resume
     $ journal_flush_every $ journal_flush_interval
-    $ task_deadline $ retries $ incremental $ backend $ encoding $ symmetry
+    $ task_deadline $ retries $ backend $ encoding $ symmetry
     $ certify
     $ non_submodular $ release $ attack $ target $ agents $ items $ topology
     $ seed $ drop $ duplicate $ max_delay $ crashes $ max_drops $ max_dups

@@ -261,8 +261,21 @@ let int_atom c n =
 
 type outcome = Translate.outcome = Sat of Instance.t | Unsat
 
-let run_formula ?symmetry c f =
-  Translate.solve ?symmetry c.bounds (Ast.and_ [ c.facts; f ])
+let translation ?symmetry c f =
+  Translate.translate ?symmetry c.bounds (Ast.and_ [ c.facts; f ])
+
+(* Every command is [translation] plus a throwaway session: opened for
+   one solve, then dropped. The unbudgeted commands cannot come back
+   [Unknown]. *)
+let decide tr =
+  match
+    Translate.solve_cell ~budget:Netsim.Budget.unlimited (Translate.session tr)
+      []
+  with
+  | Translate.Decided o -> o
+  | Translate.Unknown _ -> assert false (* unlimited budgets never expire *)
+
+let run_formula ?symmetry c f = decide (translation ?symmetry c f)
 
 let run_pred ?symmetry c name =
   match Model.find_pred c.model name with
@@ -271,47 +284,23 @@ let run_pred ?symmetry c name =
       let decls = List.map (fun (x, s) -> (x, Ast.rel s)) p.Model.params in
       run_formula ?symmetry c (Ast.exists decls p.Model.body)
 
-let check_formula ?symmetry c f =
-  Translate.check ?symmetry c.bounds ~assertion:f ~facts:c.facts
-
 let check ?symmetry c name =
   match Model.find_assert c.model name with
   | None -> invalid_arg (Printf.sprintf "Compile.check: unknown assertion %s" name)
-  | Some f -> check_formula ?symmetry c f
+  | Some f -> decide (translation ?symmetry c (Ast.not_ f))
 
 let check_formula_bounded ?symmetry ?stop ~budget c f =
-  Translate.check_bounded ?symmetry ?stop ~budget c.bounds ~assertion:f
-    ~facts:c.facts
-
-let check_bounded ?symmetry ?stop ~budget c name =
-  match Model.find_assert c.model name with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Compile.check_bounded: unknown assertion %s" name)
-  | Some f -> check_formula_bounded ?symmetry ?stop ~budget c f
+  Translate.solve_cell ?stop ~budget
+    (Translate.session (translation ?symmetry c (Ast.not_ f)))
+    []
 
 let check_formula_certified ?symmetry c f =
-  Translate.check_certified ?symmetry c.bounds ~assertion:f ~facts:c.facts
-
-let check_certified ?symmetry c name =
-  match Model.find_assert c.model name with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Compile.check_certified: unknown assertion %s" name)
-  | Some f -> check_formula_certified ?symmetry c f
+  Translate.solve_cell_certified
+    (Translate.session ~certify:true (translation ?symmetry c (Ast.not_ f)))
+    []
 
 let enumerate ?symmetry ?limit c f =
   Translate.enumerate ?symmetry ?limit c.bounds (Ast.and_ [ c.facts; f ])
-
-let translation ?symmetry c f =
-  Translate.translate ?symmetry c.bounds (Ast.and_ [ c.facts; f ])
-
-let check_translation ?symmetry c name =
-  match Model.find_assert c.model name with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Compile.check_translation: unknown assertion %s" name)
-  | Some f -> translation ?symmetry c (Ast.not_ f)
 
 let pp_outcome ppf = function
   | Unsat -> Format.pp_print_string ppf "no instance found (UNSAT in scope)"

@@ -39,6 +39,10 @@ val int_atom : t -> int -> Relalg.Ast.expr
 
 type outcome = Relalg.Translate.outcome = Sat of Relalg.Instance.t | Unsat
 
+(** Every command below translates facts ∧ goal ({!translation}) and
+    solves it on a throwaway {!Relalg.Translate.session}: one opened
+    for that solve and then dropped. *)
+
 val run_formula : ?symmetry:bool -> t -> Relalg.Ast.formula -> outcome
 (** Finds an instance satisfying facts plus the given formula. *)
 
@@ -46,51 +50,35 @@ val run_pred : ?symmetry:bool -> t -> string -> outcome
 (** [run_pred c p] existentially closes predicate [p] over its parameters
     and solves — Alloy's [run p]. *)
 
-val check_formula : ?symmetry:bool -> t -> Relalg.Ast.formula -> outcome
-(** Searches for a counterexample: [Sat inst] refutes the formula. *)
-
 val check : ?symmetry:bool -> t -> string -> outcome
-(** [check c a] checks the named assertion — Alloy's [check a].
-    [symmetry] enables Kodkod-style symmetry-breaking predicates (see
-    {!Relalg.Translate.translate}). *)
+(** [check c a] checks the named assertion — Alloy's [check a]: [Sat
+    inst] is a counterexample, [Unsat] means the assertion holds in
+    scope. [symmetry] enables Kodkod-style symmetry-breaking predicates
+    (see {!Relalg.Translate.translate}). Raises [Invalid_argument] on an
+    unknown assertion. *)
 
 val check_formula_bounded :
   ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> t ->
   Relalg.Ast.formula -> Relalg.Translate.bounded_outcome
-(** Budgeted variant of {!check_formula}: returns [Unknown reason]
-    instead of hanging once the {!Netsim.Budget} expires, or within one
-    conflict of the cooperative [stop] hook flipping to [true]. *)
-
-val check_bounded :
-  ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> t ->
-  string -> Relalg.Translate.bounded_outcome
-(** Budgeted variant of {!check} — Alloy's [check a] with graceful
-    degradation under a deadline, conflict cap or cancellation hook. *)
+(** Searches for a counterexample to the formula under a budget:
+    returns [Unknown reason] instead of hanging once the
+    {!Netsim.Budget} expires, or within one conflict of the cooperative
+    [stop] hook flipping to [true]. *)
 
 val check_formula_certified :
   ?symmetry:bool -> t -> Relalg.Ast.formula -> Relalg.Translate.certified_outcome
-(** Certified variant of {!check_formula}: the verdict carries the
+(** Certified counterexample search: the verdict carries the
     {!Sat.Proof} certification report (DRUP refutation for [Unsat],
     strict model check for [Sat]). *)
-
-val check_certified :
-  ?symmetry:bool -> t -> string -> Relalg.Translate.certified_outcome
-(** Certified variant of {!check} — Alloy's [check a], with an
-    independently machine-checked certificate for the verdict. *)
 
 val enumerate : ?symmetry:bool -> ?limit:int -> t -> Relalg.Ast.formula -> Relalg.Instance.t list
 (** Up to [limit] distinct instances satisfying facts plus the formula —
     Alloy's instance iteration. *)
 
 val translation : ?symmetry:bool -> t -> Relalg.Ast.formula -> Relalg.Translate.translation
-(** The raw translation of facts ∧ formula, for size measurements
-    (experiment E5) and for the shared-translation solve path
-    ({!Relalg.Translate.solve_translation_bounded}). *)
-
-val check_translation : ?symmetry:bool -> t -> string -> Relalg.Translate.translation
-(** The counterexample-search translation of the named assertion
-    (facts ∧ ¬assertion) — what {!check_bounded} builds internally.
-    Translate once, then decide repeatedly under different selector
-    assumptions. Raises [Invalid_argument] on an unknown assertion. *)
+(** The translation of facts ∧ formula: the input of every solve above,
+    of size measurements (experiment E5), and of callers that keep
+    their own {!Relalg.Translate.session} — a counterexample search
+    for assertion [a] is [translation c (Relalg.Ast.not_ a)]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -132,9 +132,11 @@ let sweep_config ~seed ~policy_label ~scope_tag (p : Mca.Policy.t)
       ~base_utilities ~policy:p
   end
 
-let sweep_cell ?stop ?shared ?(incremental = false) ~budget ~seed
+let sweep_cell ?stop ~shared ?(incremental = false) ~budget ~seed
     ((policy_label, p, mp, scope_tag, scope) :
       string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) =
+  if shared.Mca_model.shared_scope <> scope then
+    invalid_arg "Experiments.run_cell: shared translation of another scope";
   let t0 = Unix.gettimeofday () in
   let cfg = sweep_config ~seed ~policy_label ~scope_tag p scope in
   let sim_ok =
@@ -151,25 +153,15 @@ let sweep_cell ?stop ?shared ?(incremental = false) ~budget ~seed
   in
   let mp = { mp with Mca_model.target = min mp.Mca_model.target scope.Mca_model.vnodes } in
   let sat_verdict =
-    (* a matching shared translation skips the per-cell
-       build → translate pipeline entirely: same CNF, selector
-       assumptions, fresh solver (differentially pinned equivalent).
-       [incremental] further reuses this domain's warm session solver
-       across cells, so learnt clauses carry from cell to cell. *)
-    let outcome =
-      match shared with
-      | Some sh
-        when sh.Mca_model.shared_scope = scope
-             && sh.Mca_model.shared_target = mp.Mca_model.target ->
-          if incremental then
-            Mca_model.check_consensus_incremental ?stop ~budget
-              (Mca_model.domain_session sh) mp
-          else Mca_model.check_consensus_shared ?stop ~budget sh mp
-      | _ ->
-          Mca_model.check_consensus_bounded ~symmetry:true ?stop ~budget
-            (Mca_model.build Mca_model.Efficient mp scope)
+    (* the scope's shared translation under this cell's selector
+       assumptions: on this domain's warm session, so learnt clauses
+       carry from cell to cell, or with [~incremental:false] on a
+       throwaway session opened for this cell alone *)
+    let session =
+      if incremental then Mca_model.domain_session shared
+      else Mca_model.incremental_session shared
     in
-    match outcome with
+    match Mca_model.check_consensus_incremental ?stop ~budget session mp with
     | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Holds
     | Relalg.Translate.Decided (Alloylite.Compile.Sat _) -> Violated
     | Relalg.Translate.Unknown reason -> Undecided reason
@@ -355,7 +347,7 @@ let load_journal ~seed path =
 
 let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
     ?scopes ?journal ?(resume = false) ?journal_flush_every
-    ?journal_flush_interval_s ?supervision ?(incremental = true) () =
+    ?journal_flush_interval_s ?supervision () =
   let tasks = sweep_tasks ?scopes () in
   let t0 = Unix.gettimeofday () in
   let loaded =
@@ -407,11 +399,11 @@ let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
           (fun ~stop task ->
             let (_, _, mp, tag, scope) = task in
             let shared =
-              Hashtbl.find_opt shared_tbl
+              Hashtbl.find shared_tbl
                 (tag, min mp.Mca_model.target scope.Mca_model.vnodes)
             in
             let cell =
-              sweep_cell ~stop ?shared ~incremental
+              sweep_cell ~stop ~shared ~incremental:true
                 ~budget:(Netsim.Budget.restarted budget) ~seed task
             in
             (* journal at the record boundary — but never an attempt the

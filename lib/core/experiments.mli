@@ -90,7 +90,6 @@ val run_sweep :
   ?journal_flush_every:int ->
   ?journal_flush_interval_s:float ->
   ?supervision:Parallel.Supervise.policy ->
-  ?incremental:bool ->
   unit ->
   sweep_report
 (** Runs the matrix with at most [jobs] (default 1) worker domains;
@@ -102,17 +101,15 @@ val run_sweep :
     Shared translation: before any worker starts, the relational model
     is translated to CNF {e once per scope} ({!Mca_model.build_shared})
     and each cell solves that immutable CNF under its three policy
-    selector assumptions — workers no longer rebuild nearly-identical
-    CNF per cell, which is what made [--jobs 4] slower than sequential
-    in BENCH_E11. With [~incremental:true] (the default) each worker
-    domain additionally threads {e one warm solver} through its share
-    of cells ({!Mca_model.domain_session}): learnt clauses and
-    heuristic state carry across cells, making the matrix measurably
-    cheaper than independent solves (bench E17). Verdicts — and hence
-    the rendered grid — are byte-identical with [~incremental:false]
-    and at any [jobs]; the differential suite pins all three SAT paths
-    (incremental ≡ shared-translation ≡ per-cell fresh) against each
-    other.
+    selector assumptions — workers never rebuild nearly-identical CNF
+    per cell, which is what once made [--jobs 4] slower than
+    sequential. Each worker domain threads {e one warm solver} through
+    its share of cells ({!Mca_model.domain_session}): learnt clauses
+    and heuristic state carry across cells, making the matrix
+    measurably cheaper than independent solves (bench E17). Verdicts —
+    and hence the rendered grid — are byte-identical at any [jobs] and
+    to a grid of cold cells ([run_cell ~incremental:false]); the
+    differential suite pins warm ≡ cold ≡ per-cell build.
 
     Crash safety: with [~journal:path] every completed cell is appended
     to a CRC-framed, fsync'd write-ahead journal; with [~resume:true]
@@ -148,21 +145,21 @@ val cell_config :
 
 val run_cell :
   ?stop:(unit -> bool) ->
-  ?shared:Mca_model.shared ->
+  shared:Mca_model.shared ->
   ?incremental:bool ->
   budget:Netsim.Budget.t ->
   seed:int ->
   (string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) ->
   sweep_cell
 (** Verifies one cell of {!sweep_tasks} across the three backends —
-    the unit of work both {!run_sweep} and the service's workers
-    execute. The budget bounds each backend individually. When [shared]
-    matches the task's scope and effective target, the SAT backend
-    solves the shared translation under selector assumptions instead of
-    rebuilding and re-translating the model; otherwise it falls back to
-    the per-cell pipeline. [incremental] (default false here — callers
-    opt in) additionally reuses the calling domain's warm session for a
-    matching [shared]. *)
+    the unit of work of {!run_sweep}. The budget bounds each backend
+    individually. The SAT backend solves [shared] — the task scope's
+    translation for the cell's effective target — under the cell's
+    selector assumptions: on the calling domain's warm session with
+    [~incremental:true], on a throwaway session opened for this cell
+    alone with [~incremental:false] (the default). Raises
+    [Invalid_argument] when [shared] was built for another scope or
+    target. *)
 
 (** The field-level escaping and verdict syntax of the journal records,
     exported because the service's newline-framed wire protocol reuses

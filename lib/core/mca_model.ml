@@ -750,7 +750,9 @@ let build_shared ?(symmetry = true) ?(target = 2) encoding scope =
       { submodular = true; release_outbid = false; rebid_attack = false; target }
       scope
   in
-  let tr = Compile.check_translation ~symmetry generic.compiled "consensus" in
+  let tr =
+    Compile.translation ~symmetry generic.compiled (not_ generic.consensus_pred)
+  in
   let sel name =
     match Relalg.Translate.selector_var tr name with
     | Some v -> v
@@ -785,40 +787,22 @@ let shared_assumptions sh policy =
     lit sh.sel_attack policy.rebid_attack;
   ]
 
-let check_consensus_shared ?stop ~budget sh policy =
-  Relalg.Translate.solve_translation_bounded ?stop
-    ~assumptions:(shared_assumptions sh policy) ~budget sh.shared_translation
-
-let check_consensus_shared_certified sh policy =
-  Relalg.Translate.solve_translation_certified
-    ~assumptions:(shared_assumptions sh policy) sh.shared_translation
-
-let shared_stats sh = Relalg.Translate.translation_stats sh.shared_translation
-
 (* ---- incremental session: one warm solver across the matrix ------- *)
 
-type session = {
-  session_shared : shared;
-  session_inner : Relalg.Translate.session;
-}
+type session = { shared : shared; inner : Relalg.Translate.session }
 
 let incremental_session ?certify sh =
-  {
-    session_shared = sh;
-    session_inner = Relalg.Translate.session ?certify sh.shared_translation;
-  }
-
-let session_shared sn = sn.session_shared
+  { shared = sh; inner = Relalg.Translate.session ?certify sh.shared_translation }
 
 let check_consensus_incremental ?stop ~budget sn policy =
-  Relalg.Translate.solve_cell ?stop ~budget sn.session_inner
-    (shared_assumptions sn.session_shared policy)
+  Relalg.Translate.solve_cell ?stop ~budget sn.inner
+    (shared_assumptions sn.shared policy)
 
 let check_consensus_incremental_certified sn policy =
-  Relalg.Translate.solve_cell_certified sn.session_inner
-    (shared_assumptions sn.session_shared policy)
+  Relalg.Translate.solve_cell_certified sn.inner
+    (shared_assumptions sn.shared policy)
 
-let session_solver_stats sn = Relalg.Translate.session_stats sn.session_inner
+let session_solver_stats sn = Relalg.Translate.session_stats sn.inner
 
 (* Per-domain session cache. A session is mutable solver state and must
    never cross domains, so each domain lazily opens its own session the
@@ -850,10 +834,12 @@ let domain_session sh =
 let check_consensus ?symmetry t = Compile.check ?symmetry t.compiled "consensus"
 
 let check_consensus_bounded ?symmetry ?stop ~budget t =
-  Compile.check_bounded ?symmetry ?stop ~budget t.compiled "consensus"
+  Compile.check_formula_bounded ?symmetry ?stop ~budget t.compiled
+    t.consensus_pred
 
 let check_consensus_certified ?symmetry t =
-  Compile.check_certified ?symmetry t.compiled "consensus"
+  Compile.check_formula_certified ?symmetry t.compiled t.consensus_pred
+
 let run_instance t = Compile.run_formula t.compiled tt
 
 let translation_stats t =

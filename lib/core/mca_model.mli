@@ -75,10 +75,10 @@ val build : encoding -> policy -> scope_spec -> t
 (** One translation serving every policy cell of a scope: the three
     policy booleans are reified as single-tuple selector relations
     ([cfg_submod]/[cfg_release]/[cfg_attack] on an always-present
-    MCAConf atom), so a cell check is a fresh solve of the {e same}
-    immutable CNF under three unit assumptions instead of a full
-    build → translate pipeline per cell. The translation may safely be
-    shared read-only across worker domains. *)
+    MCAConf atom), so a cell check is a solve of the {e same} immutable
+    CNF under three unit assumptions instead of a full build →
+    translate pipeline per cell. The translation may safely be shared
+    read-only across worker domains. *)
 type shared = {
   shared_encoding : encoding;
   shared_scope : scope_spec;
@@ -101,52 +101,36 @@ val shared_assumptions : shared -> policy -> Sat.Cnf.lit list
     [Invalid_argument] when [policy.target] differs from the target the
     shared translation was built for. *)
 
-val check_consensus_shared :
-  ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> shared -> policy ->
-  Relalg.Translate.bounded_outcome
-(** {!check_consensus_bounded} against the shared translation: fresh
-    solver, selector assumptions, no re-translation. Semantically
-    equivalent to checking [build encoding policy scope] (the
-    differential suite pins this). *)
-
-val check_consensus_shared_certified :
-  shared -> policy -> Relalg.Translate.certified_outcome
-(** Certified variant: the selector literals are asserted as unit
-    clauses so the DRUP certificate covers the assumed problem. *)
-
-val shared_stats : shared -> Relalg.Translate.stats
-(** Size of the shared translation. *)
-
 type session
-(** An incremental solving session over a {!shared} translation: one
-    warm SAT solver threaded through many policy cells, keeping learnt
-    clauses and heuristic state across cells (the cells differ only in
-    three selector assumptions, so most learnt clauses transfer).
-    Mutable solver state — never share a session across domains; the
-    underlying {!shared} value can be shared freely. *)
+(** A {!Relalg.Translate.session} over a {!shared} translation: one SAT
+    solver threaded through any number of policy cells. Kept per
+    worker, it is warm, carrying learnt clauses and heuristic state
+    across cells (the cells differ only in three selector assumptions,
+    so most learnt clauses transfer); opened for one cell and dropped,
+    it is a cold solve. Mutable solver state — never share a session
+    across domains; the underlying {!shared} value can be shared
+    freely. *)
 
 val incremental_session : ?certify:bool -> shared -> session
 (** Opens a session. [~certify:true] (default false) enables DRUP proof
     logging so {!check_consensus_incremental_certified} is available. *)
 
-val session_shared : session -> shared
-
 val check_consensus_incremental :
   ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> session -> policy ->
   Relalg.Translate.bounded_outcome
-(** {!check_consensus_shared} on the warm session solver. Same verdict
-    contract as the fresh-solver and per-cell paths (differentially
-    pinned); on [Unknown] the session stays reusable and a retry
-    resumes warm. Raises [Invalid_argument] on a target mismatch like
-    {!shared_assumptions}. *)
+(** Checks one policy cell: the shared CNF under the policy's selector
+    assumptions. Same verdict as checking [build encoding policy scope]
+    (the differential suite pins this, warm and cold); on [Unknown] the
+    session stays reusable and a retry resumes warm. Raises
+    [Invalid_argument] on a target mismatch like {!shared_assumptions}. *)
 
 val check_consensus_incremental_certified :
   session -> policy -> Relalg.Translate.certified_outcome
-(** Certified variant. Unlike {!check_consensus_shared_certified} it
-    never asserts the selector literals as clauses — that would poison
-    the warm solver for every later cell — yet the certificate still
-    covers the assumed problem (see {!Sat.Solver.solve_assuming_certified}).
-    Requires [~certify:true] at session open. *)
+(** Certified variant. It never asserts the selector literals as
+    clauses — that would poison a warm solver for every later cell —
+    yet the certificate covers the assumed problem (see
+    {!Sat.Solver.solve_assuming_certified}). Requires [~certify:true]
+    at session open. *)
 
 val session_solver_stats : session -> Sat.Solver.stats option
 (** Lifetime counters of the session solver ([None] when the circuit

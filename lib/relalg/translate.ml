@@ -309,24 +309,6 @@ let instance_of_model tr (model : Sat.Cnf.model) =
   in
   Instance.create (Bounds.universe tr.bounds) bindings
 
-let solve ?symmetry bounds formula =
-  let tr = translate ?symmetry bounds formula in
-  match tr.cnf.constant with
-  | Some false -> Unsat
-  | Some true ->
-      (* trivially true: lower bounds alone satisfy it *)
-      let model = Array.make (tr.num_primary + 1) false in
-      Sat (instance_of_model tr model)
-  | None -> (
-      match Sat.Solver.solve_problem tr.cnf.problem with
-      | Sat.Solver.Unsat -> Unsat
-      | Sat.Solver.Sat model ->
-          (* model may be longer than primary vars (Tseitin auxiliaries) *)
-          Sat (instance_of_model tr model))
-
-let check ?symmetry bounds ~assertion ~facts =
-  solve ?symmetry bounds (Ast.and_ [ facts; Ast.not_ assertion ])
-
 type bounded_outcome = Decided of outcome | Unknown of string
 
 (* The trivial model when the circuit constant-folded to true: lower
@@ -347,119 +329,71 @@ let assume tr assumptions =
     (fun p l -> Sat.Cnf.add_clause p [ l ])
     tr.cnf.F.problem assumptions
 
-let solve_translation_bounded ?stop ?(assumptions = []) ~budget tr =
-  match tr.cnf.F.constant with
-  | Some false -> Decided Unsat
-  | Some true -> Decided (Sat (instance_of_model tr (trivial_model tr assumptions)))
-  | None -> (
-      let solver = Sat.Solver.of_problem tr.cnf.F.problem in
-      match Sat.Solver.solve_bounded ?stop ~assumptions ~budget solver with
-      | Sat.Solver.Unknown { reason; _ } -> Unknown reason
-      | Sat.Solver.Decided Sat.Solver.Unsat -> Decided Unsat
-      | Sat.Solver.Decided (Sat.Solver.Sat model) ->
-          Decided (Sat (instance_of_model tr model)))
-
-let solve_bounded ?symmetry ?stop ~budget bounds formula =
-  let tr = translate ?symmetry bounds formula in
-  solve_translation_bounded ?stop ~budget tr
-
-let check_bounded ?symmetry ?stop ~budget bounds ~assertion ~facts =
-  solve_bounded ?symmetry ?stop ~budget bounds
-    (Ast.and_ [ facts; Ast.not_ assertion ])
-
 type certified_outcome = {
   outcome : outcome;
   certification : Sat.Proof.report option;
 }
 
-let solve_translation_certified ?(assumptions = []) tr =
-  match tr.cnf.F.constant with
-  | Some false -> { outcome = Unsat; certification = None }
-  | Some true ->
-      { outcome = Sat (instance_of_model tr (trivial_model tr assumptions));
-        certification = None }
-  | None ->
-      let solver = Sat.Solver.of_problem ~proof:true tr.cnf.F.problem in
-      (* [solve ~certify] rejects solver assumptions (a DRUP refutation
-         under assumptions would not refute the clause set), so the
-         assumed literals are added as real unit clauses: they then
-         participate in the proof as axioms and the certificate covers
-         exactly the assumed problem *)
-      List.iter (fun l -> Sat.Solver.add_clause solver [ l ]) assumptions;
-      let outcome =
-        match Sat.Solver.solve ~certify:true solver with
-        | Sat.Solver.Unsat -> Unsat
-        | Sat.Solver.Sat model -> Sat (instance_of_model tr model)
-      in
-      { outcome; certification = Sat.Solver.last_certification solver }
-
-let solve_certified ?symmetry bounds formula =
-  let tr = translate ?symmetry bounds formula in
-  solve_translation_certified tr
-
-let check_certified ?symmetry bounds ~assertion ~facts =
-  solve_certified ?symmetry bounds (Ast.and_ [ facts; Ast.not_ assertion ])
-
-(* Incremental solving session: one warm solver threaded through many
-   assumption-parameterized solves over the same translation. Unlike
-   [solve_translation_bounded], which builds a cold solver per call,
-   the session keeps learnt clauses and VSIDS state across cells — the
+(* A session is the one solve path: every verdict is one solver over
+   one translation, decided under per-call assumptions. Opened for a
+   single call and dropped, it is a cold solve; kept per worker, it is
+   warm — learnt clauses and VSIDS state carry across cells, and the
    cells of the policy matrix differ only in selector assumptions, so
-   most learnt clauses transfer. Unlike [solve_translation_certified],
-   the certified path never [add_clause]s assumption units into the
-   solver (that would poison it for every later cell); it relies on
-   [Sat.Solver.solve_assuming_certified], which certifies against the
-   assumed problem without mutating the clause set. *)
-type session = {
-  session_translation : translation;
-  session_solver : Sat.Solver.t option;
-      (* [None] when the circuit constant-folded: nothing to solve *)
-  session_certify : bool;
-}
+   most learnt clauses transfer. The certified path never [add_clause]s
+   assumption units into the solver (that would poison it for every
+   later cell); it relies on [Sat.Solver.solve_assuming_certified],
+   which certifies against the assumed problem without mutating the
+   clause set. *)
+type engine =
+  | Folded of bool  (* the circuit constant-folded: nothing to solve *)
+  | Solver of Sat.Solver.t
+
+type session = { tr : translation; engine : engine; certify : bool }
 
 let session ?(certify = false) tr =
-  let solver =
+  let engine =
     match tr.cnf.F.constant with
-    | Some _ -> None
-    | None -> Some (Sat.Solver.of_problem ~proof:certify tr.cnf.F.problem)
+    | Some b -> Folded b
+    | None -> Solver (Sat.Solver.of_problem ~proof:certify tr.cnf.F.problem)
   in
-  { session_translation = tr; session_solver = solver; session_certify = certify }
+  { tr; engine; certify }
 
-let session_translation sn = sn.session_translation
+(* Both solve paths decide a constant-folded circuit here, without a
+   SAT call. *)
+let folded_outcome tr assumptions = function
+  | false -> Unsat
+  | true -> Sat (instance_of_model tr (trivial_model tr assumptions))
+
+let outcome_of_result tr = function
+  | Sat.Solver.Unsat -> Unsat
+  | Sat.Solver.Sat model ->
+      (* model may be longer than primary vars (Tseitin auxiliaries) *)
+      Sat (instance_of_model tr model)
 
 let solve_cell ?stop ~budget sn assumptions =
-  let tr = sn.session_translation in
-  match (tr.cnf.F.constant, sn.session_solver) with
-  | Some false, _ -> Decided Unsat
-  | Some true, _ ->
-      Decided (Sat (instance_of_model tr (trivial_model tr assumptions)))
-  | None, None -> assert false
-  | None, Some solver -> (
+  let tr = sn.tr in
+  match sn.engine with
+  | Folded b -> Decided (folded_outcome tr assumptions b)
+  | Solver solver -> (
       match Sat.Solver.solve_bounded ?stop ~assumptions ~budget solver with
       | Sat.Solver.Unknown { reason; _ } -> Unknown reason
-      | Sat.Solver.Decided Sat.Solver.Unsat -> Decided Unsat
-      | Sat.Solver.Decided (Sat.Solver.Sat model) ->
-          Decided (Sat (instance_of_model tr model)))
+      | Sat.Solver.Decided r -> Decided (outcome_of_result tr r))
 
 let solve_cell_certified sn assumptions =
-  if not sn.session_certify then
+  if not sn.certify then
     invalid_arg "Translate.solve_cell_certified: session not opened with ~certify:true";
-  let tr = sn.session_translation in
-  match (tr.cnf.F.constant, sn.session_solver) with
-  | Some false, _ -> { outcome = Unsat; certification = None }
-  | Some true, _ ->
-      { outcome = Sat (instance_of_model tr (trivial_model tr assumptions));
-        certification = None }
-  | None, None -> assert false
-  | None, Some solver ->
-      let outcome =
-        match Sat.Solver.solve_assuming_certified ~assumptions solver with
-        | Sat.Solver.Unsat -> Unsat
-        | Sat.Solver.Sat model -> Sat (instance_of_model tr model)
-      in
-      { outcome; certification = Sat.Solver.last_certification solver }
+  let tr = sn.tr in
+  match sn.engine with
+  | Folded b -> { outcome = folded_outcome tr assumptions b; certification = None }
+  | Solver solver ->
+      let r = Sat.Solver.solve_assuming_certified ~assumptions solver in
+      { outcome = outcome_of_result tr r;
+        certification = Sat.Solver.last_certification solver }
 
-let session_stats sn = Option.map Sat.Solver.stats sn.session_solver
+let session_stats sn =
+  match sn.engine with
+  | Folded _ -> None
+  | Solver solver -> Some (Sat.Solver.stats solver)
 
 let enumerate ?symmetry ?(limit = 100) bounds formula =
   if limit <= 0 then []

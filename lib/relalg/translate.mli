@@ -1,11 +1,11 @@
-(** Translation of relational formulas to SAT, and the push-button solve
-    loop — the Kodkod analogue.
+(** Translation of relational formulas to SAT, and the solve loop — the
+    Kodkod analogue.
 
     Pipeline: allocate one primary SAT variable per tuple in each
     relation's [upper \ lower] bound, interpret the formula over boolean
     matrices ({!Matrix}), Tseitin-translate the resulting circuit
-    ({!Sat.Formula.to_cnf}) and run the CDCL solver. A satisfying model is
-    read back into an {!Instance.t}. *)
+    ({!Sat.Formula.to_cnf}), then solve it in a {!session} on the CDCL
+    solver. A satisfying model is read back into an {!Instance.t}. *)
 
 type translation = {
   cnf : Sat.Formula.cnf_result;
@@ -31,32 +31,10 @@ val translate : ?symmetry:bool -> Bounds.t -> Ast.formula -> translation
 
 type outcome = Sat of Instance.t | Unsat
 
-val solve : ?symmetry:bool -> Bounds.t -> Ast.formula -> outcome
-(** [solve b f] finds an instance within bounds satisfying [f]. *)
-
-val check : ?symmetry:bool -> Bounds.t -> assertion:Ast.formula -> facts:Ast.formula -> outcome
-(** [check b ~assertion ~facts] looks for a counterexample: an instance
-    satisfying [facts && !assertion]. [Sat ce] means the assertion does
-    not hold; [Unsat] means it holds within the bounds. *)
-
-(** A {!outcome} that may also be [Unknown reason] when a
-    {!Netsim.Budget} expired before the SAT solver decided. *)
+(** An {!outcome} that may also be [Unknown reason] when a
+    {!Netsim.Budget} expired, or the [stop] hook fired, before the SAT
+    solver decided. *)
 type bounded_outcome = Decided of outcome | Unknown of string
-
-val solve_bounded :
-  ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t ->
-  Bounds.t -> Ast.formula -> bounded_outcome
-(** Like {!solve}, under a budget. Formulas that constant-fold during
-    translation are decided without consulting the solver, so they never
-    return [Unknown]. [stop] is the cooperative-cancellation hook of the
-    parallel drivers, forwarded to {!Sat.Solver.solve_bounded}: when it
-    flips to [true] the answer is [Unknown "cancelled"] within one
-    conflict. *)
-
-val check_bounded :
-  ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t ->
-  Bounds.t -> assertion:Ast.formula -> facts:Ast.formula -> bounded_outcome
-(** Like {!check}, under a budget and the same [stop] hook. *)
 
 (** An outcome paired with its certification evidence: the DRUP/model
     report from {!Sat.Proof}, or [None] when the formula constant-folded
@@ -66,74 +44,49 @@ type certified_outcome = {
   certification : Sat.Proof.report option;
 }
 
-val solve_certified : ?symmetry:bool -> Bounds.t -> Ast.formula -> certified_outcome
-(** Like {!solve}, but every verdict is independently certified: a [Sat]
-    model is re-checked against all CNF clauses and an [Unsat] answer
-    must produce a DRUP proof accepted by {!Sat.Proof.check_refutation}.
-    Raises {!Sat.Proof.Certification_failed} if the engine's certificate
-    is rejected. *)
-
-val check_certified :
-  ?symmetry:bool -> Bounds.t -> assertion:Ast.formula -> facts:Ast.formula -> certified_outcome
-(** Certified counterexample search: an [Unsat] ("assertion holds")
-    verdict comes with a machine-checked refutation — the direction the
-    paper's Result 1 rests on. *)
-
-val solve_translation_bounded :
-  ?stop:(unit -> bool) -> ?assumptions:Sat.Cnf.lit list ->
-  budget:Netsim.Budget.t -> translation -> bounded_outcome
-(** Budgeted solve of an already-built {!translation} — the shared-
-    translation hot path: translate once, then decide many nearby
-    problems by fixing selector variables through [assumptions] instead
-    of re-translating. The translation is immutable and may be shared
-    across domains; every call uses a fresh solver. Constant-folded
-    circuits are decided directly (a trivially-[Sat] instance reflects
-    the assumed literal polarities). *)
-
-val solve_translation_certified :
-  ?assumptions:Sat.Cnf.lit list -> translation -> certified_outcome
-(** Certified solve of an already-built {!translation}. Assumed literals
-    are asserted as unit clauses (DRUP certification rejects solver-level
-    assumptions), so the certificate covers exactly the assumed problem.
-    Raises {!Sat.Proof.Certification_failed} like {!solve_certified}. *)
-
 type session
-(** An incremental solving session: one warm {!Sat.Solver.t} threaded
-    through many assumption-parameterized solves of the same
-    {!translation}. Learnt clauses and VSIDS state carry across calls,
-    so deciding the six policy-matrix cells — which differ only in
-    three selector assumptions — is measurably cheaper than six
-    independent solves. A session is mutable solver state: it must
-    never be shared across domains (open one per worker; the underlying
-    translation {e can} be shared). *)
+(** A solving session: one {!Sat.Solver.t} over one {!translation},
+    threaded through any number of assumption-parameterized solves.
+    This is the only way to a SAT verdict. A session opened for one
+    call and then dropped is a cold solve; a session kept per worker
+    is warm: learnt clauses and VSIDS state carry across calls, so
+    deciding the six policy-matrix cells — which differ only in three
+    selector assumptions — is measurably cheaper than six cold solves.
+    A session is mutable solver state: it must never be shared across
+    domains (open one per worker; the underlying translation {e can}
+    be shared). A constant-folded circuit gets no solver: every call
+    is then decided directly (a trivially-[Sat] instance reflects the
+    assumed literal polarities), never [Unknown]. *)
 
 val session : ?certify:bool -> translation -> session
 (** Opens a session over [tr]. [~certify:true] (default false) enables
     DRUP proof logging on the session solver so {!solve_cell_certified}
     is available; logging has a small per-clause cost. *)
 
-val session_translation : session -> translation
-
 val solve_cell :
   ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t -> session -> Sat.Cnf.lit list -> bounded_outcome
-(** Budgeted solve of one cell under the given assumptions, warm. Same
-    verdict contract as {!solve_translation_bounded} — differentially
-    pinned equal in the test suite — but reusing the session solver.
-    On [Unknown] the solver is back at the root level and stays
-    reusable; retrying the same cell with a larger budget resumes warm.
-    Assumptions never leak between calls: they are pseudo-decisions,
-    undone by the root-level backtrack that starts every solve. *)
+(** Budgeted solve under the given assumptions. [stop] is the
+    cooperative-cancellation hook of the parallel drivers, forwarded to
+    {!Sat.Solver.solve_bounded}: when it flips to [true] the answer is
+    [Unknown "cancelled"] within one conflict. On [Unknown] the solver
+    is back at the root level and stays reusable; retrying the same
+    cell with a larger budget resumes warm. Assumptions never leak
+    between calls: they are pseudo-decisions, undone by the root-level
+    backtrack that starts every solve. *)
 
 val solve_cell_certified : session -> Sat.Cnf.lit list -> certified_outcome
-(** Certified solve of one cell, warm. Unlike
-    {!solve_translation_certified} this never asserts the assumptions
+(** Certified solve under the given assumptions: a [Sat] model is
+    re-checked against every clause of the assumed problem, and an
+    [Unsat] answer must come with a DRUP refutation accepted by
+    {!Sat.Proof.check_refutation}. The assumptions are never asserted
     as clauses — that would poison the session for every later cell —
-    and instead certifies via {!Sat.Solver.solve_assuming_certified}:
-    the certificate still covers exactly the assumed problem. Raises
-    [Invalid_argument] unless the session was opened with
-    [~certify:true], and {!Sat.Proof.Certification_failed} if a
-    certificate is rejected. *)
+    yet the certificate covers exactly the assumed problem (see
+    {!Sat.Solver.solve_assuming_certified}). May follow a
+    {!solve_cell} on the same session, which then certifies the verdict
+    that call found. Raises [Invalid_argument] unless the session was
+    opened with [~certify:true], and {!Sat.Proof.Certification_failed}
+    if a certificate is rejected. *)
 
 val session_stats : session -> Sat.Solver.stats option
 (** Counters of the session solver ([None] when the circuit

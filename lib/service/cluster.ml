@@ -385,7 +385,10 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
     let target = min mpolicy.M.target scope.M.vnodes in
     match
       let sh = shared_for tag scope target in
-      M.check_consensus_shared_certified sh { mpolicy with M.target }
+      (* a throwaway certified session: opened for this cell, dropped *)
+      M.check_consensus_incremental_certified
+        (M.incremental_session ~certify:true sh)
+        { mpolicy with M.target }
     with
     | { Relalg.Translate.outcome = Relalg.Translate.Unsat; _ } -> Some E.Holds
     | { Relalg.Translate.outcome = Relalg.Translate.Sat _; _ } ->

@@ -27,8 +27,9 @@
       [steal_after_s] onto a different worker; the first verdict wins a
       per-cell atomic CAS and the loser is discarded.
     - {b certified relocation}: a decided SAT verdict produced by any
-      worker other than the cell's ring owner is re-derived locally
-      through {!Core.Mca_model.check_consensus_shared_certified} —
+      worker other than the cell's ring owner is re-derived locally on
+      a throwaway certified session
+      ({!Core.Mca_model.check_consensus_incremental_certified}) —
       DRUP-checked — before the coordinator accepts it; on a mismatch
       the locally certified answer wins and the event is counted.
     - {b journal-backed handoff}: with [cl_journal] every dispatch is

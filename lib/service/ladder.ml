@@ -72,58 +72,42 @@ let decide ?(now = Unix.gettimeofday) t rungs =
 (* ---- the standard consensus rungs -------------------------------- *)
 
 type backend =
-  | Fresh_model of Core.Mca_model.t
   | Shared_translation of Core.Mca_model.shared * Core.Mca_model.policy
 
 let consensus_rungs ?stop ~budget_for ~backend ~exhaustive () =
-  let of_bounded = function
+  let (Shared_translation (sh, policy)) = backend in
+  let cdcl () =
+    (* the cached translation: no rebuild, no re-translation — and this
+       worker domain's warm session solver, so learnt clauses amortize
+       across every request that hits the same (scope, target). Service
+       worker domains are long-lived, which is exactly when the
+       per-domain session cache pays. *)
+    match
+      Core.Mca_model.check_consensus_incremental ?stop
+        ~budget:(budget_for Cdcl)
+        (Core.Mca_model.domain_session sh)
+        policy
+    with
     | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Core.Experiments.Holds
     | Relalg.Translate.Decided (Alloylite.Compile.Sat _) ->
         Core.Experiments.Violated
     | Relalg.Translate.Unknown reason -> Core.Experiments.Undecided reason
   in
-  let cdcl () =
-    of_bounded
-      (match backend with
-      | Fresh_model model ->
-          Core.Mca_model.check_consensus_bounded ~symmetry:true ?stop
-            ~budget:(budget_for Cdcl) model
-      | Shared_translation (sh, policy) ->
-          (* the cached translation: no rebuild, no re-translation —
-             and this worker domain's warm session solver, so learnt
-             clauses amortize across every request that hits the same
-             (scope, target). Service worker domains are long-lived,
-             which is exactly when the per-domain session cache pays. *)
-          Core.Mca_model.check_consensus_incremental ?stop
-            ~budget:(budget_for Cdcl)
-            (Core.Mca_model.domain_session sh)
-            policy)
-  in
   let dpll () =
     (* same query, no clause learning: slower on hard instances but a
        genuinely independent engine — the paper's cross-checking idea
        as a fallback *)
-    let constant, problem =
-      match backend with
-      | Fresh_model model ->
-          let cnf = Core.Mca_model.consensus_cnf model in
-          (cnf.Sat.Formula.constant, lazy cnf.Sat.Formula.problem)
-      | Shared_translation (sh, policy) ->
-          let tr = sh.Core.Mca_model.shared_translation in
-          ( tr.Relalg.Translate.cnf.Sat.Formula.constant,
-            (* selector bits become unit clauses; the shared problem is
-               functional, so extending it copies nothing *)
-            lazy
-              (Relalg.Translate.assume tr
-                 (Core.Mca_model.shared_assumptions sh policy)) )
-    in
-    match constant with
+    let tr = sh.Core.Mca_model.shared_translation in
+    match tr.Relalg.Translate.cnf.Sat.Formula.constant with
     | Some false -> Core.Experiments.Holds
     | Some true -> Core.Experiments.Violated
     | None -> (
+        (* selector bits become unit clauses; the shared problem is
+           functional, so extending it copies nothing *)
         match
           Sat.Dpll.solve_bounded ?stop ~budget:(budget_for Dpll)
-            (Lazy.force problem)
+            (Relalg.Translate.assume tr
+               (Core.Mca_model.shared_assumptions sh policy))
         with
         | Sat.Solver.Decided Sat.Solver.Unsat -> Core.Experiments.Holds
         | Sat.Solver.Decided (Sat.Solver.Sat _) -> Core.Experiments.Violated

@@ -46,17 +46,14 @@ val decide :
     any other [Undecided] records a breaker timeout and falls through.
     [now] (default wall clock) is injected for deterministic tests. *)
 
-(** What the SAT rungs solve: a per-request model compiled from scratch,
-    or a cached scope-wide shared translation plus the cell's policy —
-    the latter skips the build → translate pipeline entirely and solves
-    the shared CNF under three selector assumptions on this worker
-    domain's {e warm incremental session}
+(** What the SAT rungs solve: a cached scope-wide shared translation
+    plus the cell's policy. The CDCL rung solves the shared CNF under
+    three selector assumptions on this worker domain's {e warm session}
     ({!Core.Mca_model.check_consensus_incremental} over
     {!Core.Mca_model.domain_session}): service workers are long-lived,
     so learnt clauses amortize across every request hitting the same
     (scope, target). *)
 type backend =
-  | Fresh_model of Core.Mca_model.t
   | Shared_translation of Core.Mca_model.shared * Core.Mca_model.policy
 
 val consensus_rungs :
@@ -67,8 +64,8 @@ val consensus_rungs :
   unit -> (rung * (unit -> Core.Experiments.sweep_verdict)) list
 (** The standard three rungs for a [check consensus] cell: bounded CDCL
     (with symmetry breaking), bounded DPLL on the same CNF (an
-    independent engine, no clause learning; under
-    [Shared_translation] the selector bits are added as unit clauses),
+    independent engine, no clause learning; the selector bits are
+    added as unit clauses),
     and the caller's [exhaustive] thunk — in the service this reuses the
     explicit-state verdict the reply needs anyway, so the bottom rung
     costs nothing extra. [budget_for] slices the remaining request

@@ -61,8 +61,8 @@ let span_of_command cmd =
   Diag.point ~line:p.Alloylite.Surface.line ~col:p.Alloylite.Surface.col
 
 (* run commands search for an instance of facts ∧ goal; expressed as a
-   counterexample search against ¬goal so the one budgeted entry point
-   (check_formula_bounded) serves both command kinds *)
+   counterexample search against ¬goal so one translation (facts ∧
+   ¬goal) serves both command kinds *)
 let run_goal model name f =
   match (name, f) with
   | Some n, _ -> (
@@ -127,8 +127,18 @@ let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
     | Elaborate.Run (_, name, f, _) -> Relalg.Ast.not_ (run_goal model name f)
   in
   let started = Unix.gettimeofday () in
-  let budget = Netsim.Budget.until ~deadline in
-  let bounded = Compile.check_formula_bounded ?stop ~budget compiled goal in
+  (* one translation, one session: decided under the deadline, then —
+     when asked — certified on the same solver, which re-derives the
+     verdict it just found with proof checking on *)
+  let session =
+    Relalg.Translate.session ~certify
+      (Compile.translation compiled (Relalg.Ast.not_ goal))
+  in
+  let bounded =
+    Relalg.Translate.solve_cell ?stop
+      ~budget:(Netsim.Budget.until ~deadline)
+      session []
+  in
   let is_check =
     match command with Elaborate.Check _ -> true | Elaborate.Run _ -> false
   in
@@ -147,9 +157,7 @@ let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
     | Relalg.Translate.Unknown _ -> false
     | Relalg.Translate.Decided _ when not certify -> false
     | Relalg.Translate.Decided _ -> (
-        (* re-solve with the proof-logging engine; the budgeted pass
-           just showed the instance is decidable at this scope *)
-        match Compile.check_formula_certified compiled goal with
+        match Relalg.Translate.solve_cell_certified session [] with
         | { Relalg.Translate.certification = Some _; _ } -> true
         | { Relalg.Translate.certification = None; _ } -> false
         | exception Sat.Proof.Certification_failed _ -> false)

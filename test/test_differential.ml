@@ -186,13 +186,13 @@ let verdict_name = function
 
 (* every policy cell of the paper grid, three ways: one translation
    built once with selector relations must give the cell-for-cell
-   verdicts of the build-per-cell pipeline, on a fresh solver per cell
-   (shared) AND on one warm session solver threaded through all six
-   cells (incremental) — and both certified variants must agree while
+   verdicts of the build-per-cell pipeline, on a throwaway session per
+   cell (cold) AND on one warm session threaded through all six cells
+   — and the certified throwaway and warm sessions must agree while
    producing a checked DRUP/model certificate for the assumed problem.
-   The incremental certified path additionally proves the session
-   solver survives certification unpoisoned: the same session keeps
-   answering later cells. *)
+   The warm certified session additionally proves the solver survives
+   certification unpoisoned: the same session keeps answering later
+   cells. *)
 let shared_matches_per_cell test_scope =
   let shared =
     Core.Mca_model.build_shared Core.Mca_model.Efficient test_scope
@@ -214,12 +214,14 @@ let shared_matches_per_cell test_scope =
           ~budget:(budget ())
           (Core.Mca_model.build Core.Mca_model.Efficient mp test_scope)
       in
-      let shared_v =
-        Core.Mca_model.check_consensus_shared ~budget:(budget ()) shared mp
+      let cold_v =
+        Core.Mca_model.check_consensus_incremental ~budget:(budget ())
+          (Core.Mca_model.incremental_session shared)
+          mp
       in
-      if verdict_name per_cell <> verdict_name shared_v then
-        Alcotest.failf "%s: per-cell says %s, shared translation says %s"
-          label (verdict_name per_cell) (verdict_name shared_v);
+      if verdict_name per_cell <> verdict_name cold_v then
+        Alcotest.failf "%s: per-cell says %s, throwaway session says %s"
+          label (verdict_name per_cell) (verdict_name cold_v);
       let incr_v =
         Core.Mca_model.check_consensus_incremental ~budget:(budget ()) session
           mp
@@ -227,17 +229,21 @@ let shared_matches_per_cell test_scope =
       if verdict_name per_cell <> verdict_name incr_v then
         Alcotest.failf "%s: per-cell says %s, incremental session says %s"
           label (verdict_name per_cell) (verdict_name incr_v);
-      let cert = Core.Mca_model.check_consensus_shared_certified shared mp in
+      let cert =
+        Core.Mca_model.check_consensus_incremental_certified
+          (Core.Mca_model.incremental_session ~certify:true shared)
+          mp
+      in
       if
         verdict_name (Relalg.Translate.Decided cert.Relalg.Translate.outcome)
         <> verdict_name per_cell
       then
-        Alcotest.failf "%s: certified shared verdict (%s) disagrees" label
+        Alcotest.failf "%s: certified throwaway verdict (%s) disagrees" label
           (verdict_name (Relalg.Translate.Decided cert.Relalg.Translate.outcome));
       (match cert.Relalg.Translate.certification with
       | Some _ -> ()
       | None ->
-          Alcotest.failf "%s: shared verdict came back uncertified" label);
+          Alcotest.failf "%s: throwaway verdict came back uncertified" label);
       let icert =
         Core.Mca_model.check_consensus_incremental_certified certified_session
           mp
@@ -366,24 +372,49 @@ let test_sweep_determinism_and_pins () =
       | _ -> ())
     r1.Core.Experiments.cells
 
-(* the --incremental/--no-incremental and --jobs axes must be invisible
-   in the canonical rendering: same seed ⇒ byte-identical grids *)
+(* warm sessions and the --jobs axis must be invisible in the canonical
+   rendering: the warm sweep at any job count renders byte-identical to
+   a grid of cold cells, each solved on a throwaway session *)
 let test_sweep_incremental_byte_identity () =
-  let run ~jobs ~incremental =
-    Core.Experiments.run_sweep ~jobs ~seed:1
-      ~budget:(Netsim.Budget.create ~wall_s:120.0 ())
-      ~scopes:sweep_scope ~incremental ()
-  in
-  let base =
-    Core.Experiments.render_sweep (run ~jobs:1 ~incremental:false)
+  let budget () = Netsim.Budget.create ~wall_s:120.0 () in
+  let cold =
+    let tasks = Core.Experiments.sweep_tasks ~scopes:sweep_scope () in
+    let shared = Hashtbl.create 2 in
+    let cells =
+      Array.to_list
+        (Array.map
+           (fun ((_, _, mp, _, scope) as task) ->
+             let target =
+               min mp.Core.Mca_model.target scope.Core.Mca_model.vnodes
+             in
+             let sh =
+               match Hashtbl.find_opt shared target with
+               | Some sh -> sh
+               | None ->
+                   let sh =
+                     Core.Mca_model.build_shared ~target
+                       Core.Mca_model.Efficient scope
+                   in
+                   Hashtbl.add shared target sh;
+                   sh
+             in
+             Core.Experiments.run_cell ~shared:sh ~incremental:false
+               ~budget:(budget ()) ~seed:1 task)
+           tasks)
+    in
+    Core.Experiments.render_sweep
+      { Core.Experiments.sweep_jobs = 1; sweep_seed = 1; cells;
+        sweep_wall = 0.0; sweep_resumed = 0; sweep_partial = false }
   in
   List.iter
-    (fun (jobs, incremental) ->
+    (fun jobs ->
       Alcotest.(check string)
-        (Printf.sprintf "jobs %d, incremental %b" jobs incremental)
-        base
-        (Core.Experiments.render_sweep (run ~jobs ~incremental)))
-    [ (1, true); (4, true); (4, false) ]
+        (Printf.sprintf "warm jobs %d = cold cells" jobs)
+        cold
+        (Core.Experiments.render_sweep
+           (Core.Experiments.run_sweep ~jobs ~seed:1 ~budget:(budget ())
+              ~scopes:sweep_scope ())))
+    [ 1; 4 ]
 
 let test_sweep_exhausted_budget_is_deterministic () =
   (* a zero wall budget leaves every cell undecided — identically so at

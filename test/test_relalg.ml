@@ -167,6 +167,21 @@ let bounds_of_instance inst =
     b
     (Relalg.Instance.rels inst)
 
+(* The one solve path: translate, then a throwaway session — opened
+   for this solve and dropped. *)
+let solve b f =
+  match
+    Relalg.Translate.solve_cell ~budget:Netsim.Budget.unlimited
+      (Relalg.Translate.session (Relalg.Translate.translate b f))
+      []
+  with
+  | Relalg.Translate.Decided o -> o
+  | Relalg.Translate.Unknown r -> Alcotest.failf "unbudgeted solve gave up: %s" r
+
+(* counterexample search: an instance of facts ∧ ¬assertion *)
+let check_assertion b ~assertion ~facts =
+  solve b (Relalg.Ast.and_ [ facts; Relalg.Ast.not_ assertion ])
+
 let test_translate_matches_eval () =
   let rng = Netsim.Rng.create 31 in
   for _ = 1 to 150 do
@@ -175,7 +190,7 @@ let test_translate_matches_eval () =
     let expected = Relalg.Eval.holds inst f in
     let bounds = bounds_of_instance inst in
     let got =
-      match Relalg.Translate.solve bounds f with
+      match solve bounds f with
       | Relalg.Translate.Sat _ -> true
       | Relalg.Translate.Unsat -> false
     in
@@ -195,7 +210,7 @@ let test_solver_instances_satisfy_eval () =
     let b = Relalg.Bounds.declare b "s2" ~arity:1 ~lower:[] ~upper:(Relalg.Tuple.all universe4 1) in
     let b = Relalg.Bounds.declare b "r1" ~arity:2 ~lower:[] ~upper:(Relalg.Tuple.all universe4 2) in
     let b = Relalg.Bounds.declare b "r2" ~arity:2 ~lower:[] ~upper:(Relalg.Tuple.all universe4 2) in
-    match Relalg.Translate.solve b f with
+    match solve b f with
     | Relalg.Translate.Unsat -> ()
     | Relalg.Translate.Sat inst ->
         if not (Relalg.Eval.holds inst f) then
@@ -216,9 +231,9 @@ let test_closure_semantics () =
   let open Relalg.Ast in
   let b = exact_bounds [ ("r", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ]) ] in
   check "r within its closure" true
-    (outcome_sat (Relalg.Translate.solve b (rel "r" <=: closure (rel "r"))));
+    (outcome_sat (solve b (rel "r" <=: closure (rel "r"))));
   check "closure strictly bigger" true
-    (outcome_sat (Relalg.Translate.solve b (not_ (closure (rel "r") <=: rel "r"))));
+    (outcome_sat (solve b (not_ (closure (rel "r") <=: rel "r"))));
   let inst = Relalg.Instance.create universe4 [ ("r", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ]) ] in
   let closure_tuples = Relalg.Eval.expr inst [] (closure (rel "r")) in
   check "closure has 0->3" true (Relalg.Tuple.mem [ 0; 3 ] closure_tuples);
@@ -254,28 +269,28 @@ let test_cardinality_and_sum () =
   let b = Relalg.Bounds.create u in
   let b = Relalg.Bounds.declare b "s" ~arity:1 ~lower:[] ~upper:[ [ 0 ]; [ 1 ]; [ 2 ] ] in
   check "sum 6 reachable with card 2 (1+5)" true
-    (outcome_sat (Relalg.Translate.solve b
+    (outcome_sat (solve b
        (and_ [ sum_over (rel "s") =! i 6; card (rel "s") =! i 2 ])));
   check "sum 3 with card 1 unsat (no single atom is 3)" false
-    (outcome_sat (Relalg.Translate.solve b
+    (outcome_sat (solve b
        (and_ [ sum_over (rel "s") =! i 3; card (rel "s") =! i 1 ])));
-  (match Relalg.Translate.solve b (sum_over (rel "s") =! i 7) with
+  (match solve b (sum_over (rel "s") =! i 7) with
   | Relalg.Translate.Sat inst ->
       check_int "sum is 7" 7 (Relalg.Eval.intexpr inst [] (sum_over (rel "s")))
   | Relalg.Translate.Unsat -> Alcotest.fail "2+5=7 reachable");
   check "sum 4 unreachable" false
-    (outcome_sat (Relalg.Translate.solve b (sum_over (rel "s") =! i 4)))
+    (outcome_sat (solve b (sum_over (rel "s") =! i 4)))
 
 let test_multiplicities () =
   let open Relalg.Ast in
   let b = Relalg.Bounds.create universe4 in
   let b = Relalg.Bounds.declare b "s" ~arity:1 ~lower:[] ~upper:(Relalg.Tuple.all universe4 1) in
-  (match Relalg.Translate.solve b (one (rel "s")) with
+  (match solve b (one (rel "s")) with
   | Relalg.Translate.Sat inst ->
       check_int "one means 1" 1 (List.length (Relalg.Instance.tuples inst "s"))
   | Relalg.Translate.Unsat -> Alcotest.fail "one s satisfiable");
   check "no + some contradictory" false
-    (outcome_sat (Relalg.Translate.solve b (and_ [ no (rel "s"); some (rel "s") ])))
+    (outcome_sat (solve b (and_ [ no (rel "s"); some (rel "s") ])))
 
 let test_check_counterexample () =
   let open Relalg.Ast in
@@ -283,13 +298,13 @@ let test_check_counterexample () =
   let b = Relalg.Bounds.declare b "r" ~arity:2 ~lower:[] ~upper:(Relalg.Tuple.all universe4 2) in
   (* assertion "r is symmetric" refuted without a symmetry fact *)
   let symmetric = rel "r" =: transpose (rel "r") in
-  (match Relalg.Translate.check b ~assertion:symmetric ~facts:(some (rel "r")) with
+  (match check_assertion b ~assertion:symmetric ~facts:(some (rel "r")) with
   | Relalg.Translate.Sat inst ->
       check "counterexample is asymmetric" false
         (Relalg.Eval.holds inst symmetric)
   | Relalg.Translate.Unsat -> Alcotest.fail "symmetry must be refutable");
   (* with the fact enforced, the assertion holds *)
-  match Relalg.Translate.check b ~assertion:symmetric ~facts:symmetric with
+  match check_assertion b ~assertion:symmetric ~facts:symmetric with
   | Relalg.Translate.Unsat -> ()
   | Relalg.Translate.Sat _ -> Alcotest.fail "assertion = fact cannot fail"
 
@@ -297,7 +312,7 @@ let test_unbound_relation_rejected () =
   let b = Relalg.Bounds.create universe4 in
   Alcotest.check_raises "unbound relation"
     (Invalid_argument "Translate: relation ghost has no bounds") (fun () ->
-      ignore (Relalg.Translate.solve b (Relalg.Ast.some (Relalg.Ast.rel "ghost"))))
+      ignore (solve b (Relalg.Ast.some (Relalg.Ast.rel "ghost"))))
 
 let test_translation_stats () =
   let open Relalg.Ast in

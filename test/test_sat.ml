@@ -629,6 +629,37 @@ let test_solve_assuming_certified () =
   | Sat.Solver.Sat _ -> ()
   | Sat.Solver.Unsat ->
       Alcotest.fail "!1 & !3 satisfiable — certification poisoned the solver");
+  (* certify after a bounded solve on the same proof-logging solver —
+     the one-shot certified path: the second call must repeat the
+     verdict with a checked certificate. php-5-into-4 is refuted at the
+     root, so the solver is dead and its trail already ends in the
+     empty clause; php 4-into-4 is satisfiable. *)
+  List.iter
+    (fun (name, problem, want_sat) ->
+      let s = Sat.Solver.of_problem ~proof:true problem in
+      let bounded =
+        match Sat.Solver.solve_bounded ~budget:Netsim.Budget.unlimited s with
+        | Sat.Solver.Decided r -> r
+        | Sat.Solver.Unknown _ -> Alcotest.failf "%s: unbudgeted solve gave up" name
+      in
+      let is_sat = function Sat.Solver.Sat _ -> true | Sat.Solver.Unsat -> false in
+      check (name ^ ": bounded verdict") want_sat (is_sat bounded);
+      if not want_sat then
+        check (name ^ ": trail already ends in the empty clause") true
+          (match List.rev (Sat.Solver.proof_steps s) with
+          | Sat.Proof.Add [||] :: _ -> true
+          | _ -> false);
+      let certified = Sat.Solver.solve_assuming_certified ~assumptions:[] s in
+      check (name ^ ": same verdict once certified") want_sat (is_sat certified);
+      match Sat.Solver.last_certification s with
+      | Some r ->
+          check (name ^ ": certificate kind") true
+            (r.Sat.Proof.kind = if want_sat then `Model else `Refutation)
+      | None -> Alcotest.failf "%s: no certificate" name)
+    [
+      ("root-unsat php 5/4", Sat.Gen.pigeonhole 4, false);
+      ("sat php 4/4", Sat.Gen.php_sat 4, true);
+    ];
   (* guard: requires proof logging *)
   let bare = Sat.Solver.of_problem p in
   match Sat.Solver.solve_assuming_certified ~assumptions:[] bare with

@@ -365,8 +365,10 @@ let test_ladder_forced_cdcl_timeout_matches_explicit () =
       Core.Mca_model.target = min mp.Core.Mca_model.target scope.Core.Mca_model.vnodes }
   in
   let backend =
-    Service.Ladder.Fresh_model
-      (Core.Mca_model.build Core.Mca_model.Efficient mp scope)
+    Service.Ladder.Shared_translation
+      ( Core.Mca_model.build_shared ~target:mp.Core.Mca_model.target
+          Core.Mca_model.Efficient scope,
+        mp )
   in
   (* zero-width budgets for the SAT rungs, room for the explicit one *)
   let budget_for = function
@@ -750,13 +752,32 @@ let test_speccheck_pipeline () =
       check "holds" true (r.Service.Speccheck.verdict = Service.Wire.Spec_holds);
       check "uncertified by default" false r.Service.Speccheck.certified
   | Result.Error d -> Alcotest.failf "pipeline: %s" (Alloylite.Diag.to_string d));
-  (* named run command, certified check *)
-  (match
-     Service.Speccheck.analyze ~certify:true ~deadline:(far_deadline ())
-       paper_spec
-   with
-  | Ok r -> check "certified" true r.Service.Speccheck.certified
-  | Result.Error d -> Alcotest.failf "certify: %s" (Alloylite.Diag.to_string d));
+  (* certified: a holds (refutation), a counterexample and an instance
+     (model certificates), each decided and certified on one session *)
+  List.iter
+    (fun (what, cmd, spec, want) ->
+      match
+        Service.Speccheck.analyze ~certify:true ?cmd
+          ~deadline:(far_deadline ()) spec
+      with
+      | Ok r ->
+          check (what ^ ": verdict") true (r.Service.Speccheck.verdict = want);
+          check (what ^ ": certified") true r.Service.Speccheck.certified
+      | Result.Error d ->
+          Alcotest.failf "certify %s: %s" what (Alloylite.Diag.to_string d))
+    [
+      ("check uniqueID", None, paper_spec, Service.Wire.Spec_holds);
+      ( "check everyoneBids", Some "everyoneBids",
+        paper_spec
+        ^ "assert everyoneBids { all p: pnode | some p.initBids }\n\
+           check everyoneBids for 3 but 4 Int\n",
+        Service.Wire.Spec_counterexample );
+      ( "run {}", None,
+        "sig vnode {}\n\
+         sig pnode { pid: one Int, initBids: set vnode }\n\
+         run {} for 2 but 4 Int\n",
+        Service.Wire.Spec_instance );
+    ];
   (* unknown command: typed error listing what the spec defines *)
   (match
      Service.Speccheck.analyze ~cmd:"ghost" ~deadline:(far_deadline ())
