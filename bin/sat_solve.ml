@@ -69,17 +69,25 @@ let solve_file path use_dpll portfolio jobs timeout show_stats certify drup_out 
         else begin
           let log_proof = certify || drup_out <> None in
           let solver = Sat.Solver.of_problem ~proof:log_proof problem in
+          let words0 = Gc.minor_words () in
+          let gcs0 = (Gc.quick_stat ()).Gc.minor_collections in
           let r =
             try Sat.Solver.solve ~certify solver
             with Sat.Proof.Certification_failed msg ->
               Printf.eprintf "error: certificate REJECTED: %s\n" msg;
               exit 3
           in
+          let alloc =
+            ( Gc.minor_words () -. words0,
+              (Gc.quick_stat ()).Gc.minor_collections - gcs0 )
+          in
           (match drup_out with
           | Some file ->
               Sat.Dimacs.write_drup_file file (Sat.Solver.proof_steps solver)
           | None -> ());
-          (r, Some (Sat.Solver.stats solver), Sat.Solver.last_certification solver)
+          ( r,
+            Some (Sat.Solver.stats solver, alloc),
+            Sat.Solver.last_certification solver )
         end
       in
       Sat.Dimacs.print_result Format.std_formatter result;
@@ -87,7 +95,9 @@ let solve_file path use_dpll portfolio jobs timeout show_stats certify drup_out 
       | Some report -> Format.printf "c certified: %a@." Sat.Proof.pp_report report
       | None -> ());
       (match (show_stats, stats) with
-      | true, Some st -> Format.printf "c %a@." Sat.Solver.pp_stats st
+      | true, Some (st, (words, gcs)) ->
+          Format.printf "c %a@." Sat.Solver.pp_stats st;
+          Format.printf "c alloc: %.0f minor words, %d minor GCs@." words gcs
       | _ -> ());
       exit (match result with Sat.Solver.Sat _ -> 10 | Sat.Solver.Unsat -> 20)
 
@@ -119,7 +129,10 @@ let timeout_arg =
                  engine expires the verdict is s UNKNOWN with exit code 30")
 
 let stats_flag =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print solver statistics as a comment line")
+  Arg.(value & flag
+       & info [ "stats" ]
+           ~doc:"Print solver statistics as a comment line, then the minor-heap \
+                 words and minor collections of the solve itself")
 
 let certify_flag =
   Arg.(value & flag

@@ -68,8 +68,8 @@ type 'a timed = Item of 'a | Timeout | Closed
 let pop_deadline q ~deadline =
   (* the stdlib [Condition] has no timed wait, so the deadline variant
      polls in short slices: worst-case wake-up latency is the slice
-     (2 ms), which is noise against the verification work the service
-     workers pull from this queue *)
+     (2 ms). A consumer that needs no deadline uses the blocking [pop],
+     which wakes as soon as an element or the close arrives. *)
   let rec loop () =
     let r =
       with_lock q (fun () ->

@@ -30,9 +30,9 @@ val pop_deadline : 'a t -> deadline:float -> 'a timed
 (** Like {!pop}, but gives up with [Timeout] once the absolute
     wall-clock time [deadline] (as from [Unix.gettimeofday]) passes
     while the queue is empty. [Closed] is answered as soon as the queue
-    is closed and drained. Workers use the timeout to wake periodically
-    and poll drain flags even when no work arrives; wake-up latency
-    after a push is bounded by the 2 ms polling slice. *)
+    is closed and drained. It polls: wake-up latency after a push is
+    bounded by its 2 ms slice, so a consumer that has nothing else to
+    watch (the service workers, the pool) uses the blocking {!pop}. *)
 
 val close : 'a t -> unit
 (** Idempotent. Already-queued elements remain poppable. *)

@@ -45,5 +45,17 @@ let lit_is_true m l =
   let b = m.(var_of l) in
   if is_pos l then b else not b
 
-let check_model m cs =
-  List.for_all (fun c -> Array.exists (fun l -> lit_is_true m l) c) cs
+(* Loops rather than [Array.exists] and [List.for_all]: the solver runs
+   [satisfies] over every problem clause on each Sat answer, where a
+   closure per clause would be most of a warm verdict's garbage. *)
+let satisfies m (c : clause) =
+  let n = Array.length c in
+  let i = ref 0 in
+  while !i < n && not (lit_is_true m c.(!i)) do
+    incr i
+  done;
+  !i < n
+
+let rec check_model m = function
+  | [] -> true
+  | c :: cs -> satisfies m c && check_model m cs

@@ -70,6 +70,12 @@ type model = bool array
 val lit_is_true : model -> lit -> bool
 (** [lit_is_true m l] evaluates literal [l] under model [m]. *)
 
+val satisfies : model -> clause -> bool
+(** [satisfies m c] holds when some literal of [c] is true under [m];
+    never for the empty clause. It allocates nothing, so the solver can
+    afford to run it over its whole clause database on every [Sat]
+    answer. *)
+
 val check_model : model -> clause list -> bool
 (** [check_model m cs] verifies every clause has a true literal — the
     final sanity gate applied to every solver answer. *)

@@ -5,7 +5,16 @@
     re-ordering of a single element after its score changes, which is the
     operation VSIDS performs on every conflict. *)
 
-type t
+type t = {
+  mutable heap : int array;  (** heap slots -> variable *)
+  mutable index : int array;  (** variable -> heap slot, or -1 *)
+  mutable act : float array;  (** variable -> activity *)
+  mutable sz : int;
+}
+(** The representation is exposed for the solver's hot loops, which
+    read [act] and [index] directly: dune's default profile compiles
+    with [-opaque], so a call to {!activity} from another module is
+    never inlined and returns its float boxed. *)
 
 val create : int -> t
 (** [create n] makes a heap able to hold variables [1..n], all initially
@@ -14,7 +23,6 @@ val create : int -> t
 val grow_to : t -> int -> unit
 (** [grow_to h n] extends the variable range to [1..n]. *)
 
-val in_heap : t -> Cnf.var -> bool
 val insert : t -> Cnf.var -> unit
 (** Inserts a variable; no-op when already present. *)
 

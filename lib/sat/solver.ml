@@ -46,20 +46,26 @@ let diversified k =
       seed = k;
     }
 
+(* Fills unused vector slots, and in [reason] means "no reason": a
+   decision, an assumption, or a root-level or learnt unit. *)
 let dummy_clause = { lits = [||]; activity = 0.0; learnt = false; deleted = false }
 
 type t = {
   mutable nvars : int;
   mutable clauses : clause Vec.t; (* problem clauses *)
-  mutable learnts : clause Vec.t; (* learnt clauses *)
+  learnts : clause Vec.t; (* learnt clauses *)
   mutable watches : clause Vec.t array; (* lit-indexed *)
   mutable assigns : Cnf.value array; (* var-indexed *)
   mutable level : int array; (* var-indexed *)
-  mutable reason : clause option array; (* var-indexed *)
+  mutable reason : clause array; (* var-indexed, [dummy_clause] = none *)
   mutable polarity : bool array; (* var-indexed saved phase *)
   mutable seen : bool array; (* var-indexed scratch *)
   trail : Cnf.lit Vec.t;
   trail_lim : int Vec.t;
+  (* conflict analysis scratch: the literals met below the conflict
+     level, in discovery order, then the learnt clause itself *)
+  seen_lits : Cnf.lit Vec.t;
+  learnt : Cnf.lit Vec.t;
   mutable qhead : int;
   order : Heap.t;
   mutable var_inc : float;
@@ -91,11 +97,13 @@ let create () =
     watches = Array.make 2 (Vec.create ~dummy:dummy_clause ());
     assigns = Array.make 1 Cnf.Unknown;
     level = Array.make 1 (-1);
-    reason = Array.make 1 None;
+    reason = Array.make 1 dummy_clause;
     polarity = Array.make 1 false;
     seen = Array.make 1 false;
     trail = Vec.create ~dummy:0 ();
     trail_lim = Vec.create ~dummy:0 ();
+    seen_lits = Vec.create ~dummy:0 ();
+    learnt = Vec.create ~dummy:0 ();
     qhead = 0;
     order = Heap.create 16;
     var_inc = 1.0;
@@ -148,7 +156,7 @@ let resize_arrays s n =
   in
   s.assigns <- grow s.assigns Cnf.Unknown;
   s.level <- grow s.level (-1);
-  s.reason <- grow s.reason None;
+  s.reason <- grow s.reason dummy_clause;
   s.polarity <- grow s.polarity false;
   s.seen <- grow s.seen false;
   let oldw = Array.length s.watches in
@@ -175,37 +183,77 @@ let new_var s =
   ensure_vars s (s.nvars + 1);
   s.nvars
 
-let value_lit s l =
-  let v = s.assigns.(Cnf.var_of l) in
-  if Cnf.is_pos l then v else Cnf.value_negate v
+(* ---- the hot path ----
 
-let decision_level s = Vec.size s.trail_lim
+   Dune's default profile compiles with -opaque, so no call into another
+   module is ever inlined: a [Cnf.var_of] or a [Vec.get] in the
+   propagation loop is an out-of-line call. The literal arithmetic of
+   {!Cnf} and the few {!Vec} operations the search loops need are
+   therefore restated here, where they are inlined. They must mean
+   exactly what the originals mean — above all, [push_clause] and
+   [swap_remove] keep Vec's order, which fixes the order watchers are
+   visited in, and with it the whole search. The pushes come one per
+   element type so that each compiles to its own store: a plain one for
+   ints, the write barrier for clauses. *)
+
+let[@inline] var_of l = l lsr 1
+let[@inline] negate l = l lxor 1
+let[@inline] is_pos l = l land 1 = 0
+
+let[@inline] push_int (v : int Vec.t) x =
+  if v.Vec.sz = Array.length v.Vec.data then Vec.push v x
+  else begin
+    Array.unsafe_set v.Vec.data v.Vec.sz x;
+    v.Vec.sz <- v.Vec.sz + 1
+  end
+
+let[@inline] push_clause (v : clause Vec.t) c =
+  if v.Vec.sz = Array.length v.Vec.data then Vec.push v c
+  else begin
+    Array.unsafe_set v.Vec.data v.Vec.sz c;
+    v.Vec.sz <- v.Vec.sz + 1
+  end
+
+let[@inline] swap_remove (v : clause Vec.t) i =
+  let last = v.Vec.sz - 1 in
+  v.Vec.sz <- last;
+  v.Vec.data.(i) <- v.Vec.data.(last);
+  v.Vec.data.(last) <- v.Vec.dummy
+
+let[@inline] value_lit s l =
+  let v = s.assigns.(var_of l) in
+  if is_pos l then v
+  else match v with Cnf.True -> Cnf.False | Cnf.False -> Cnf.True | Cnf.Unknown -> v
+
+let[@inline] decision_level s = s.trail_lim.Vec.sz
 
 (* Enqueue a literal as true, recording its reason. *)
-let enqueue s l reason =
-  let v = Cnf.var_of l in
-  s.assigns.(v) <- (if Cnf.is_pos l then Cnf.True else Cnf.False);
+let[@inline] enqueue s l reason =
+  let v = var_of l in
+  s.assigns.(v) <- (if is_pos l then Cnf.True else Cnf.False);
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
-  Vec.push s.trail l
+  push_int s.trail l
 
-let watch s l c = Vec.push s.watches.(l) c
+let[@inline] watch s l c = push_clause s.watches.(l) c
 
-(* Boolean constraint propagation. Returns the conflicting clause, if any. *)
+(* Boolean constraint propagation. Returns the conflicting clause, or
+   [dummy_clause] when there is none. Allocates nothing. *)
 let propagate s =
-  let conflict = ref None in
-  while !conflict = None && s.qhead < Vec.size s.trail do
-    let p = Vec.get s.trail s.qhead in
+  let conflict = ref dummy_clause in
+  let trail = s.trail in
+  while !conflict == dummy_clause && s.qhead < trail.Vec.sz do
+    let p = trail.Vec.data.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
     let ws = s.watches.(p) in
+    let false_lit = negate p in
     let i = ref 0 in
-    while !i < Vec.size ws do
-      let c = Vec.get ws !i in
-      if c.deleted then Vec.swap_remove ws !i
+    while !i < ws.Vec.sz do
+      let c = ws.Vec.data.(!i) in
+      if c.deleted then swap_remove ws !i
       else begin
         let lits = c.lits in
-        let false_lit = Cnf.negate p in
         (* normalize: put the falsified watcher at position 1 *)
         if lits.(0) = false_lit then begin
           lits.(0) <- lits.(1);
@@ -215,27 +263,25 @@ let propagate s =
         else begin
           (* look for a replacement watch *)
           let n = Array.length lits in
-          let found = ref (-1) in
           let k = ref 2 in
-          while !found < 0 && !k < n do
-            if value_lit s lits.(!k) <> Cnf.False then found := !k;
+          while !k < n && value_lit s lits.(!k) = Cnf.False do
             incr k
           done;
-          if !found >= 0 then begin
-            let k = !found in
+          if !k < n then begin
+            let k = !k in
             lits.(1) <- lits.(k);
             lits.(k) <- false_lit;
-            watch s (Cnf.negate lits.(1)) c;
-            Vec.swap_remove ws !i
+            watch s (negate lits.(1)) c;
+            swap_remove ws !i
           end
           else if value_lit s lits.(0) = Cnf.False then begin
             (* conflict: drain queue *)
-            conflict := Some c;
-            s.qhead <- Vec.size s.trail;
-            i := Vec.size ws
+            conflict := c;
+            s.qhead <- trail.Vec.sz;
+            i := ws.Vec.sz
           end
           else begin
-            enqueue s lits.(0) (Some c);
+            enqueue s lits.(0) c;
             incr i
           end
         end
@@ -246,7 +292,7 @@ let propagate s =
 
 let var_bump s v =
   Heap.bump s.order v s.var_inc;
-  if Heap.activity s.order v > 1e100 then begin
+  if s.order.Heap.act.(v) > 1e100 then begin
     Heap.rescale s.order 1e-100;
     s.var_inc <- s.var_inc *. 1e-100
   end
@@ -258,85 +304,102 @@ let clause_bump s c =
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
-(* First-UIP conflict analysis. Returns (learnt clause lits with the
-   asserting literal first, backjump level). *)
+(* A literal of a learnt clause is redundant when its reason's other
+   literals are all in the clause already or fixed at the root. *)
+let is_redundant s q =
+  let c = s.reason.(var_of q) in
+  c != dummy_clause
+  &&
+  let lits = c.lits and nq = negate q in
+  let n = Array.length lits in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let l = lits.(!i) in
+    l = nq || s.seen.(var_of l) || s.level.(var_of l) = 0
+  do
+    incr i
+  done;
+  !i = n
+
+(* First-UIP conflict analysis. Leaves the learnt clause in [s.learnt],
+   asserting literal first, then the other literals in reverse order of
+   discovery, and returns the backjump level. *)
 let analyze s confl =
-  let learnt = ref [] in
   let seen = s.seen in
+  let found = s.seen_lits in
+  found.Vec.sz <- 0;
   let counter = ref 0 in
   let p = ref (-1) in
-  let confl = ref (Some confl) in
-  let btlevel = ref 0 in
-  let trail_idx = ref (Vec.size s.trail - 1) in
+  let confl = ref confl in
+  let trail_idx = ref (s.trail.Vec.sz - 1) in
   let continue = ref true in
   while !continue do
-    (match !confl with
-    | None -> ()
-    | Some c ->
-        if c.learnt then clause_bump s c;
-        let start = if !p = -1 then 0 else 1 in
-        for j = start to Array.length c.lits - 1 do
-          let q = c.lits.(j) in
-          let v = Cnf.var_of q in
-          if (not seen.(v)) && s.level.(v) > 0 then begin
-            seen.(v) <- true;
-            var_bump s v;
-            if s.level.(v) >= decision_level s then incr counter
-            else begin
-              learnt := q :: !learnt;
-              btlevel := max !btlevel s.level.(v)
-            end
-          end
-        done);
+    let c = !confl in
+    if c != dummy_clause then begin
+      if c.learnt then clause_bump s c;
+      let start = if !p = -1 then 0 else 1 in
+      for j = start to Array.length c.lits - 1 do
+        let q = c.lits.(j) in
+        let v = var_of q in
+        if (not seen.(v)) && s.level.(v) > 0 then begin
+          seen.(v) <- true;
+          var_bump s v;
+          if s.level.(v) >= decision_level s then incr counter
+          else push_int found q
+        end
+      done
+    end;
     (* walk the trail back to the next marked literal *)
-    let v = ref (Cnf.var_of (Vec.get s.trail !trail_idx)) in
+    let v = ref (var_of s.trail.Vec.data.(!trail_idx)) in
     while not seen.(!v) do
       decr trail_idx;
-      v := Cnf.var_of (Vec.get s.trail !trail_idx)
+      v := var_of s.trail.Vec.data.(!trail_idx)
     done;
-    p := Vec.get s.trail !trail_idx;
+    p := s.trail.Vec.data.(!trail_idx);
     decr trail_idx;
     seen.(!v) <- false;
     confl := s.reason.(!v);
     decr counter;
     if !counter <= 0 then continue := false
   done;
-  let asserting = Cnf.negate !p in
-  (* local clause minimization: drop literals implied by others *)
-  let is_redundant q =
-    match s.reason.(Cnf.var_of q) with
-    | None -> false
-    | Some c ->
-        Array.for_all
-          (fun l ->
-            l = Cnf.negate q
-            || seen.(Cnf.var_of l)
-            || s.level.(Cnf.var_of l) = 0)
-          c.lits
-  in
-  List.iter (fun q -> seen.(Cnf.var_of q) <- true) !learnt;
-  let kept = List.filter (fun q -> not (is_redundant q)) !learnt in
-  List.iter (fun q -> seen.(Cnf.var_of q) <- false) !learnt;
-  let btlevel =
-    List.fold_left (fun acc q -> max acc (s.level.(Cnf.var_of q))) 0 kept
-  in
-  (asserting :: kept, btlevel)
+  (* local clause minimization: drop literals implied by others, which
+     [is_redundant] judges by the marks of every literal found *)
+  for j = 0 to found.Vec.sz - 1 do
+    seen.(var_of found.Vec.data.(j)) <- true
+  done;
+  let learnt = s.learnt in
+  learnt.Vec.sz <- 0;
+  push_int learnt (negate !p);
+  let btlevel = ref 0 in
+  for j = found.Vec.sz - 1 downto 0 do
+    let q = found.Vec.data.(j) in
+    if not (is_redundant s q) then begin
+      push_int learnt q;
+      btlevel := Int.max !btlevel s.level.(var_of q)
+    end
+  done;
+  for j = 0 to found.Vec.sz - 1 do
+    seen.(var_of found.Vec.data.(j)) <- false
+  done;
+  !btlevel
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = Cnf.var_of l in
+    let bound = s.trail_lim.Vec.data.(lvl) in
+    for i = s.trail.Vec.sz - 1 downto bound do
+      let l = s.trail.Vec.data.(i) in
+      let v = var_of l in
       s.assigns.(v) <- Cnf.Unknown;
-      s.polarity.(v) <- Cnf.is_pos l;
-      s.reason.(v) <- None;
+      s.polarity.(v) <- is_pos l;
+      s.reason.(v) <- dummy_clause;
       s.level.(v) <- -1;
-      if not (Heap.in_heap s.order v) then Heap.insert s.order v
+      if s.order.Heap.index.(v) < 0 then Heap.insert s.order v
     done;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lvl;
-    s.qhead <- Vec.size s.trail
+    s.trail.Vec.sz <- bound;
+    s.trail_lim.Vec.sz <- lvl;
+    s.qhead <- bound
   end
 
 (* Assumption-aware final conflict analysis (MiniSat's [analyzeFinal]):
@@ -351,7 +414,7 @@ let analyze_final s confl_lits =
     let seen = s.seen in
     let marked = ref [] in
     let mark q =
-      let v = Cnf.var_of q in
+      let v = var_of q in
       if (not seen.(v)) && s.level.(v) > 0 then begin
         seen.(v) <- true;
         marked := v :: !marked
@@ -359,7 +422,7 @@ let analyze_final s confl_lits =
     in
     Array.iter mark confl_lits;
     let core = ref [] in
-    let bound = Vec.get s.trail_lim 0 in
+    let bound = s.trail_lim.Vec.data.(0) in
     (* Only literals sitting at a level boundary are pseudo-decisions
        (here: assumptions — every remaining level is an assumption
        level when this runs). A reason-less literal in mid-level is a
@@ -368,17 +431,20 @@ let analyze_final s confl_lits =
        a literal needs no assumption behind it and stays out of the
        core (nor is there a reason clause to resolve through). *)
     let is_boundary i =
-      let n = Vec.size s.trail_lim in
-      let rec go k = k < n && (Vec.get s.trail_lim k = i || go (k + 1)) in
+      let n = decision_level s in
+      let rec go k = k < n && (s.trail_lim.Vec.data.(k) = i || go (k + 1)) in
       go 0
     in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = Cnf.var_of l in
-      if seen.(v) then
-        match s.reason.(v) with
-        | None -> if is_boundary i then core := l :: !core
-        | Some c -> Array.iter mark c.lits
+    for i = s.trail.Vec.sz - 1 downto bound do
+      let l = s.trail.Vec.data.(i) in
+      let v = var_of l in
+      if seen.(v) then begin
+        let c = s.reason.(v) in
+        if c == dummy_clause then begin
+          if is_boundary i then core := l :: !core
+        end
+        else Array.iter mark c.lits
+      end
     done;
     List.iter (fun v -> seen.(v) <- false) !marked;
     !core
@@ -386,46 +452,52 @@ let analyze_final s confl_lits =
 
 (* Attach a clause of >= 2 literals to the watch lists. *)
 let attach s c =
-  watch s (Cnf.negate c.lits.(0)) c;
-  watch s (Cnf.negate c.lits.(1)) c
+  watch s (negate c.lits.(0)) c;
+  watch s (negate c.lits.(1)) c
 
-let record_learnt s lits =
+(* Record the clause [analyze] left in [s.learnt]. *)
+let record_learnt s =
+  let n = s.learnt.Vec.sz in
+  let arr = Array.sub s.learnt.Vec.data 0 n in
   (match s.proof with
-  | Some t -> Proof.log_add t (Array.of_list lits)
+  | Some t -> Proof.log_add t arr
   | None -> ());
-  match lits with
-  | [] -> s.ok <- false
-  | [ l ] ->
-      (* asserting unit: enqueue at the backjumped (root) level *)
-      enqueue s l None
-  | first :: _ ->
-      let arr = Array.of_list lits in
-      (* watch the asserting literal and a literal from the backjump level *)
-      let max_i = ref 1 in
-      for i = 2 to Array.length arr - 1 do
-        if s.level.(Cnf.var_of arr.(i)) > s.level.(Cnf.var_of arr.(!max_i))
-        then max_i := i
-      done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!max_i);
-      arr.(!max_i) <- tmp;
-      let c = { lits = arr; activity = 0.0; learnt = true; deleted = false } in
-      Vec.push s.learnts c;
-      attach s c;
-      clause_bump s c;
-      s.n_learnt_lits <- s.n_learnt_lits + Array.length arr;
-      enqueue s first (Some c)
+  if n = 1 then
+    (* asserting unit: enqueue at the backjumped (root) level *)
+    enqueue s arr.(0) dummy_clause
+  else begin
+    (* watch the asserting literal and a literal from the backjump level *)
+    let max_i = ref 1 in
+    for i = 2 to n - 1 do
+      if s.level.(var_of arr.(i)) > s.level.(var_of arr.(!max_i)) then max_i := i
+    done;
+    let tmp = arr.(1) in
+    arr.(1) <- arr.(!max_i);
+    arr.(!max_i) <- tmp;
+    let c = { lits = arr; activity = 0.0; learnt = true; deleted = false } in
+    push_clause s.learnts c;
+    attach s c;
+    clause_bump s c;
+    s.n_learnt_lits <- s.n_learnt_lits + n;
+    enqueue s arr.(0) c
+  end
+
+let max_var lits = List.fold_left (fun m l -> Int.max m (var_of l)) 0 lits
 
 let add_clause s lits =
   if s.ok then begin
     s.n_clauses_added <- s.n_clauses_added + 1;
-    List.iter (fun l -> ensure_vars s (Cnf.var_of l)) lits;
+    ensure_vars s (max_var lits);
     if s.proof <> None then s.originals <- Array.of_list lits :: s.originals;
-    (* root-level simplification: drop false lits, detect tautology *)
-    let lits = List.sort_uniq compare lits in
+    (* root-level simplification: drop false lits, detect tautology —
+       once sorted, a literal and its negation sit side by side *)
+    let lits = List.sort_uniq Int.compare lits in
+    let rec complementary = function
+      | a :: (b :: _ as rest) -> b = negate a || complementary rest
+      | [ _ ] | [] -> false
+    in
     let tauto =
-      List.exists (fun l -> List.mem (Cnf.negate l) lits) lits
-      || List.exists (fun l -> value_lit s l = Cnf.True) lits
+      complementary lits || List.exists (fun l -> value_lit s l = Cnf.True) lits
     in
     if not tauto then begin
       let lits = List.filter (fun l -> value_lit s l <> Cnf.False) lits in
@@ -434,15 +506,15 @@ let add_clause s lits =
           s.ok <- false;
           log_empty s
       | [ l ] ->
-          enqueue s l None;
-          if propagate s <> None then begin
+          enqueue s l dummy_clause;
+          if propagate s != dummy_clause then begin
             s.ok <- false;
             log_empty s
           end
       | _ ->
           let arr = Array.of_list lits in
           let c = { lits = arr; activity = 0.0; learnt = false; deleted = false } in
-          Vec.push s.clauses c;
+          push_clause s.clauses c;
           attach s c
     end
   end
@@ -451,37 +523,45 @@ let add_clause s lits =
    clauses that are the current reason of an assignment. *)
 let reduce_db s =
   let locked c =
-    Array.length c.lits > 0
-    &&
-    match s.reason.(Cnf.var_of c.lits.(0)) with
-    | Some r -> r == c
-    | None -> false
+    Array.length c.lits > 0 && s.reason.(var_of c.lits.(0)) == c
   in
-  Vec.sort (fun a b -> compare a.activity b.activity) s.learnts;
-  let n = Vec.size s.learnts in
-  let keep = Vec.create ~dummy:dummy_clause () in
-  Vec.iteri
-    (fun i c ->
-      if i < n / 2 && (not (locked c)) && Array.length c.lits > 2 then begin
-        c.deleted <- true;
-        match s.proof with
-        | Some t -> Proof.log_delete t c.lits
-        | None -> ()
-      end
-      else Vec.push keep c)
-    s.learnts;
-  s.learnts <- keep
+  let learnts = s.learnts in
+  Vec.sort (fun a b -> compare a.activity b.activity) learnts;
+  let n = learnts.Vec.sz in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let c = learnts.Vec.data.(i) in
+    if i < n / 2 && (not (locked c)) && Array.length c.lits > 2 then begin
+      c.deleted <- true;
+      match s.proof with
+      | Some t -> Proof.log_delete t c.lits
+      | None -> ()
+    end
+    else begin
+      learnts.Vec.data.(!kept) <- c;
+      incr kept
+    end
+  done;
+  Vec.shrink learnts !kept
 
+(* The next decision literal, or -1 once every variable is assigned. *)
 let pick_branch_lit s =
-  let rec loop () =
-    if Heap.is_empty s.order then None
-    else
-      let v = Heap.remove_max s.order in
-      if s.assigns.(v) = Cnf.Unknown then
-        Some (if s.polarity.(v) then Cnf.pos v else Cnf.neg v)
-      else loop ()
-  in
-  loop ()
+  let lit = ref (-1) in
+  while !lit < 0 && not (Heap.is_empty s.order) do
+    let v = Heap.remove_max s.order in
+    if s.assigns.(v) = Cnf.Unknown then
+      lit := if s.polarity.(v) then v lsl 1 else (v lsl 1) lor 1
+  done;
+  !lit
+
+(* The model check every Sat answer passes: a loop, so that it
+   allocates nothing. *)
+let satisfies_clauses m (cs : clause Vec.t) =
+  let i = ref 0 in
+  while !i < cs.Vec.sz && Cnf.satisfies m cs.Vec.data.(!i).lits do
+    incr i
+  done;
+  !i = cs.Vec.sz
 
 let extract_model s =
   let m = Array.make (s.nvars + 1) false in
@@ -525,10 +605,10 @@ let solve_core ~assumptions ~budget ~config ~stop s =
   if not s.ok then Decided Unsat
   else begin
     (* make sure assumption variables exist *)
-    List.iter (fun l -> ensure_vars s (Cnf.var_of l)) assumptions;
+    ensure_vars s (max_var assumptions);
     cancel_until s 0;
     if config <> default_config then diversify s config;
-    if propagate s <> None then begin
+    if propagate s != dummy_clause then begin
       s.ok <- false;
       log_empty s;
       Decided Unsat
@@ -536,8 +616,9 @@ let solve_core ~assumptions ~budget ~config ~stop s =
     else begin
       let result = ref None in
       let restart_num = ref 0 in
+      let restart_limit = ref (config.restart_base *. luby 0) in
       let conflicts_since_restart = ref 0 in
-      let max_learnts = ref (max 1000 (Vec.size s.clauses / 3)) in
+      let max_learnts = ref (max 1000 (s.clauses.Vec.sz / 3)) in
       (* budget accounting is per solve call, not per solver lifetime *)
       let conflicts0 = s.n_conflicts and propagations0 = s.n_propagations in
       (* push assumptions as pseudo-decisions; [Some core] on failure *)
@@ -550,12 +631,12 @@ let solve_core ~assumptions ~budget ~config ~stop s =
                 (* l is refuted by root facts and earlier assumptions:
                    the core is l plus whatever implied its negation *)
                 Some (l :: analyze_final s [| l |])
-            | Cnf.Unknown -> (
-                Vec.push s.trail_lim (Vec.size s.trail);
-                enqueue s l None;
-                match propagate s with
-                | Some c -> Some (analyze_final s c.lits)
-                | None -> push_assumptions rest))
+            | Cnf.Unknown ->
+                push_int s.trail_lim s.trail.Vec.sz;
+                enqueue s l dummy_clause;
+                let c = propagate s in
+                if c != dummy_clause then Some (analyze_final s c.lits)
+                else push_assumptions rest)
       in
       match push_assumptions assumptions with
       | Some core ->
@@ -565,12 +646,11 @@ let solve_core ~assumptions ~budget ~config ~stop s =
       | None ->
         begin
         let assumption_level = decision_level s in
-        let restart_limit () = config.restart_base *. luby !restart_num in
         (* the budget AND the cancellation hook are polled here, at every
            conflict/decision boundary — not just at restarts — so a
            portfolio loser stops within one conflict of the winner's
            verdict *)
-        while !result = None do
+        while Option.is_none !result do
           let conflicts = s.n_conflicts - conflicts0 in
           let propagations = s.n_propagations - propagations0 in
           let status =
@@ -581,67 +661,66 @@ let solve_core ~assumptions ~budget ~config ~stop s =
           | Netsim.Budget.Expired reason ->
               cancel_until s 0;
               result := Some (Unknown { reason; conflicts; propagations })
-          | Netsim.Budget.Within -> (
-              match propagate s with
-              | Some confl ->
-                  s.n_conflicts <- s.n_conflicts + 1;
-                  incr conflicts_since_restart;
-                  if decision_level s <= assumption_level then begin
-                    (* conflict at the assumption level or below: unsat.
-                       At level 0 the clause set itself is refuted — no
-                       assumption was even involved — so the solver is
-                       dead for good: close the DRUP trail AND mark it
-                       unsatisfiable, or a later warm reuse would skip
-                       the (already fully propagated) conflict and
-                       fabricate a model. Above level 0 only the
-                       assumptions are refuted: compute the failed core
-                       (before the trail is cancelled) and stay
-                       reusable. *)
-                    if decision_level s = 0 then begin
-                      s.ok <- false;
-                      log_empty s
-                    end
-                    else s.conflict_core <- analyze_final s confl.lits;
-                    cancel_until s 0;
-                    result := Some (Decided Unsat)
+          | Netsim.Budget.Within ->
+              let confl = propagate s in
+              if confl != dummy_clause then begin
+                s.n_conflicts <- s.n_conflicts + 1;
+                incr conflicts_since_restart;
+                if decision_level s <= assumption_level then begin
+                  (* conflict at the assumption level or below: unsat.
+                     At level 0 the clause set itself is refuted — no
+                     assumption was even involved — so the solver is
+                     dead for good: close the DRUP trail AND mark it
+                     unsatisfiable, or a later warm reuse would skip
+                     the (already fully propagated) conflict and
+                     fabricate a model. Above level 0 only the
+                     assumptions are refuted: compute the failed core
+                     (before the trail is cancelled) and stay
+                     reusable. *)
+                  if decision_level s = 0 then begin
+                    s.ok <- false;
+                    log_empty s
                   end
-                  else begin
-                    let learnt, btlevel = analyze s confl in
-                    let btlevel = max btlevel assumption_level in
-                    cancel_until s btlevel;
-                    record_learnt s learnt;
-                    if not s.ok then result := Some (Decided Unsat)
-                    else begin
-                      s.var_inc <- s.var_inc *. var_decay;
-                      s.cla_inc <- s.cla_inc *. clause_decay
-                    end
-                  end
-              | None ->
-                  if
-                    float_of_int !conflicts_since_restart >= restart_limit ()
-                    && decision_level s > assumption_level
-                  then begin
-                    s.n_restarts <- s.n_restarts + 1;
-                    incr restart_num;
-                    conflicts_since_restart := 0;
-                    cancel_until s assumption_level
-                  end
-                  else begin
-                    if Vec.size s.learnts >= !max_learnts then begin
-                      reduce_db s;
-                      max_learnts := !max_learnts + (!max_learnts / 10)
-                    end;
-                    match pick_branch_lit s with
-                    | None ->
-                        let m = extract_model s in
-                        cancel_until s 0;
-                        assert (Cnf.check_model m (Vec.fold (fun acc c -> c.lits :: acc) [] s.clauses));
-                        result := Some (Decided (Sat m))
-                    | Some l ->
-                        s.n_decisions <- s.n_decisions + 1;
-                        Vec.push s.trail_lim (Vec.size s.trail);
-                        enqueue s l None
-                  end)
+                  else s.conflict_core <- analyze_final s confl.lits;
+                  cancel_until s 0;
+                  result := Some (Decided Unsat)
+                end
+                else begin
+                  let btlevel = analyze s confl in
+                  cancel_until s (Int.max btlevel assumption_level);
+                  record_learnt s;
+                  s.var_inc <- s.var_inc *. var_decay;
+                  s.cla_inc <- s.cla_inc *. clause_decay
+                end
+              end
+              else if
+                float_of_int !conflicts_since_restart >= !restart_limit
+                && decision_level s > assumption_level
+              then begin
+                s.n_restarts <- s.n_restarts + 1;
+                incr restart_num;
+                restart_limit := config.restart_base *. luby !restart_num;
+                conflicts_since_restart := 0;
+                cancel_until s assumption_level
+              end
+              else begin
+                if s.learnts.Vec.sz >= !max_learnts then begin
+                  reduce_db s;
+                  max_learnts := !max_learnts + (!max_learnts / 10)
+                end;
+                let l = pick_branch_lit s in
+                if l < 0 then begin
+                  let m = extract_model s in
+                  cancel_until s 0;
+                  assert (satisfies_clauses m s.clauses);
+                  result := Some (Decided (Sat m))
+                end
+                else begin
+                  s.n_decisions <- s.n_decisions + 1;
+                  push_int s.trail_lim s.trail.Vec.sz;
+                  enqueue s l dummy_clause
+                end
+              end
         done;
         match !result with Some r -> r | None -> assert false
       end

@@ -57,11 +57,6 @@ let iter f v =
     f (Array.unsafe_get v.data i)
   done
 
-let iteri f v =
-  for i = 0 to v.sz - 1 do
-    f i (Array.unsafe_get v.data i)
-  done
-
 let exists p v =
   let rec loop i = i < v.sz && (p (Array.unsafe_get v.data i) || loop (i + 1)) in
   loop 0

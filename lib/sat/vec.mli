@@ -1,7 +1,14 @@
 (** Growable arrays, used pervasively by the CDCL solver for the clause
     database, the trail and the watcher lists. *)
 
-type 'a t
+type 'a t = { mutable data : 'a array; mutable sz : int; dummy : 'a }
+(** Slots [0 .. sz-1] of [data] hold the elements; the operations
+    below reset the others to [dummy], so that a vector of pointers
+    keeps nothing alive past its end. The representation is exposed for
+    the solver's hot loops: dune's default profile compiles with
+    [-opaque], so a call to {!get} or {!push} from another module is
+    never inlined, and the solver restates the few operations it needs
+    on these fields. *)
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] makes an empty vector. [dummy] fills unused slots. *)
@@ -30,7 +37,6 @@ val swap_remove : 'a t -> int -> unit
     O(1), does not preserve order. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val exists : ('a -> bool) -> 'a t -> bool
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list

@@ -558,14 +558,12 @@ let worker t =
           ~finally:(fun () -> Tenant.release t.tenants h.Wire.tenant)
           (fun () -> serve_submit t job.fd h spec)
   in
+  (* A blocking pop: the admitting [try_push] wakes one parked worker,
+     and [join]'s [close] wakes them all once the backlog is drained. *)
   let rec loop () =
-    match
-      Parallel.Bqueue.pop_deadline t.queue
-        ~deadline:(Unix.gettimeofday () +. 0.25)
-    with
-    | Parallel.Bqueue.Closed -> ()
-    | Parallel.Bqueue.Timeout -> loop ()
-    | Parallel.Bqueue.Item job ->
+    match Parallel.Bqueue.pop t.queue with
+    | None -> ()
+    | Some job ->
         (try serve job
          with e ->
            Atomic.incr t.counters.errors;

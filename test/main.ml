@@ -2,6 +2,7 @@ let () =
   Alcotest.run "mca_verif"
     [
       ("sat", Test_sat.suite);
+      ("solver-pin", Test_solver_pin.suite);
       ("netsim", Test_netsim.suite);
       ("relalg", Test_relalg.suite);
       ("alloylite", Test_alloylite.suite);

@@ -148,6 +148,21 @@ let test_bqueue_pop_deadline_close_wakes () =
     (List.length
        (List.filter (function Parallel.Bqueue.Closed -> true | _ -> false) rs))
 
+let test_bqueue_pop_close_wakes () =
+  (* the blocking twin of the case above, which server drain relies on:
+     workers parked in pop must all wake when the queue closes, and the
+     backlog element must reach exactly one of them *)
+  let q = Parallel.Bqueue.create ~capacity:2 in
+  let ds = List.init 3 (fun _ -> Domain.spawn (fun () -> Parallel.Bqueue.pop q)) in
+  Unix.sleepf 0.05;
+  Parallel.Bqueue.push q 1;
+  Parallel.Bqueue.close q;
+  let rs = List.map Domain.join ds in
+  check_int "the backlog element reached exactly one consumer" 1
+    (List.length (List.filter (( = ) (Some 1)) rs));
+  check_int "the others saw the close" 2
+    (List.length (List.filter Option.is_none rs))
+
 (* ---- Pool ---- *)
 
 let test_pool_jobs1_is_array_map () =
@@ -477,6 +492,8 @@ let suite =
     Alcotest.test_case "bqueue pop_deadline times out" `Quick test_bqueue_pop_deadline;
     Alcotest.test_case "bqueue pop_deadline wakes on close" `Quick
       test_bqueue_pop_deadline_close_wakes;
+    Alcotest.test_case "bqueue pop wakes on close" `Quick
+      test_bqueue_pop_close_wakes;
     Alcotest.test_case "pool jobs=1 is Array.map" `Quick test_pool_jobs1_is_array_map;
     Alcotest.test_case "pool results keyed by index" `Quick test_pool_results_keyed_by_index;
     Alcotest.test_case "pool empty/bad jobs" `Quick test_pool_empty_and_bad_jobs;

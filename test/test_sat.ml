@@ -39,6 +39,23 @@ let test_check_model () =
   check "falsifying model rejected" false
     (Sat.Cnf.check_model [| false; false; true |] clauses)
 
+(* the loop behind check_model, shared with the solver's model check *)
+let test_check_model_loops () =
+  let m = [| false; true; false; true |] in
+  let c1 = [| Sat.Cnf.neg 1; Sat.Cnf.pos 3 |] in
+  let c2 = [| Sat.Cnf.neg 2; Sat.Cnf.neg 3 |] in
+  check "a satisfied set" true (Sat.Cnf.check_model m [ c1; c2 ]);
+  check "satisfies: true literal last" true
+    (Sat.Cnf.satisfies m [| Sat.Cnf.pos 2; Sat.Cnf.pos 3 |]);
+  let falsified = [| Sat.Cnf.neg 3; Sat.Cnf.pos 2 |] in
+  check "a falsified clause" false (Sat.Cnf.satisfies m falsified);
+  check "a falsified clause fails the set" false
+    (Sat.Cnf.check_model m [ c1; falsified; c2 ]);
+  check "the empty clause is never satisfied" false (Sat.Cnf.satisfies m [||]);
+  check "the empty clause fails the set" false
+    (Sat.Cnf.check_model m [ c1; [||] ]);
+  check "the empty set holds" true (Sat.Cnf.check_model m [])
+
 (* ---- Vec ---- *)
 
 let test_vec_push_pop () =
@@ -705,6 +722,8 @@ let suite =
     Alcotest.test_case "zero literal rejected" `Quick test_lit_of_int_zero;
     Alcotest.test_case "problem building" `Quick test_problem_building;
     Alcotest.test_case "check_model" `Quick test_check_model;
+    Alcotest.test_case "check_model loops: falsified, empty, satisfied" `Quick
+      test_check_model_loops;
     Alcotest.test_case "vec push/pop/shrink" `Quick test_vec_push_pop;
     Alcotest.test_case "vec swap_remove" `Quick test_vec_swap_remove;
     Alcotest.test_case "vec sort" `Quick test_vec_sort;
