@@ -10,36 +10,7 @@
 
 open Cmdliner
 
-let solve_portfolio problem jobs certify timeout =
-  let jobs = if jobs = 0 then Parallel.Pool.available_jobs () else jobs in
-  let budget =
-    match timeout with
-    | None -> Netsim.Budget.unlimited
-    | Some wall_s -> Netsim.Budget.create ~wall_s ()
-  in
-  let v =
-    try Sat.Portfolio.solve ~jobs ~certify ~budget problem
-    with Sat.Proof.Certification_failed msg ->
-      Printf.eprintf "error: certificate REJECTED: %s\n" msg;
-      exit 3
-  in
-  Format.printf "c portfolio: %d job(s), engines [%s]@." jobs
-    (String.concat "; " v.Sat.Portfolio.engines);
-  (match v.Sat.Portfolio.winner with
-  | Some w -> Format.printf "c portfolio winner: %s@." w
-  | None -> ());
-  (match v.Sat.Portfolio.certification with
-  | Some report -> Format.printf "c certified: %a@." Sat.Proof.pp_report report
-  | None -> ());
-  match v.Sat.Portfolio.result with
-  | Sat.Solver.Decided result ->
-      Sat.Dimacs.print_result Format.std_formatter result;
-      exit (match result with Sat.Solver.Sat _ -> 10 | Sat.Solver.Unsat -> 20)
-  | Sat.Solver.Unknown { reason; _ } ->
-      Format.printf "s UNKNOWN@.c %s@." reason;
-      exit 30
-
-let solve_file path use_dpll portfolio jobs timeout show_stats certify drup_out =
+let solve_file path use_dpll show_stats certify drup_out =
   match Sat.Dimacs.parse_file path with
   | exception Sys_error msg ->
       Printf.eprintf "error: %s\n" msg;
@@ -53,17 +24,6 @@ let solve_file path use_dpll portfolio jobs timeout show_stats certify drup_out 
           "error: --certify/--drup need the CDCL engine (drop --dpll)\n";
         exit 2
       end;
-      if portfolio && use_dpll then begin
-        Printf.eprintf "error: --portfolio already includes the DPLL engine\n";
-        exit 2
-      end;
-      if portfolio && drup_out <> None then begin
-        Printf.eprintf
-          "error: --drup is not available under --portfolio (the winner's \
-           trail is validated in-process with --certify instead)\n";
-        exit 2
-      end;
-      if portfolio then solve_portfolio problem jobs certify timeout;
       let result, stats, certification =
         if use_dpll then (Sat.Dpll.solve problem, None, None)
         else begin
@@ -107,27 +67,6 @@ let path_arg =
 let dpll_flag =
   Arg.(value & flag & info [ "dpll" ] ~doc:"Use the plain DPLL baseline instead of CDCL")
 
-let portfolio_flag =
-  Arg.(value & flag
-       & info [ "portfolio" ]
-           ~doc:"Race diversified CDCL configurations (restart interval, \
-                 polarity, seeded VSIDS perturbation) plus DPLL across \
-                 $(b,--jobs) domains; the first verdict wins and cancels the \
-                 rest. With $(b,--certify) the race is CDCL-only and the \
-                 winner is still DRUP/model-checked")
-
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs" ] ~docv:"N"
-           ~doc:"Concurrent engines for --portfolio (1 = sequential fallback; \
-                 0 = one per available core)")
-
-let timeout_arg =
-  Arg.(value & opt (some float) None
-       & info [ "timeout" ] ~docv:"SECS"
-           ~doc:"Per-engine wall-clock budget for --portfolio; when every \
-                 engine expires the verdict is s UNKNOWN with exit code 30")
-
 let stats_flag =
   Arg.(value & flag
        & info [ "stats" ]
@@ -149,7 +88,7 @@ let cmd =
   Cmd.v
     (Cmd.info "sat_solve" ~doc:"CDCL SAT solver for DIMACS CNF files")
     Term.(
-      const solve_file $ path_arg $ dpll_flag $ portfolio_flag $ jobs_arg
-      $ timeout_arg $ stats_flag $ certify_flag $ drup_arg)
+      const solve_file $ path_arg $ dpll_flag $ stats_flag $ certify_flag
+      $ drup_arg)
 
 let () = exit (Cmd.eval cmd)

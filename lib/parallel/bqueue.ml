@@ -63,34 +63,6 @@ let pop q =
       if q.len = 0 then None (* closed and drained *)
       else take_locked q)
 
-type 'a timed = Item of 'a | Timeout | Closed
-
-let pop_deadline q ~deadline =
-  (* the stdlib [Condition] has no timed wait, so the deadline variant
-     polls in short slices: worst-case wake-up latency is the slice
-     (2 ms). A consumer that needs no deadline uses the blocking [pop],
-     which wakes as soon as an element or the close arrives. *)
-  let rec loop () =
-    let r =
-      with_lock q (fun () ->
-          if q.len > 0 then
-            match take_locked q with Some v -> Item v | None -> assert false
-          else if q.closed then Closed
-          else Timeout)
-    in
-    match r with
-    | Item _ | Closed -> r
-    | Timeout ->
-        let now = Unix.gettimeofday () in
-        if now >= deadline then Timeout
-        else begin
-          (try Unix.sleepf (Float.min 0.002 (deadline -. now))
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          loop ()
-        end
-  in
-  loop ()
-
 let close q =
   with_lock q (fun () ->
       q.closed <- true;

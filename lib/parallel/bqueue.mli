@@ -24,16 +24,6 @@ val pop : 'a t -> 'a option
 (** Blocks while the queue is empty and open; [None] once the queue is
     closed and drained. *)
 
-type 'a timed = Item of 'a | Timeout | Closed
-
-val pop_deadline : 'a t -> deadline:float -> 'a timed
-(** Like {!pop}, but gives up with [Timeout] once the absolute
-    wall-clock time [deadline] (as from [Unix.gettimeofday]) passes
-    while the queue is empty. [Closed] is answered as soon as the queue
-    is closed and drained. It polls: wake-up latency after a push is
-    bounded by its 2 ms slice, so a consumer that has nothing else to
-    watch (the service workers, the pool) uses the blocking {!pop}. *)
-
 val close : 'a t -> unit
 (** Idempotent. Already-queued elements remain poppable. *)
 

@@ -324,11 +324,6 @@ let trivial_model tr assumptions =
     assumptions;
   model
 
-let assume tr assumptions =
-  List.fold_left
-    (fun p l -> Sat.Cnf.add_clause p [ l ])
-    tr.cnf.F.problem assumptions
-
 type certified_outcome = {
   outcome : outcome;
   certification : Sat.Proof.report option;

@@ -94,11 +94,6 @@ val session_stats : session -> Sat.Solver.stats option
     warm-reuse assertions: conflicts/propagations are lifetime totals,
     so per-cell work is a delta between snapshots. *)
 
-val assume : translation -> Sat.Cnf.lit list -> Sat.Cnf.problem
-(** The translation's CNF problem extended with one unit clause per
-    assumed literal — non-destructive ({!Sat.Cnf.problem} is
-    functional), for feeding alternative engines such as {!Sat.Dpll}. *)
-
 val selector_var : translation -> string -> Sat.Cnf.var option
 (** [selector_var tr rel] is the primary variable of relation [rel] when
     it has exactly one tuple free between its bounds — the shape of a

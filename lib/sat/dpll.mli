@@ -1,8 +1,9 @@
 (** Plain DPLL solver (unit propagation + chronological backtracking, no
     learning). Exponentially slower than {!Solver} on hard instances but
-    simple enough to be obviously correct: the test suite uses it as an
-    oracle against the CDCL engine, and the benchmark harness uses it as
-    the baseline the paper's Alloy-vs-naive comparisons call for. *)
+    simple enough to be obviously correct: {!Fuzz} and the test suite
+    use it as an oracle against the CDCL engine, and [sat_solve --dpll]
+    runs it as a baseline. No verdict of the service or the sweep comes
+    from it. *)
 
 val solve : Cnf.problem -> Solver.result
 (** Decides the problem by depth-first search. *)
@@ -16,9 +17,10 @@ val solve_bounded :
   budget:Netsim.Budget.t ->
   Cnf.problem ->
   Solver.bounded_result
-(** The portfolio entry point: decisions count against the budget's
-    step cap, the wall clock is polled per decision, and [stop] is the
-    same cooperative-cancellation hook as
-    {!Solver.solve_bounded} — when it flips to [true] the search
-    returns [Unknown {reason = "cancelled"; _}] within one decision.
+(** The budgeted entry point, for the differential suite's
+    side-by-side runs: decisions count against the budget's step cap,
+    the wall clock is polled per decision, and [stop] is the same
+    cooperative-cancellation hook as {!Solver.solve_bounded} — when it
+    flips to [true] the search returns
+    [Unknown {reason = "cancelled"; _}] within one decision.
     [Unknown.conflicts] reports decisions (DPLL learns no clauses). *)

@@ -29,23 +29,6 @@ type stats = {
   clauses_added : int;
 }
 
-type config = {
-  restart_base : float;
-  invert_polarity : bool;
-  seed : int;
-}
-
-let default_config = { restart_base = 100.0; invert_polarity = false; seed = 0 }
-
-let diversified k =
-  if k <= 0 then default_config
-  else
-    {
-      restart_base = [| 100.0; 50.0; 200.0; 70.0; 150.0 |].(k mod 5);
-      invert_polarity = k land 1 = 1;
-      seed = k;
-    }
-
 (* Fills unused vector slots, and in [reason] means "no reason": a
    decision, an assumption, or a root-level or learnt unit. *)
 let dummy_clause = { lits = [||]; activity = 0.0; learnt = false; deleted = false }
@@ -570,7 +553,10 @@ let extract_model s =
   done;
   m
 
-(* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
+(* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..., in units
+   of [restart_base] conflicts *)
+let restart_base = 100.0
+
 let luby i =
   let rec expand sz seq = if sz < i + 1 then expand ((2 * sz) + 1) (seq + 1) else (sz, seq) in
   let rec reduce x sz seq =
@@ -582,32 +568,13 @@ let luby i =
   let sz, seq = expand 1 0 in
   reduce i sz seq
 
-(* Portfolio diversification: nudge the VSIDS tie-breaking order with
-   tiny seeded activity offsets (real conflict bumps dwarf them within a
-   few conflicts) and scramble the initial saved phases. Distinct seeds
-   steer otherwise-identical solvers into different parts of the search
-   tree, which is what makes racing them worthwhile. *)
-let diversify s (config : config) =
-  if config.invert_polarity then
-    for v = 1 to s.nvars do
-      s.polarity.(v) <- true
-    done;
-  if config.seed <> 0 then begin
-    let rng = Netsim.Rng.create config.seed in
-    for v = 1 to s.nvars do
-      Heap.bump s.order v (1e-6 *. Netsim.Rng.float rng 1.0);
-      if Netsim.Rng.bool rng then s.polarity.(v) <- not s.polarity.(v)
-    done
-  end
-
-let solve_core ~assumptions ~budget ~config ~stop s =
+let solve_core ~assumptions ~budget ~stop s =
   s.conflict_core <- [];
   if not s.ok then Decided Unsat
   else begin
     (* make sure assumption variables exist *)
     ensure_vars s (max_var assumptions);
     cancel_until s 0;
-    if config <> default_config then diversify s config;
     if propagate s != dummy_clause then begin
       s.ok <- false;
       log_empty s;
@@ -616,7 +583,7 @@ let solve_core ~assumptions ~budget ~config ~stop s =
     else begin
       let result = ref None in
       let restart_num = ref 0 in
-      let restart_limit = ref (config.restart_base *. luby 0) in
+      let restart_limit = ref (restart_base *. luby 0) in
       let conflicts_since_restart = ref 0 in
       let max_learnts = ref (max 1000 (s.clauses.Vec.sz / 3)) in
       (* budget accounting is per solve call, not per solver lifetime *)
@@ -648,8 +615,8 @@ let solve_core ~assumptions ~budget ~config ~stop s =
         let assumption_level = decision_level s in
         (* the budget AND the cancellation hook are polled here, at every
            conflict/decision boundary — not just at restarts — so a
-           portfolio loser stops within one conflict of the winner's
-           verdict *)
+           cancelled solve (a drained sweep, a request past its
+           deadline) stops within one conflict *)
         while Option.is_none !result do
           let conflicts = s.n_conflicts - conflicts0 in
           let propagations = s.n_propagations - propagations0 in
@@ -699,7 +666,7 @@ let solve_core ~assumptions ~budget ~config ~stop s =
               then begin
                 s.n_restarts <- s.n_restarts + 1;
                 incr restart_num;
-                restart_limit := config.restart_base *. luby !restart_num;
+                restart_limit := restart_base *. luby !restart_num;
                 conflicts_since_restart := 0;
                 cancel_until s assumption_level
               end
@@ -729,9 +696,8 @@ let solve_core ~assumptions ~budget ~config ~stop s =
 
 let never_stop () = false
 
-let solve_bounded ?(assumptions = []) ?(config = default_config)
-    ?(stop = never_stop) ~budget s =
-  solve_core ~assumptions ~budget ~config ~stop s
+let solve_bounded ?(assumptions = []) ?(stop = never_stop) ~budget s =
+  solve_core ~assumptions ~budget ~stop s
 
 let failed_assumptions s = s.conflict_core
 
@@ -744,8 +710,7 @@ let solve ?(assumptions = []) ?(certify = false) s =
        of_problem ~proof:true)";
   let r =
     match
-      solve_core ~assumptions ~budget:Netsim.Budget.unlimited
-        ~config:default_config ~stop:never_stop s
+      solve_core ~assumptions ~budget:Netsim.Budget.unlimited ~stop:never_stop s
     with
     | Decided r -> r
     | Unknown _ -> assert false (* unlimited budgets never expire *)
@@ -789,8 +754,7 @@ let solve_assuming_certified ~assumptions s =
        (enable_proof or of_problem ~proof:true)";
   let r =
     match
-      solve_core ~assumptions ~budget:Netsim.Budget.unlimited
-        ~config:default_config ~stop:never_stop s
+      solve_core ~assumptions ~budget:Netsim.Budget.unlimited ~stop:never_stop s
     with
     | Decided r -> r
     | Unknown _ -> assert false (* unlimited budgets never expire *)

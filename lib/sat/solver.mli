@@ -33,25 +33,6 @@ type stats = {
   clauses_added : int;
 }
 
-(** Search-strategy knobs, the diversification axes of the solver
-    portfolio ({!Portfolio}). The default reproduces the solver's
-    historical behaviour exactly. *)
-type config = {
-  restart_base : float;  (** Luby restart unit interval (default 100) *)
-  invert_polarity : bool;
-      (** start saved phases at [true] instead of [false] *)
-  seed : int;
-      (** when nonzero: seeded tiny VSIDS activity offsets and scrambled
-          initial phases — different seeds explore different subtrees *)
-}
-
-val default_config : config
-
-val diversified : int -> config
-(** [diversified k] is the [k]-th member of the portfolio family
-    ([diversified 0 = default_config]): restart interval, polarity and
-    seed vary together so that members rarely duplicate work. *)
-
 val create : unit -> t
 
 val new_var : t -> Cnf.var
@@ -89,7 +70,6 @@ val solve : ?assumptions:Cnf.lit list -> ?certify:bool -> t -> result
 
 val solve_bounded :
   ?assumptions:Cnf.lit list ->
-  ?config:config ->
   ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t ->
   t ->
@@ -101,11 +81,10 @@ val solve_bounded :
     larger budget resumes warm. Certification is not supported on the
     bounded path.
 
-    [config] selects a diversified search strategy (default: the
-    canonical one). [stop] is the cooperative-cancellation hook: it is
-    polled together with the budget at {e every} conflict/decision
-    boundary — not merely at restarts — so when it flips to [true]
-    (e.g. a portfolio rival won) the call returns
+    [stop] is the cooperative-cancellation hook: it is polled together
+    with the budget at {e every} conflict/decision boundary — not merely
+    at restarts — so when it flips to [true] (e.g. a sweep drains or a
+    request passes its deadline) the call returns
     [Unknown {reason = "cancelled"; _}] within one conflict. *)
 
 val failed_assumptions : t -> Cnf.lit list

@@ -1,6 +1,6 @@
-type rung = Cdcl | Dpll | Explicit
+type rung = Cdcl | Explicit
 
-let rung_name = function Cdcl -> "cdcl" | Dpll -> "dpll" | Explicit -> "explicit"
+let rung_name = function Cdcl -> "cdcl" | Explicit -> "explicit"
 
 type t = { breakers : (rung * Breaker.t) list }
 
@@ -9,7 +9,7 @@ let make ?trip_after ?backoff ?(seed = 0) () =
     breakers =
       List.map
         (fun r -> (r, Breaker.make ?trip_after ?backoff ~seed ~key:(rung_name r) ()))
-        [ Cdcl; Dpll; Explicit ];
+        [ Cdcl; Explicit ];
   }
 
 let breaker t rung = List.assoc rung t.breakers
@@ -93,27 +93,7 @@ let consensus_rungs ?stop ~budget_for ~backend ~exhaustive () =
         Core.Experiments.Violated
     | Relalg.Translate.Unknown reason -> Core.Experiments.Undecided reason
   in
-  let dpll () =
-    (* same query, no clause learning: slower on hard instances but a
-       genuinely independent engine — the paper's cross-checking idea
-       as a fallback *)
-    let tr = sh.Core.Mca_model.shared_translation in
-    match tr.Relalg.Translate.cnf.Sat.Formula.constant with
-    | Some false -> Core.Experiments.Holds
-    | Some true -> Core.Experiments.Violated
-    | None -> (
-        (* selector bits become unit clauses; the shared problem is
-           functional, so extending it copies nothing *)
-        match
-          Sat.Dpll.solve_bounded ?stop ~budget:(budget_for Dpll)
-            (Relalg.Translate.assume tr
-               (Core.Mca_model.shared_assumptions sh policy))
-        with
-        | Sat.Solver.Decided Sat.Solver.Unsat -> Core.Experiments.Holds
-        | Sat.Solver.Decided (Sat.Solver.Sat _) -> Core.Experiments.Violated
-        | Sat.Solver.Unknown { reason; _ } -> Core.Experiments.Undecided reason)
-  in
-  [ (Cdcl, cdcl); (Dpll, dpll); (Explicit, exhaustive) ]
+  [ (Cdcl, cdcl); (Explicit, exhaustive) ]
 
 let check_consensus ?now ?stop ~budget_for ~backend ~exhaustive t =
   decide ?now t (consensus_rungs ?stop ~budget_for ~backend ~exhaustive ())

@@ -1,4 +1,4 @@
-(** The graceful-degradation ladder: CDCL → DPLL → explicit checker →
+(** The graceful-degradation ladder: CDCL → explicit checker →
     [UNKNOWN].
 
     Each rung is guarded by its own {!Breaker}: a backend that keeps
@@ -11,10 +11,10 @@
     [Undecided "degraded: …"] — the service's honest [UNKNOWN], never a
     crash or a hang. *)
 
-type rung = Cdcl | Dpll | Explicit
+type rung = Cdcl | Explicit
 
 val rung_name : rung -> string
-(** ["cdcl"], ["dpll"], ["explicit"]. *)
+(** ["cdcl"], ["explicit"]. *)
 
 type t
 (** One breaker per rung; shared by all worker domains. *)
@@ -46,7 +46,7 @@ val decide :
     any other [Undecided] records a breaker timeout and falls through.
     [now] (default wall clock) is injected for deterministic tests. *)
 
-(** What the SAT rungs solve: a cached scope-wide shared translation
+(** What the SAT rung solves: a cached scope-wide shared translation
     plus the cell's policy. The CDCL rung solves the shared CNF under
     three selector assumptions on this worker domain's {e warm session}
     ({!Core.Mca_model.check_consensus_incremental} over
@@ -62,14 +62,11 @@ val consensus_rungs :
   backend:backend ->
   exhaustive:(unit -> Core.Experiments.sweep_verdict) ->
   unit -> (rung * (unit -> Core.Experiments.sweep_verdict)) list
-(** The standard three rungs for a [check consensus] cell: bounded CDCL
-    (with symmetry breaking), bounded DPLL on the same CNF (an
-    independent engine, no clause learning; the selector bits are
-    added as unit clauses),
-    and the caller's [exhaustive] thunk — in the service this reuses the
-    explicit-state verdict the reply needs anyway, so the bottom rung
-    costs nothing extra. [budget_for] slices the remaining request
-    deadline per rung. *)
+(** The standard two rungs for a [check consensus] cell: bounded CDCL
+    (with symmetry breaking) and the caller's [exhaustive] thunk — in
+    the service this reuses the explicit-state verdict the reply needs
+    anyway, so the bottom rung costs nothing extra. [budget_for] slices
+    the remaining request deadline per rung. *)
 
 val check_consensus :
   ?now:(unit -> float) ->

@@ -290,7 +290,6 @@ let stats_of t =
     ("cap", t.cfg.queue_cap);
     ("jobs", t.cfg.jobs);
     ("breaker_cdcl_open", breaker_open Ladder.Cdcl);
-    ("breaker_dpll_open", breaker_open Ladder.Dpll);
     ("breaker_explicit_open", breaker_open Ladder.Explicit);
   ]
   @ Tenant.stats t.tenants
@@ -339,11 +338,9 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
           (shared_for t scope mp.Core.Mca_model.target, mp)
       in
       (* the ladder's deadline split: CDCL gets half the remaining
-         request time, DPLL half of what is left after that, the
-         explicit checker the rest *)
+         request time, the explicit checker the rest *)
       let budget_for = function
         | Ladder.Cdcl -> remaining_until 0.5
-        | Ladder.Dpll -> remaining_until 0.5
         | Ladder.Explicit -> remaining_until 1.0
       in
       let answer =

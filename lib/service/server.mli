@@ -28,7 +28,7 @@
       capped by [max_deadline]) threaded into the backends as a [?stop]
       hook plus per-rung {!Netsim.Budget}s.
     - {b graceful degradation}: the SAT column is answered by the
-      {!Ladder} (CDCL → DPLL → explicit → [UNKNOWN]), with a per-rung
+      {!Ladder} (CDCL → explicit → [UNKNOWN]), with a per-rung
       {!Breaker} so a timing-out backend is skipped while it cools off.
     - {b drain on stop}: {!stop} (the SIGTERM handler's one call —
       it only flips an [Atomic]) stops admissions; queued requests

@@ -112,7 +112,7 @@ type verdict_reply = {
   exhaustive : Core.Experiments.sweep_verdict;
   sim_ok : bool;
   rung : string;
-      (** which ladder rung answered the SAT column: ["cdcl"], ["dpll"],
+      (** which ladder rung answered the SAT column: ["cdcl"],
           ["explicit"], ["journal"] (cache hit) or ["none"] *)
   cached : bool;
   secs : float;

@@ -1,7 +1,7 @@
 (* Tests for the multicore driver stack: the bounded queue, the worker
-   pool (deterministic result collection keyed by task index), the
-   first-result-wins racer, budget intersection/re-arming, the solvers'
-   cooperative-cancellation hook, and the SAT portfolio built on top.
+   pool (deterministic result collection keyed by task index), budget
+   intersection/re-arming, and the solvers' cooperative-cancellation
+   hook.
 
    Everything here must hold on a single-core machine too — the
    contracts are about determinism and cancellation latency, never about
@@ -98,60 +98,26 @@ let test_bqueue_try_push_full_race () =
   let ds = List.init producers (fun t -> Domain.spawn (fun () -> admit t)) in
   let admitted = List.fold_left (fun a d -> a + Domain.join d) 0 ds in
   check_int "admissions equal the capacity" cap admitted;
+  (* closed, the queue still hands out its backlog and then answers
+     [None] instead of blocking *)
+  Parallel.Bqueue.close q;
   let drained = ref [] in
   let rec drain () =
-    match
-      Parallel.Bqueue.pop_deadline q ~deadline:(Unix.gettimeofday () +. 0.05)
-    with
-    | Parallel.Bqueue.Item x ->
+    match Parallel.Bqueue.pop q with
+    | Some x ->
         drained := x :: !drained;
         drain ()
-    | Parallel.Bqueue.Timeout | Parallel.Bqueue.Closed -> ()
+    | None -> ()
   in
   drain ();
   check_int "every admitted element poppable once" cap (List.length !drained);
   check_int "no duplicates" cap
     (List.length (List.sort_uniq compare !drained))
 
-let test_bqueue_pop_deadline () =
-  let q = Parallel.Bqueue.create ~capacity:2 in
-  let t0 = Unix.gettimeofday () in
-  check "empty queue times out" true
-    (Parallel.Bqueue.pop_deadline q ~deadline:(t0 +. 0.05)
-    = Parallel.Bqueue.Timeout);
-  check "the deadline was honoured" true (Unix.gettimeofday () -. t0 >= 0.05);
-  check "a past deadline returns immediately" true
-    (Parallel.Bqueue.pop_deadline q ~deadline:(t0 -. 1.0)
-    = Parallel.Bqueue.Timeout);
-  Parallel.Bqueue.push q 7;
-  check "queued item beats the deadline" true
-    (Parallel.Bqueue.pop_deadline q ~deadline:(Unix.gettimeofday () -. 1.0)
-    = Parallel.Bqueue.Item 7)
-
-let test_bqueue_pop_deadline_close_wakes () =
-  (* consumers parked in pop_deadline with a far deadline must wake
-     promptly when the queue closes under contention *)
-  let q = Parallel.Bqueue.create ~capacity:2 in
-  let far = Unix.gettimeofday () +. 30.0 in
-  let consumer () = Parallel.Bqueue.pop_deadline q ~deadline:far in
-  let ds = List.init 3 (fun _ -> Domain.spawn consumer) in
-  Unix.sleepf 0.05;
-  Parallel.Bqueue.push q 1;
-  Parallel.Bqueue.close q;
-  let t0 = Unix.gettimeofday () in
-  let rs = List.map Domain.join ds in
-  check "woke well before the deadline" true (Unix.gettimeofday () -. t0 < 5.0);
-  check_int "the backlog element reached exactly one consumer" 1
-    (List.length
-       (List.filter (function Parallel.Bqueue.Item _ -> true | _ -> false) rs));
-  check_int "the others saw the close" 2
-    (List.length
-       (List.filter (function Parallel.Bqueue.Closed -> true | _ -> false) rs))
-
 let test_bqueue_pop_close_wakes () =
-  (* the blocking twin of the case above, which server drain relies on:
-     workers parked in pop must all wake when the queue closes, and the
-     backlog element must reach exactly one of them *)
+  (* server drain relies on this: workers parked in pop must all wake
+     when the queue closes, and the backlog element must reach exactly
+     one of them *)
   let q = Parallel.Bqueue.create ~capacity:2 in
   let ds = List.init 3 (fun _ -> Domain.spawn (fun () -> Parallel.Bqueue.pop q)) in
   Unix.sleepf 0.05;
@@ -248,53 +214,6 @@ let test_pool_scaling_not_slower () =
     Alcotest.failf "jobs=4 slower than jobs=1: %.3fs vs %.3fs (median of 3)"
       m4 m1
 
-(* ---- Race ---- *)
-
-let test_race_sequential_first_some () =
-  let started = Array.make 3 false in
-  let racer i ~stop:_ =
-    started.(i) <- true;
-    if i = 0 then None else Some (Printf.sprintf "r%d" i)
-  in
-  check "first Some wins" true
-    (Parallel.Race.run ~jobs:1 [| racer 0; racer 1; racer 2 |]
-    = Some (1, "r1"));
-  check "later racers not started after a win" true
-    (started = [| true; true; false |])
-
-let test_race_all_none () =
-  check "no winner" true
-    (Parallel.Race.run ~jobs:1 [| (fun ~stop:_ -> None); (fun ~stop:_ -> None) |]
-    = None)
-
-let test_race_cancels_rival () =
-  (* the stubborn racer only exits through the stop hook: termination of
-     this test is itself the cancellation check *)
-  let stubborn ~stop =
-    while not (stop ()) do
-      Domain.cpu_relax ()
-    done;
-    None
-  in
-  let fast ~stop:_ = Some "fast" in
-  (match Parallel.Race.run ~jobs:2 [| stubborn; fast |] with
-  | Some (1, "fast") -> ()
-  | Some (i, v) -> Alcotest.failf "unexpected winner %d:%s" i v
-  | None -> Alcotest.fail "fast racer must win");
-  check "invalid jobs rejected" true
-    (match Parallel.Race.run ~jobs:0 [| fast |] with
-    | (_ : (int * string) option) -> false
-    | exception Invalid_argument _ -> true)
-
-let test_race_propagates_exception () =
-  check "racer exception re-raised" true
-    (match
-       Parallel.Race.run ~jobs:2
-         [| (fun ~stop:_ -> failwith "racer blew up"); (fun ~stop:_ -> None) |]
-     with
-    | (_ : (int * unit) option) -> false
-    | exception Failure msg -> msg = "racer blew up")
-
 (* ---- Budget.intersect ---- *)
 
 let test_budget_intersect_caps () =
@@ -375,111 +294,6 @@ let test_dpll_stop_latency () =
       check "stopped within the decision bound" true (conflicts <= 51)
   | Sat.Solver.Decided _ -> Alcotest.fail "php-7-into-6 decided in <50 decisions?"
 
-let test_diversified_configs_agree () =
-  (* every portfolio member is a sound solver: same verdict as the
-     canonical config and the DPLL oracle on random instances *)
-  List.iter
-    (fun seed ->
-      let p = Sat.Gen.random_ksat ~seed ~k:3 ~num_vars:20 ~num_clauses:85 in
-      let oracle =
-        match Sat.Dpll.solve p with Sat.Solver.Sat _ -> true | Sat.Solver.Unsat -> false
-      in
-      for k = 0 to 4 do
-        match
-          Sat.Solver.solve_bounded ~config:(Sat.Solver.diversified k)
-            ~budget:Netsim.Budget.unlimited
-            (Sat.Solver.of_problem p)
-        with
-        | Sat.Solver.Decided (Sat.Solver.Sat m) ->
-            check "diversified finds a real model" true
-              (oracle && Sat.Cnf.check_model m p.Sat.Cnf.clauses)
-        | Sat.Solver.Decided Sat.Solver.Unsat ->
-            check "diversified agrees on unsat" true (not oracle)
-        | Sat.Solver.Unknown _ ->
-            Alcotest.failf "unlimited budget returned Unknown (config %d)" k
-      done)
-    [ 11; 42; 1789 ]
-
-(* ---- Portfolio ---- *)
-
-let test_portfolio_sequential_unsat () =
-  let v = Sat.Portfolio.solve ~jobs:1 (Sat.Gen.pigeonhole 5) in
-  check "unsat decided" true
-    (v.Sat.Portfolio.result = Sat.Solver.Decided Sat.Solver.Unsat);
-  check "winner is the first engine" true
-    (v.Sat.Portfolio.winner = Some "cdcl:0");
-  check "at least two engines raced" true
-    (List.length v.Sat.Portfolio.engines >= 2)
-
-let test_portfolio_parallel_sat () =
-  let p = Sat.Gen.php_sat 5 in
-  let v = Sat.Portfolio.solve ~jobs:3 p in
-  match v.Sat.Portfolio.result with
-  | Sat.Solver.Decided (Sat.Solver.Sat m) ->
-      check "winner reported" true (v.Sat.Portfolio.winner <> None);
-      check "winner's model satisfies the CNF" true
-        (Sat.Cnf.check_model m p.Sat.Cnf.clauses)
-  | _ -> Alcotest.fail "php-sat-6-into-6 must be satisfiable"
-
-let test_portfolio_certified_winner () =
-  let v = Sat.Portfolio.solve ~jobs:2 ~certify:true (Sat.Gen.pigeonhole 5) in
-  check "unsat decided" true
-    (v.Sat.Portfolio.result = Sat.Solver.Decided Sat.Solver.Unsat);
-  (match v.Sat.Portfolio.certification with
-  | Some r -> check "refutation certificate" true (r.Sat.Proof.kind = `Refutation)
-  | None -> Alcotest.fail "certified race must return a proof report");
-  check "certify race is CDCL-only" true
-    (List.for_all
-       (fun l -> String.length l >= 4 && String.sub l 0 4 = "cdcl")
-       v.Sat.Portfolio.engines)
-
-let test_portfolio_budget_exhausted () =
-  let v =
-    Sat.Portfolio.solve ~jobs:2
-      ~budget:(Netsim.Budget.create ~conflicts:1 ())
-      ~engines:[ Sat.Portfolio.Cdcl (Sat.Solver.diversified 0);
-                 Sat.Portfolio.Cdcl (Sat.Solver.diversified 1) ]
-      (Sat.Gen.pigeonhole 6)
-  in
-  (match v.Sat.Portfolio.result with
-  | Sat.Solver.Unknown _ -> ()
-  | Sat.Solver.Decided _ -> Alcotest.fail "1-conflict budget cannot decide php7");
-  check "no winner on exhaustion" true (v.Sat.Portfolio.winner = None)
-
-let test_portfolio_rejects_bad_setups () =
-  let p = Sat.Gen.php_sat 4 in
-  let raises f = match f () with
-    | (_ : Sat.Portfolio.verdict) -> false
-    | exception Invalid_argument _ -> true
-  in
-  check "certify + dpll rejected" true
-    (raises (fun () ->
-         Sat.Portfolio.solve ~certify:true
-           ~engines:[ Sat.Portfolio.Dpll_baseline ] p));
-  check "empty engine list rejected" true
-    (raises (fun () -> Sat.Portfolio.solve ~engines:[] p));
-  check "jobs < 1 rejected" true
-    (raises (fun () -> Sat.Portfolio.solve ~jobs:0 p))
-
-let qcheck_portfolio_agrees_with_dpll =
-  QCheck.Test.make ~count:40 ~name:"portfolio agrees with dpll on random 3-sat"
-    QCheck.(pair (int_range 1 100_000) (int_range 8 16))
-    (fun (seed, nvars) ->
-      let p =
-        Sat.Fuzz.random_problem
-          (Netsim.Rng.create seed)
-          ~k:3 ~num_vars:nvars ~num_clauses:(nvars * 4)
-      in
-      let v = Sat.Portfolio.solve ~jobs:2 p in
-      let oracle =
-        match Sat.Dpll.solve p with Sat.Solver.Sat _ -> true | Sat.Solver.Unsat -> false
-      in
-      match v.Sat.Portfolio.result with
-      | Sat.Solver.Decided (Sat.Solver.Sat m) ->
-          oracle && Sat.Cnf.check_model m p.Sat.Cnf.clauses
-      | Sat.Solver.Decided Sat.Solver.Unsat -> not oracle
-      | Sat.Solver.Unknown _ -> false)
-
 let suite =
   [
     Alcotest.test_case "bqueue fifo" `Quick test_bqueue_fifo;
@@ -489,9 +303,6 @@ let suite =
     Alcotest.test_case "bqueue cross-domain transfer" `Quick test_bqueue_cross_domain;
     Alcotest.test_case "bqueue try_push sheds when full/closed" `Quick test_bqueue_try_push;
     Alcotest.test_case "bqueue try_push full-queue race" `Quick test_bqueue_try_push_full_race;
-    Alcotest.test_case "bqueue pop_deadline times out" `Quick test_bqueue_pop_deadline;
-    Alcotest.test_case "bqueue pop_deadline wakes on close" `Quick
-      test_bqueue_pop_deadline_close_wakes;
     Alcotest.test_case "bqueue pop wakes on close" `Quick
       test_bqueue_pop_close_wakes;
     Alcotest.test_case "pool jobs=1 is Array.map" `Quick test_pool_jobs1_is_array_map;
@@ -501,20 +312,9 @@ let suite =
     Alcotest.test_case "map_budgeted re-arms per task" `Quick test_pool_map_budgeted_rearms;
     Alcotest.test_case "pool scaling: jobs=4 not slower than jobs=1" `Quick
       test_pool_scaling_not_slower;
-    Alcotest.test_case "race sequential first-some" `Quick test_race_sequential_first_some;
-    Alcotest.test_case "race all none" `Quick test_race_all_none;
-    Alcotest.test_case "race cancels rival" `Quick test_race_cancels_rival;
-    Alcotest.test_case "race propagates exception" `Quick test_race_propagates_exception;
     Alcotest.test_case "budget intersect caps" `Quick test_budget_intersect_caps;
     Alcotest.test_case "budget intersect unlimited" `Quick test_budget_intersect_unlimited;
     Alcotest.test_case "budget intersect wall clock" `Quick test_budget_intersect_wall;
     Alcotest.test_case "cdcl stop latency bounded" `Quick test_cdcl_stop_latency;
     Alcotest.test_case "dpll stop latency bounded" `Quick test_dpll_stop_latency;
-    Alcotest.test_case "diversified configs agree" `Quick test_diversified_configs_agree;
-    Alcotest.test_case "portfolio sequential unsat" `Quick test_portfolio_sequential_unsat;
-    Alcotest.test_case "portfolio parallel sat" `Quick test_portfolio_parallel_sat;
-    Alcotest.test_case "portfolio certified winner" `Quick test_portfolio_certified_winner;
-    Alcotest.test_case "portfolio budget exhausted" `Quick test_portfolio_budget_exhausted;
-    Alcotest.test_case "portfolio rejects bad setups" `Quick test_portfolio_rejects_bad_setups;
-    QCheck_alcotest.to_alcotest qcheck_portfolio_agrees_with_dpll;
   ]

@@ -57,7 +57,7 @@ let test_wire_response_roundtrip () =
             sat = Core.Experiments.Holds;
             exhaustive = Core.Experiments.Undecided "deadline 2s";
             sim_ok = true;
-            rung = "dpll";
+            rung = "explicit";
             cached = false;
             secs = 0.25;
           }));
@@ -157,7 +157,7 @@ let test_breaker_streams_decorrelated () =
   check "same key reproduces the cooldown" true
     (open_until "cdcl" = open_until "cdcl");
   check "distinct keys draw distinct cooldowns" true
-    (open_until "cdcl" <> open_until "dpll")
+    (open_until "cdcl" <> open_until "explicit")
 
 let trip b =
   Service.Breaker.timeout b ~now:0.0;
@@ -274,7 +274,7 @@ let test_ladder_top_rung_answers () =
   let l = mk_ladder () in
   let a =
     Service.Ladder.decide ~now:(fun () -> 0.0) l
-      [ (Service.Ladder.Cdcl, v_holds); (Service.Ladder.Dpll, v_timeout) ]
+      [ (Service.Ladder.Cdcl, v_holds); (Service.Ladder.Explicit, v_timeout) ]
   in
   check "verdict" true (a.Service.Ladder.verdict = Core.Experiments.Holds);
   check_string "rung" "cdcl" a.Service.Ladder.rung;
@@ -284,10 +284,10 @@ let test_ladder_falls_through_and_trips () =
   let l = mk_ladder () in
   let decide () =
     Service.Ladder.decide ~now:(fun () -> 0.0) l
-      [ (Service.Ladder.Cdcl, v_timeout); (Service.Ladder.Dpll, v_holds) ]
+      [ (Service.Ladder.Cdcl, v_timeout); (Service.Ladder.Explicit, v_holds) ]
   in
   let a = decide () in
-  check_string "fell to dpll" "dpll" a.Service.Ladder.rung;
+  check_string "fell to explicit" "explicit" a.Service.Ladder.rung;
   check "degraded" true a.Service.Ladder.degraded;
   check "trail records the reason" true
     (List.mem_assoc "cdcl" a.Service.Ladder.trail);
@@ -299,20 +299,20 @@ let test_ladder_falls_through_and_trips () =
     Service.Ladder.decide ~now:(fun () -> 0.0) l
       [
         (Service.Ladder.Cdcl, fun () -> ran := true; Core.Experiments.Holds);
-        (Service.Ladder.Dpll, v_holds);
+        (Service.Ladder.Explicit, v_holds);
       ]
   in
   check "open rung not run" false !ran;
   check "open rung noted" true
     (List.assoc_opt "cdcl" a3.Service.Ladder.trail = Some "open");
-  check_string "answered below" "dpll" a3.Service.Ladder.rung
+  check_string "answered below" "explicit" a3.Service.Ladder.rung
 
 let test_ladder_cancelled_stops_without_tripping () =
   let l = mk_ladder () in
   for _ = 1 to 5 do
     let a =
       Service.Ladder.decide ~now:(fun () -> 0.0) l
-        [ (Service.Ladder.Cdcl, v_cancel); (Service.Ladder.Dpll, v_holds) ]
+        [ (Service.Ladder.Cdcl, v_cancel); (Service.Ladder.Explicit, v_holds) ]
     in
     check_string "no rung answered" "none" a.Service.Ladder.rung;
     check "verdict is the cancellation" true
@@ -327,7 +327,7 @@ let test_ladder_bottom_is_unknown () =
   let l = mk_ladder () in
   let a =
     Service.Ladder.decide ~now:(fun () -> 0.0) l
-      [ (Service.Ladder.Cdcl, v_timeout); (Service.Ladder.Dpll, v_timeout) ]
+      [ (Service.Ladder.Cdcl, v_timeout); (Service.Ladder.Explicit, v_timeout) ]
   in
   check_string "no rung" "none" a.Service.Ladder.rung;
   check "degraded unknown" true
@@ -336,9 +336,9 @@ let test_ladder_bottom_is_unknown () =
         String.length r >= 9 && String.sub r 0 9 = "degraded:"
     | _ -> false)
 
-(* The acceptance criterion: force the CDCL (and DPLL) rungs to time
-   out on a real cell and the ladder must land on the explicit checker
-   with exactly the verdict the explicit checker gives standalone. *)
+(* The acceptance criterion: force the CDCL rung to time out on a real
+   cell and the ladder must land on the explicit checker with exactly
+   the verdict the explicit checker gives standalone. *)
 let test_ladder_forced_cdcl_timeout_matches_explicit () =
   let scope =
     { Core.Mca_model.pnodes = 2; vnodes = 2; states = 3; values = 4;
@@ -370,10 +370,9 @@ let test_ladder_forced_cdcl_timeout_matches_explicit () =
           Core.Mca_model.Efficient scope,
         mp )
   in
-  (* zero-width budgets for the SAT rungs, room for the explicit one *)
+  (* a zero-width budget for the SAT rung, room for the explicit one *)
   let budget_for = function
-    | Service.Ladder.Cdcl | Service.Ladder.Dpll ->
-        Netsim.Budget.create ~wall_s:0.0 ()
+    | Service.Ladder.Cdcl -> Netsim.Budget.create ~wall_s:0.0 ()
     | Service.Ladder.Explicit -> Netsim.Budget.unlimited
   in
   let forced = ref 0 in
@@ -386,7 +385,12 @@ let test_ladder_forced_cdcl_timeout_matches_explicit () =
   check "degraded" true a.Service.Ladder.degraded;
   check "same verdict as the standalone explicit checker" true
     (a.Service.Ladder.verdict = standalone ());
-  check_int "explicit thunk ran once" 1 !forced
+  check_int "explicit thunk ran once" 1 !forced;
+  check "trail: cdcl gave up, then explicit decided" true
+    (match a.Service.Ladder.trail with
+    | [ ("cdcl", why); ("explicit", "decided") ] ->
+        not (List.mem why [ "open"; "cancelled"; "decided" ])
+    | _ -> false)
 
 (* ---- the daemon, end to end over a Unix socket ---- *)
 

@@ -119,16 +119,6 @@ let fp_assuming_certified () =
         (certificate s))
     instances
 
-let fp_diversified () =
-  let p = random_3sat 2 in
-  List.map
-    (fun k ->
-      let s = S.of_problem p in
-      Printf.sprintf "diversified %d %s" k
-        (bounded s
-           (S.solve_bounded ~config:(S.diversified k) ~budget:unlimited s)))
-    [ 1; 2; 3 ]
-
 (* The 2p2v/4st shared translation of the served check-sat workload:
    one solver, the six paper cells cold, then five warm passes. *)
 let shared_scope =
@@ -164,7 +154,6 @@ let groups =
     ("solve_bounded with a conflict cap", fp_bounded);
     ("solve ~certify", fp_certified);
     ("solve_assuming_certified", fp_assuming_certified);
-    ("diversified 1..3", fp_diversified);
     ("2p2v/4st shared translation, one session", fp_shared);
   ]
 (* ---- the pins, recorded from the solver before the rework ---- *)
@@ -222,12 +211,6 @@ let expected =
         "php7/6 unsat d=133 c=120 p=1617 r=0 l=1438 core=72d87c7765fd refutation +30 -0 drup=29 / unsat d=133 c=120 p=1617 r=0 l=1438 core=72d87c7765fd refutation +119 -0 drup=118";
         "3sat-150 unsat d=782 c=643 p=19576 r=4 l=6359 core=d41d8cd98f00 refutation +602 -0 drup=601 / sat d=782 c=643 p=19576 r=4 l=6359 m=c95458e5465e model +0 -0 drup=642";
         "3sat-120 unsat d=622 c=533 p=14414 r=3 l=4864 core=2883cdd6a103 refutation +383 -0 drup=382 / unsat d=622 c=533 p=14414 r=3 l=4864 core=2883cdd6a103 refutation +532 -0 drup=531";
-      ] );
-    ( "diversified 1..3",
-      [
-        "diversified 1 sat d=142 c=105 p=1776 r=2 l=523 m=4e39723b5b08";
-        "diversified 2 sat d=100 c=69 p=1162 r=0 l=321 m=e6e4bb0677a3";
-        "diversified 3 sat d=53 c=34 p=590 r=0 l=182 m=18b8d5cd9135";
       ] );
     ( "2p2v/4st shared translation, one session",
       [
