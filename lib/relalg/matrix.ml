@@ -13,21 +13,21 @@ let empty n = { arity = n; cells = Tmap.empty }
 
 let set m t f =
   if List.length t <> m.arity then invalid_arg "Matrix.set: arity mismatch";
-  if f = F.False then { m with cells = Tmap.remove t m.cells }
+  if f == F.ff then { m with cells = Tmap.remove t m.cells }
   else { m with cells = Tmap.add t f m.cells }
 
-let get m t = match Tmap.find_opt t m.cells with Some f -> f | None -> F.False
+let get m t = match Tmap.find_opt t m.cells with Some f -> f | None -> F.ff
 
 let of_entries n entries =
   List.fold_left
     (fun m (t, f) ->
-      if f = F.False then m else set m t (F.or2 (get m t) f))
+      if f == F.ff then m else set m t (F.or2 (get m t) f))
     (empty n) entries
 
 let entries m = Tmap.bindings m.cells
-let singleton t = of_entries (List.length t) [ (t, F.True) ]
-let iden u = of_entries 2 (List.map (fun a -> ([ a; a ], F.True)) (Universe.indices u))
-let full u n = of_entries n (List.map (fun t -> (t, F.True)) (Tuple.all u n))
+let singleton t = of_entries (List.length t) [ (t, F.tt) ]
+let iden u = of_entries 2 (List.map (fun a -> ([ a; a ], F.tt)) (Universe.indices u))
+let full u n = of_entries n (List.map (fun t -> (t, F.tt)) (Tuple.all u n))
 
 let union a b =
   if a.arity <> b.arity then invalid_arg "Matrix.union: arity mismatch";

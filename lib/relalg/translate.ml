@@ -8,18 +8,23 @@ type translation = {
   alloc : (string * (Tuple.t * Sat.Cnf.var option) list) list;
 }
 
-(* Environment: relation matrices plus quantified-variable bindings.
-   The memo tables make compilation of a repeated subterm (under the
-   same variable bindings) return the SAME circuit object: besides the
-   speedup, the physical sharing is what keeps the Tseitin translation
-   and its structural cache linear in the circuit DAG. *)
+(* Memoized compilation. Every distinct AST node gets one slot: the
+   node's free variables, computed once per translation, and its
+   compiled results keyed by the atoms those variables are bound to
+   (the innermost binding of each). A subterm met again under bindings
+   it does not read is therefore a memo hit, not a recompilation — and
+   a hit returns the SAME circuit object, which besides the speedup is
+   what keeps the Tseitin translation linear in the circuit DAG. *)
+type 'a slot = { fv : string list; results : (int list, 'a) Hashtbl.t }
+
+(* Environment: relation matrices plus quantified-variable bindings. *)
 type env = {
   universe : Universe.t;
   rel_matrices : (string, Matrix.t) Hashtbl.t;
   vars : (string * int) list; (* quantifier variable -> atom index *)
-  expr_memo : (Ast.expr * (string * int) list, Matrix.t) Hashtbl.t;
-  int_memo : (Ast.intexpr * (string * int) list, Bitvec.t) Hashtbl.t;
-  formula_memo : (Ast.formula * (string * int) list, F.t) Hashtbl.t;
+  expr_memo : (Ast.expr, Matrix.t slot) Hashtbl.t;
+  int_memo : (Ast.intexpr, Bitvec.t slot) Hashtbl.t;
+  formula_memo : (Ast.formula, F.t slot) Hashtbl.t;
 }
 
 let lookup_var env x =
@@ -32,13 +37,91 @@ let lookup_rel env n =
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Translate: unbound relation %s" n)
 
-let rec compile_expr env (e : Ast.expr) : Matrix.t =
-  match Hashtbl.find_opt env.expr_memo (e, env.vars) with
-  | Some m -> m
+(* ---- free variables: sorted, duplicate-free name lists ---- *)
+
+let rec union a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      let c = String.compare x y in
+      if c = 0 then x :: union a' b'
+      else if c < 0 then x :: union a' b
+      else y :: union a b'
+
+let slot memo fv node =
+  match Hashtbl.find_opt memo node with
+  | Some s -> s
   | None ->
-      let m = compile_expr_raw env e in
-      Hashtbl.replace env.expr_memo (e, env.vars) m;
-      m
+      let s = { fv = fv node; results = Hashtbl.create 1 } in
+      Hashtbl.add memo node s;
+      s
+
+let rec expr_slot env e = slot env.expr_memo (expr_fv env) e
+
+and expr_fv env (e : Ast.expr) =
+  let fv e = (expr_slot env e).fv in
+  match e with
+  | Ast.Var x -> [ x ]
+  | Ast.Rel _ | Ast.Univ | Ast.None_ | Ast.Iden -> []
+  | Ast.Union (a, b)
+  | Ast.Inter (a, b)
+  | Ast.Diff (a, b)
+  | Ast.Join (a, b)
+  | Ast.Product (a, b)
+  | Ast.Override (a, b)
+  | Ast.DomRestrict (a, b)
+  | Ast.RanRestrict (a, b) ->
+      union (fv a) (fv b)
+  | Ast.Transpose a | Ast.Closure a | Ast.RClosure a -> fv a
+  | Ast.IfExpr (c, t, e) -> union (formula_slot env c).fv (union (fv t) (fv e))
+  | Ast.Comprehension (decls, f) -> binder_fv env decls (formula_slot env f).fv
+
+(* [x1: d1, x2: d2, ... | body]: each domain sees the variables declared
+   before it, the body sees them all *)
+and binder_fv env decls body_fv =
+  List.fold_right
+    (fun (x, dom) inner ->
+      union (expr_slot env dom).fv (List.filter (fun y -> y <> x) inner))
+    decls body_fv
+
+and formula_slot env f = slot env.formula_memo (formula_fv env) f
+
+and formula_fv env (f : Ast.formula) =
+  let fv f = (formula_slot env f).fv and efv e = (expr_slot env e).fv in
+  match f with
+  | Ast.True_ | Ast.False_ -> []
+  | Ast.Subset (a, b) | Ast.Eq (a, b) -> union (efv a) (efv b)
+  | Ast.Some_ e | Ast.No e | Ast.One e | Ast.Lone e -> efv e
+  | Ast.Not f -> fv f
+  | Ast.And fs | Ast.Or fs -> List.fold_left (fun acc f -> union acc (fv f)) [] fs
+  | Ast.Implies (a, b) | Ast.Iff (a, b) -> union (fv a) (fv b)
+  | Ast.ForAll (decls, body) | Ast.Exists (decls, body) ->
+      binder_fv env decls (fv body)
+  | Ast.IntCmp (_, a, b) -> union (int_slot env a).fv (int_slot env b).fv
+
+and int_slot env i = slot env.int_memo (int_fv env) i
+
+and int_fv env (i : Ast.intexpr) =
+  let fv i = (int_slot env i).fv in
+  match i with
+  | Ast.IConst _ -> []
+  | Ast.Card e | Ast.SumOver e -> (expr_slot env e).fv
+  | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b) -> union (fv a) (fv b)
+  | Ast.Neg a -> fv a
+
+(* The memo lookup itself. Binding a free variable that is not in scope
+   raises here, before the node is compiled. *)
+let memoized env { fv; results } compile node =
+  let key = List.map (lookup_var env) fv in
+  match Hashtbl.find_opt results key with
+  | Some r -> r
+  | None ->
+      let r = compile env node in
+      Hashtbl.add results key r;
+      r
+
+let rec compile_expr env (e : Ast.expr) : Matrix.t =
+  memoized env (expr_slot env e) compile_expr_raw e
 
 and compile_expr_raw env (e : Ast.expr) : Matrix.t =
   match e with
@@ -110,12 +193,7 @@ and compile_quant env decls body ~conj =
   if conj then F.and_ parts else F.or_ parts
 
 and compile_formula env (f : Ast.formula) : F.t =
-  match Hashtbl.find_opt env.formula_memo (f, env.vars) with
-  | Some c -> c
-  | None ->
-      let c = compile_formula_raw env f in
-      Hashtbl.replace env.formula_memo (f, env.vars) c;
-      c
+  memoized env (formula_slot env f) compile_formula_raw f
 
 and compile_formula_raw env (f : Ast.formula) : F.t =
   match f with
@@ -147,12 +225,7 @@ and compile_formula_raw env (f : Ast.formula) : F.t =
       f va vb
 
 and compile_int env (e : Ast.intexpr) : Bitvec.t =
-  match Hashtbl.find_opt env.int_memo (e, env.vars) with
-  | Some v -> v
-  | None ->
-      let v = compile_int_raw env e in
-      Hashtbl.replace env.int_memo (e, env.vars) v;
-      v
+  memoized env (int_slot env e) compile_int_raw e
 
 and compile_int_raw env (e : Ast.intexpr) : Bitvec.t =
   match e with

@@ -1,28 +1,35 @@
 type t =
   | True
   | False
-  | Var of Cnf.var
-  | Not of t
-  | And of t list
-  | Or of t list
-  | Implies of t * t
-  | Iff of t * t
-  | Ite of t * t * t
+  | Var of int * Cnf.var
+  | Not of int * t
+  | And of int * t list
+  | Or of int * t list
+  | Implies of int * t * t
+  | Iff of int * t * t
+  | Ite of int * t * t * t
 
 (* ---- hash-consing ----------------------------------------------------
    Structurally equal formulas built through the smart constructors are
-   physically equal. This keeps every DAG traversal (Tseitin caching,
-   size, max_var) linear: structural comparison or hashing of big shared
-   circuits would otherwise unfold them in exponential time. Nodes are
-   identified by the unique ids of their children, so interning is O(1)
-   per construction. *)
+   physically equal, and every non-constant node carries the id it was
+   given when first interned. This keeps every DAG traversal (Tseitin
+   caching, size, max_var) linear: it keys on the id, where structural
+   comparison or hashing of big shared circuits would unfold them in
+   exponential time. A node's intern key is built from its children's
+   ids, so interning is O(arity) per construction, and a node is
+   allocated only when its key misses. *)
 
-module Phys = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+let id = function
+  | True -> 0
+  | False -> 1
+  | Var (i, _)
+  | Not (i, _)
+  | And (i, _)
+  | Or (i, _)
+  | Implies (i, _, _)
+  | Iff (i, _, _)
+  | Ite (i, _, _, _) ->
+      i
 
 type key =
   | Kvar of Cnf.var
@@ -33,77 +40,50 @@ type key =
   | Kiff of int * int
   | Kite of int * int * int
 
-(* The interning tables are domain-local (Domain.DLS): each domain of
-   the parallel worker pool hash-conses independently — the tables are
-   sharded by construction, so concurrent translations never contend
-   on, serialize through, or corrupt a shared table; there is no lock
-   anywhere on this path. The price is that sharing is per-domain: a
-   formula must be built and translated within one domain, which is
-   exactly how the pool shards its tasks. (The finished translation —
-   the CNF problem — is immutable and freely crosses domains, which is
-   what the shared-translation sweep path relies on.)
+(* Ids come from one process-wide counter (0 and 1 are the constants),
+   so two nodes built anywhere — in different domains, or on either
+   side of [clear_sharing] — never share an id. The interning tables
+   are domain-local (Domain.DLS): each domain of the parallel worker
+   pool hash-conses independently, so concurrent translations never
+   contend on, serialize through, or corrupt a shared table, and the
+   only shared write is the counter's fetch-and-add on an intern miss.
+   The price is that sharing is per-domain: structurally equal nodes
+   built in two domains stay distinct (correct, just unshared). The
+   finished translation — the CNF problem — is immutable and freely
+   crosses domains, which is what the shared-translation sweep path
+   relies on. *)
+let next_id = Atomic.make 2
 
-   The DLS record is fetched once per smart-constructor call and
-   threaded through [node_id_in]/[intern_in]: interning an n-ary node
-   costs one DLS lookup, not n+1. *)
-type sharing = {
-  intern_tbl : (key, t) Hashtbl.t;
-  id_tbl : int Phys.t;
-  mutable next_id : int; (* 0 and 1 are the constants *)
-}
+let sharing_key : (key, t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
-let sharing_key =
-  Domain.DLS.new_key (fun () ->
-      { intern_tbl = Hashtbl.create 4096; id_tbl = Phys.create 4096; next_id = 2 })
-
-let node_id_in s f =
-  match f with
-  | True -> 0
-  | False -> 1
-  | _ -> (
-      match Phys.find_opt s.id_tbl f with
-      | Some i -> i
-      | None ->
-          s.next_id <- s.next_id + 1;
-          Phys.replace s.id_tbl f s.next_id;
-          s.next_id)
-
-let intern_in s key node =
-  match Hashtbl.find_opt s.intern_tbl key with
-  | Some canonical -> canonical
+let intern key make =
+  let tbl = Domain.DLS.get sharing_key in
+  match Hashtbl.find_opt tbl key with
+  | Some node -> node
   | None ->
-      ignore (node_id_in s node);
-      Hashtbl.replace s.intern_tbl key node;
+      let node = make (Atomic.fetch_and_add next_id 1) in
+      Hashtbl.add tbl key node;
       node
 
-let intern key node = intern_in (Domain.DLS.get sharing_key) key node
-
-let clear_sharing () =
-  (* ids stay monotone so stale formulas can never alias fresh ones *)
-  let s = Domain.DLS.get sharing_key in
-  Hashtbl.reset s.intern_tbl;
-  Phys.reset s.id_tbl
-
+let clear_sharing () = Hashtbl.reset (Domain.DLS.get sharing_key)
 let tt = True
 let ff = False
-let var v = intern (Kvar v) (Var v)
+let var v = intern (Kvar v) (fun i -> Var (i, v))
 
 let not_ f =
   match f with
   | True -> False
   | False -> True
-  | Not g -> g
-  | f ->
-      let s = Domain.DLS.get sharing_key in
-      intern_in s (Knot (node_id_in s f)) (Not f)
-
+  | Not (_, g) -> g
+  | f -> intern (Knot (id f)) (fun i -> Not (i, f))
 
 let and_ fs =
   let rec gather acc = function
     | [] -> Some acc
     | True :: rest -> gather acc rest
     | False :: _ -> None
-    | And gs :: rest -> (
+    | And (_, gs) :: rest -> (
         match gather acc gs with None -> None | Some acc -> gather acc rest)
     | f :: rest -> gather (f :: acc) rest
   in
@@ -113,15 +93,14 @@ let and_ fs =
   | Some [ f ] -> f
   | Some fs ->
       let fs = List.rev fs in
-      let s = Domain.DLS.get sharing_key in
-      intern_in s (Kand (List.map (node_id_in s) fs)) (And fs)
+      intern (Kand (List.map id fs)) (fun i -> And (i, fs))
 
 let or_ fs =
   let rec gather acc = function
     | [] -> Some acc
     | False :: rest -> gather acc rest
     | True :: _ -> None
-    | Or gs :: rest -> (
+    | Or (_, gs) :: rest -> (
         match gather acc gs with None -> None | Some acc -> gather acc rest)
     | f :: rest -> gather (f :: acc) rest
   in
@@ -131,8 +110,7 @@ let or_ fs =
   | Some [ f ] -> f
   | Some fs ->
       let fs = List.rev fs in
-      let s = Domain.DLS.get sharing_key in
-      intern_in s (Kor (List.map (node_id_in s) fs)) (Or fs)
+      intern (Kor (List.map id fs)) (fun i -> Or (i, fs))
 
 let and2 a b = and_ [ a; b ]
 let or2 a b = or_ [ a; b ]
@@ -143,9 +121,7 @@ let implies a b =
   | True, b -> b
   | _, True -> True
   | a, False -> not_ a
-  | a, b ->
-      let s = Domain.DLS.get sharing_key in
-      intern_in s (Kimplies (node_id_in s a, node_id_in s b)) (Implies (a, b))
+  | a, b -> intern (Kimplies (id a, id b)) (fun i -> Implies (i, a, b))
 
 let iff a b =
   match (a, b) with
@@ -155,9 +131,7 @@ let iff a b =
   | a, False -> not_ a
   | a, b ->
       if a == b then True
-      else
-        let s = Domain.DLS.get sharing_key in
-        intern_in s (Kiff (node_id_in s a, node_id_in s b)) (Iff (a, b))
+      else intern (Kiff (id a, id b)) (fun i -> Iff (i, a, b))
 
 let xor a b = not_ (iff a b)
 
@@ -167,11 +141,7 @@ let ite c t e =
   | False -> e
   | c ->
       if t == e then t
-      else
-        let s = Domain.DLS.get sharing_key in
-        intern_in s
-          (Kite (node_id_in s c, node_id_in s t, node_id_in s e))
-          (Ite (c, t, e))
+      else intern (Kite (id c, id t, id e)) (fun i -> Ite (i, c, t, e))
 
 let at_most_one fs =
   let rec pairs = function
@@ -185,59 +155,66 @@ let exactly_one fs = and2 (or_ fs) (at_most_one fs)
 let rec eval env = function
   | True -> true
   | False -> false
-  | Var v -> env v
-  | Not f -> not (eval env f)
-  | And fs -> List.for_all (eval env) fs
-  | Or fs -> List.exists (eval env) fs
-  | Implies (a, b) -> (not (eval env a)) || eval env b
-  | Iff (a, b) -> eval env a = eval env b
-  | Ite (c, t, e) -> if eval env c then eval env t else eval env e
+  | Var (_, v) -> env v
+  | Not (_, f) -> not (eval env f)
+  | And (_, fs) -> List.for_all (eval env) fs
+  | Or (_, fs) -> List.exists (eval env) fs
+  | Implies (_, a, b) -> (not (eval env a)) || eval env b
+  | Iff (_, a, b) -> eval env a = eval env b
+  | Ite (_, c, t, e) -> if eval env c then eval env t else eval env e
+
+(* Tables keyed on node ids, which count up from one counter: the id
+   is its own hash, with no call into the runtime's generic one. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i
+end)
+
+(* [fold_dag visit acc f] folds [visit] over the nodes of the circuit
+   DAG, each shared subcircuit once, in depth-first pre-order. *)
+let fold_dag visit acc f =
+  let seen = Ids.create 256 in
+  let rec go acc f =
+    let i = id f in
+    if Ids.mem seen i then acc
+    else begin
+      Ids.add seen i ();
+      let acc = visit acc f in
+      match f with
+      | True | False | Var _ -> acc
+      | Not (_, g) -> go acc g
+      | And (_, fs) | Or (_, fs) -> List.fold_left go acc fs
+      | Implies (_, a, b) | Iff (_, a, b) -> go (go acc a) b
+      | Ite (_, a, b, c) -> go (go (go acc a) b) c
+    end
+  in
+  go acc f
 
 let size f =
   (* connective count of the circuit DAG: shared subcircuits counted once *)
-  let seen = Phys.create 256 in
-  let total = ref 0 in
-  let rec go f =
-    if not (Phys.mem seen f) then begin
-      Phys.add seen f ();
-      match f with
-      | True | False | Var _ -> ()
-      | Not g ->
-          incr total;
-          go g
-      | And fs | Or fs ->
-          incr total;
-          List.iter go fs
-      | Implies (a, b) | Iff (a, b) ->
-          incr total;
-          go a;
-          go b
-      | Ite (a, b, c) ->
-          incr total;
-          go a;
-          go b;
-          go c
-    end
-  in
-  go f;
-  !total
+  fold_dag
+    (fun n -> function True | False | Var _ -> n | _ -> n + 1)
+    0 f
 
 let rec pp ppf = function
   | True -> Format.pp_print_string ppf "true"
   | False -> Format.pp_print_string ppf "false"
-  | Var v -> Format.fprintf ppf "v%d" v
-  | Not f -> Format.fprintf ppf "!%a" pp_atom f
-  | And fs ->
+  | Var (_, v) -> Format.fprintf ppf "v%d" v
+  | Not (_, f) -> Format.fprintf ppf "!%a" pp_atom f
+  | And (_, fs) ->
       Format.fprintf ppf "(%a)"
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ") pp)
         fs
-  | Or fs ->
+  | Or (_, fs) ->
       Format.fprintf ppf "(%a)"
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ") pp)
         fs
-  | Implies (a, b) -> Format.fprintf ppf "(%a => %a)" pp a pp b
-  | Iff (a, b) -> Format.fprintf ppf "(%a <=> %a)" pp a pp b
-  | Ite (a, b, c) -> Format.fprintf ppf "(if %a then %a else %a)" pp a pp b pp c
+  | Implies (_, a, b) -> Format.fprintf ppf "(%a => %a)" pp a pp b
+  | Iff (_, a, b) -> Format.fprintf ppf "(%a <=> %a)" pp a pp b
+  | Ite (_, a, b, c) ->
+      Format.fprintf ppf "(if %a then %a else %a)" pp a pp b pp c
 
 and pp_atom ppf f =
   match f with
@@ -251,27 +228,7 @@ type cnf_result = {
 }
 
 let max_var f =
-  let seen = Phys.create 256 in
-  let best = ref 0 in
-  let rec go f =
-    if not (Phys.mem seen f) then begin
-      Phys.add seen f ();
-      match f with
-      | True | False -> ()
-      | Var v -> if v > !best then best := v
-      | Not g -> go g
-      | And fs | Or fs -> List.iter go fs
-      | Implies (a, b) | Iff (a, b) ->
-          go a;
-          go b
-      | Ite (a, b, c) ->
-          go a;
-          go b;
-          go c
-    end
-  in
-  go f;
-  !best
+  fold_dag (fun best -> function Var (_, v) -> max best v | _ -> best) 0 f
 
 (* Tseitin translation with structural sharing: identical subcircuits are
    encoded once. Returns the literal representing each subformula. *)
@@ -284,39 +241,39 @@ let to_cnf ?num_primary f =
     problem := p;
     v
   in
-  (* cache on physical identity: the upstream compilers memoize their
-     output, so shared subcircuits are physically shared, and structural
+  (* cache on the interned id: the upstream compilers memoize their
+     output, so shared subcircuits are the same node, and structural
      keying would compare distinct DAG keys in exponential unfolded time *)
-  let cache : Cnf.lit Phys.t = Phys.create 1024 in
+  let cache : Cnf.lit Ids.t = Ids.create 1024 in
   (* encode f, returning either a constant or a literal equivalent to f *)
   let rec enc f : (bool, Cnf.lit) Either.t =
     match f with
     | True -> Either.Left true
     | False -> Either.Left false
-    | Var v -> Either.Right (Cnf.pos v)
-    | Not g -> (
+    | Var (_, v) -> Either.Right (Cnf.pos v)
+    | Not (_, g) -> (
         match enc g with
         | Either.Left b -> Either.Left (not b)
         | Either.Right l -> Either.Right (Cnf.negate l))
     | _ -> (
-        match Phys.find_opt cache f with
+        match Ids.find_opt cache (id f) with
         | Some l -> Either.Right l
         | None ->
             let l = enc_node f in
             (match l with
-            | Either.Right lit -> Phys.replace cache f lit
+            | Either.Right lit -> Ids.replace cache (id f) lit
             | Either.Left _ -> ());
             l)
   and enc_node f : (bool, Cnf.lit) Either.t =
     match f with
-    | And fs -> enc_nary ~neutral:true fs
-    | Or fs -> (
+    | And (_, fs) -> enc_nary ~neutral:true fs
+    | Or (_, fs) -> (
         (* x <-> (a | b | ...) encoded by dualizing And over negations *)
         match enc_nary ~neutral:false fs with
         | Either.Left b -> Either.Left b
         | Either.Right l -> Either.Right l)
-    | Implies (a, b) -> enc (or2 (not_ a) b)
-    | Iff (a, b) -> (
+    | Implies (_, a, b) -> enc (or2 (not_ a) b)
+    | Iff (_, a, b) -> (
         match (enc a, enc b) with
         | Either.Left ba, Either.Left bb -> Either.Left (ba = bb)
         | Either.Left true, Either.Right l | Either.Right l, Either.Left true ->
@@ -332,7 +289,7 @@ let to_cnf ?num_primary f =
             add [ xl; la; lb ];
             add [ xl; Cnf.negate la; Cnf.negate lb ];
             Either.Right xl)
-    | Ite (c, t, e) -> (
+    | Ite (_, c, t, e) -> (
         match enc c with
         | Either.Left true -> enc t
         | Either.Left false -> enc e

@@ -7,16 +7,23 @@
     performs constant folding and small-structure simplification so that
     trivially true/false constraints never reach the solver. *)
 
-type t =
+type t = private
   | True
   | False
-  | Var of Cnf.var
-  | Not of t
-  | And of t list
-  | Or of t list
-  | Implies of t * t
-  | Iff of t * t
-  | Ite of t * t * t  (** if-then-else over booleans *)
+  | Var of int * Cnf.var
+  | Not of int * t
+  | And of int * t list
+  | Or of int * t list
+  | Implies of int * t * t
+  | Iff of int * t * t
+  | Ite of int * t * t * t  (** if-then-else over booleans *)
+(** A circuit node. The type is private: nodes are built only by the
+    smart constructors below, which hash-cons them. The [int] of every
+    non-constant node is the id it was given when first interned;
+    [True] and [False] have ids 0 and 1. Structurally equal formulas
+    built in one domain between two {!clear_sharing} calls are the same
+    node, with the same id, so every traversal of a shared circuit
+    ({!size}, {!to_cnf}) keys on the id and stays linear in the DAG. *)
 
 val tt : t
 val ff : t
@@ -26,17 +33,18 @@ val not_ : t -> t
 (** Negation with constant folding and double-negation elimination. *)
 
 val clear_sharing : unit -> unit
-(** Drops the hash-consing tables of the calling domain. The smart
-    constructors intern nodes so that structurally equal formulas are
-    physically equal (which keeps every traversal linear in the circuit
-    DAG); call this between independent translations to release the
-    tables. Existing formulas remain valid — only future sharing with
-    them is lost.
+(** Drops the hash-consing tables of the calling domain; call it
+    between independent translations to release them. Existing
+    formulas remain valid and keep their ids; only future sharing with
+    them is lost. Ids come from one process-wide counter that
+    [clear_sharing] never resets, so a node built after the call never
+    takes the id of one built before it.
 
     Interning is domain-local ({!Domain.DLS}): domains hash-cons
     independently and never contend, so translations may run in
-    parallel, but a formula must be built and consumed within a single
-    domain for sharing to apply. *)
+    parallel. Because ids are unique across the whole process,
+    formulas built in different domains may be combined freely; they
+    are simply not shared with each other. *)
 
 val and_ : t list -> t
 (** N-ary conjunction; folds constants, flattens nested [And]s. *)

@@ -5,6 +5,7 @@ let () =
       ("solver-pin", Test_solver_pin.suite);
       ("netsim", Test_netsim.suite);
       ("relalg", Test_relalg.suite);
+      ("cnf-identity", Test_cnf_identity.suite);
       ("alloylite", Test_alloylite.suite);
       ("mca", Test_mca.suite);
       ("checker", Test_checker.suite);

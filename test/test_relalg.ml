@@ -199,6 +199,87 @@ let test_translate_matches_eval () =
         Relalg.Ast.pp_formula f expected
   done
 
+(* Random formulas whose expressions read quantified variables from
+   enclosing scopes, so the translator's memo must tell apart one
+   subterm under different bindings of the variables it reads — and
+   only of those. [scope] lists the names in scope, innermost first.
+   Over a run, [bound_fmla] produces nested quantifiers whose inner
+   expressions read the outer variable, shadowed rebindings,
+   multi-decl quantifiers whose second domain reads the first
+   variable, and comprehensions. *)
+let rec bound_expr rng scope depth : Relalg.Ast.expr =
+  let open Relalg.Ast in
+  let d = Stdlib.( - ) depth 1 in
+  let leaf () =
+    match scope with
+    | x :: outer when Netsim.Rng.int rng 3 > 0 ->
+        (* the innermost name, or the next one out *)
+        v (match outer with y :: _ when Netsim.Rng.bool rng -> y | _ -> x)
+    | _ -> random_expr rng 1 0
+  in
+  if depth <= 0 then leaf ()
+  else
+    match Netsim.Rng.int rng 5 with
+    | 0 -> bound_expr rng scope d + bound_expr rng scope d
+    | 1 -> bound_expr rng scope d - bound_expr rng scope d
+    | 2 -> join (bound_expr rng scope d) (random_expr rng 2 0)
+    | 3 ->
+        (* a comprehension over a name that may already be bound *)
+        let x = if Netsim.Rng.bool rng then "x" else "y" in
+        compr [ (x, bound_expr rng scope d) ] (bound_fmla rng (x :: scope) d)
+    | _ -> leaf ()
+
+and bound_fmla rng scope depth : Relalg.Ast.formula =
+  let open Relalg.Ast in
+  let d = Stdlib.( - ) depth 1 in
+  let quant decls body =
+    if Netsim.Rng.bool rng then for_all decls body else exists decls body
+  in
+  if depth <= 0 then
+    match Netsim.Rng.int rng 3 with
+    | 0 -> bound_expr rng scope 1 <=: bound_expr rng scope 1
+    | 1 -> some (bound_expr rng scope 1)
+    | _ -> no (bound_expr rng scope 1)
+  else
+    match Netsim.Rng.int rng 7 with
+    | 0 -> not_ (bound_fmla rng scope d)
+    | 1 -> and_ [ bound_fmla rng scope d; bound_fmla rng scope d ]
+    | 2 -> or_ [ bound_fmla rng scope d; bound_fmla rng scope d ]
+    | 3 ->
+        (* nested quantifiers over two names: the inner body reads both *)
+        quant [ ("x", bound_expr rng scope 1) ]
+          (quant [ ("y", bound_expr rng ("x" :: scope) 1) ]
+             (bound_fmla rng ("y" :: "x" :: scope) d))
+    | 4 ->
+        (* a shadowed rebinding: the inner x's domain reads the outer x *)
+        quant [ ("x", bound_expr rng scope 1) ]
+          (and_
+             [ bound_fmla rng ("x" :: scope) 0;
+               quant [ ("x", join (v "x") (rel "r1") + bound_expr rng scope 0) ]
+                 (bound_fmla rng ("x" :: scope) d) ])
+    | 5 ->
+        (* all x: s1, y: x.r1 | ... — the second domain reads the first *)
+        quant
+          [ ("x", bound_expr rng scope 0); ("y", join (v "x") (random_expr rng 2 0)) ]
+          (bound_fmla rng ("y" :: "x" :: scope) d)
+    | _ -> some (compr [ ("y", bound_expr rng scope 1) ] (bound_fmla rng ("y" :: scope) d))
+
+let test_translate_matches_eval_bindings () =
+  let rng = Netsim.Rng.create 4242 in
+  for _ = 1 to 150 do
+    let inst = random_instance rng in
+    let f = bound_fmla rng [] 3 in
+    let expected = Relalg.Eval.holds inst f in
+    let got =
+      match solve (bounds_of_instance inst) f with
+      | Relalg.Translate.Sat _ -> true
+      | Relalg.Translate.Unsat -> false
+    in
+    if expected <> got then
+      Alcotest.failf "translate/eval disagree on %a (expected %b)"
+        Relalg.Ast.pp_formula f expected
+  done
+
 let test_solver_instances_satisfy_eval () =
   (* with loose bounds, any instance the solver returns must satisfy the
      formula under ground evaluation *)
@@ -314,6 +395,11 @@ let test_unbound_relation_rejected () =
     (Invalid_argument "Translate: relation ghost has no bounds") (fun () ->
       ignore (solve b (Relalg.Ast.some (Relalg.Ast.rel "ghost"))))
 
+let test_unbound_variable_rejected () =
+  Alcotest.check_raises "unbound variable"
+    (Invalid_argument "Translate: unbound variable x") (fun () ->
+      ignore (solve (exact_bounds []) Relalg.Ast.(some (v "x"))))
+
 let test_translation_stats () =
   let open Relalg.Ast in
   let b = Relalg.Bounds.create universe4 in
@@ -395,6 +481,8 @@ let suite =
     Alcotest.test_case "bitvec count" `Quick test_bitvec_count;
     Alcotest.test_case "bitvec empty sum" `Quick test_bitvec_sum_empty;
     Alcotest.test_case "translate matches eval (random)" `Quick test_translate_matches_eval;
+    Alcotest.test_case "translate matches eval with bindings (random)" `Quick
+      test_translate_matches_eval_bindings;
     Alcotest.test_case "solver instances satisfy eval" `Quick test_solver_instances_satisfy_eval;
     Alcotest.test_case "closure semantics" `Quick test_closure_semantics;
     Alcotest.test_case "override semantics" `Quick test_override_semantics;
@@ -403,6 +491,7 @@ let suite =
     Alcotest.test_case "multiplicities" `Quick test_multiplicities;
     Alcotest.test_case "check finds counterexamples" `Quick test_check_counterexample;
     Alcotest.test_case "unbound relation rejected" `Quick test_unbound_relation_rejected;
+    Alcotest.test_case "unbound variable rejected" `Quick test_unbound_variable_rejected;
     Alcotest.test_case "translation stats" `Quick test_translation_stats;
     Alcotest.test_case "instance printing" `Quick test_instance_printing;
     Alcotest.test_case "instance enumeration" `Quick test_enumerate;

@@ -210,6 +210,38 @@ let test_tseitin_model_evaluates_true () =
           Alcotest.failf "model does not satisfy %a" Sat.Formula.pp f
   done
 
+(* Formulas built in two spawned domains, then combined and solved in
+   this one. Each domain interns into its own tables, so the three share
+   no node; what must hold is that no node is ever mistaken for a
+   different node built elsewhere — by the Tseitin cache or by this
+   domain's interning of the combination. *)
+let test_cross_domain_interning () =
+  let build seed () =
+    let rng = Netsim.Rng.create seed in
+    List.init 200 (fun _ -> random_formula rng 5 3)
+  in
+  let d1 = Domain.spawn (build 901) and d2 = Domain.spawn (build 902) in
+  let fs1 = Domain.join d1 and fs2 = Domain.join d2 in
+  let rng = Netsim.Rng.create 903 in
+  List.iter2
+    (fun a b ->
+      let open Sat.Formula in
+      let f =
+        match Netsim.Rng.int rng 4 with
+        | 0 -> and2 a b
+        | 1 -> or2 a (not_ b)
+        | 2 -> iff a b
+        | _ -> ite (var 1) a b
+      in
+      match solve ~num_primary:5 f with
+      | Sat.Solver.Sat m ->
+          if not (eval (fun v -> m.(v)) f) then
+            Alcotest.failf "model does not satisfy cross-domain %a" pp f
+      | Sat.Solver.Unsat ->
+          if brute_force_sat f 5 then
+            Alcotest.failf "satisfiable cross-domain %a found UNSAT" pp f)
+    fs1 fs2
+
 let test_at_most_one () =
   let open Sat.Formula in
   let vars = [ var 1; var 2; var 3 ] in
@@ -737,6 +769,8 @@ let suite =
     Alcotest.test_case "formula simplification" `Quick test_formula_simplification;
     Alcotest.test_case "tseitin equisatisfiable" `Quick test_tseitin_equisatisfiable;
     Alcotest.test_case "tseitin models evaluate true" `Quick test_tseitin_model_evaluates_true;
+    Alcotest.test_case "formulas interned in two domains, solved in a third"
+      `Quick test_cross_domain_interning;
     Alcotest.test_case "at_most_one / exactly_one" `Quick test_at_most_one;
     Alcotest.test_case "cdcl vs dpll on random 3-sat" `Quick test_solver_matches_dpll;
     Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole_unsat;
