@@ -4,7 +4,9 @@
    computational kernels behind them.
 
    Run with: dune exec bench/main.exe -- [--suite ID] [--fast]
-   Without --suite every suite runs, in the order of [suites] below.
+   Without --suite every suite runs, in the order of [suites] below,
+   each in a child process of its own (the same executable with
+   --suite ID); the run names the suites that failed and exits 1.
    --fast skips the slow SAT-model checks (the Result-1 UNSAT rows take
    tens of seconds each; the naive-encoding solve is reported as
    intractable by design, matching the paper's day-long naive run) and
@@ -12,9 +14,9 @@
 
    Every suite returns one [result] and writes it to BENCH_<ID>.json in
    the working directory. Its [gates] are the checks that decide the
-   exit code: the run exits 1, after every selected suite has run and
-   written its file, if any gate failed. Invariants that must never
-   break (identical verdicts, checked certificates) raise instead. *)
+   exit code: the suite exits 1, after it has written its file, if any
+   gate failed. Invariants that must never break (identical verdicts,
+   checked certificates) raise instead. *)
 
 let fast_mode = ref false
 
@@ -1251,26 +1253,49 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     (Printf.sprintf "usage: main.exe [--suite %s] [--fast]"
        (String.concat "|" ids));
-  let selected =
-    match !only with
-    | None -> suites
-    | Some id -> [ (id, List.assoc id suites) ]
-  in
-  Format.printf "MCA verification library — benchmark & experiment harness@.";
-  Format.printf "(%s mode)@." (if !fast_mode then "fast" else "full");
-  let git_rev = git_rev () and cores = Parallel.Pool.available_jobs () in
-  let failed =
-    List.concat_map
-      (fun (id, run) ->
-        let r = run () in
-        write_result ~git_rev ~cores id r;
+  match !only with
+  | None ->
+      (* Each suite in its own process, as CI runs them: what one suite
+         leaves behind (domains, heap, sockets, page cache) must not
+         move the next one's timing gates. *)
+      let failed =
+        List.filter
+          (fun id ->
+            let argv =
+              Array.of_list
+                ([ Sys.executable_name; "--suite"; id ]
+                @ if !fast_mode then [ "--fast" ] else [])
+            in
+            let pid =
+              Unix.create_process Sys.executable_name argv Unix.stdin
+                Unix.stdout Unix.stderr
+            in
+            let rec wait () =
+              match Unix.waitpid [] pid with
+              | _, status -> status
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+            in
+            wait () <> Unix.WEXITED 0)
+          ids
+      in
+      if failed <> [] then begin
+        Format.eprintf "@.FAILED suites: %s@." (String.concat ", " failed);
+        exit 1
+      end;
+      Format.printf "@.done: every suite passed.@."
+  | Some id ->
+      Format.printf "MCA verification library — benchmark & experiment harness@.";
+      Format.printf "(%s mode)@." (if !fast_mode then "fast" else "full");
+      let git_rev = git_rev () and cores = Parallel.Pool.available_jobs () in
+      let r = (List.assoc id suites) () in
+      write_result ~git_rev ~cores id r;
+      let failed =
         List.filter_map
           (fun (gate, ok) -> if ok then None else Some (id ^ "." ^ gate))
-          r.gates)
-      selected
-  in
-  if failed <> [] then begin
-    Format.eprintf "@.FAILED gates: %s@." (String.concat ", " failed);
-    exit 1
-  end;
-  Format.printf "@.done: every gate passed.@."
+          r.gates
+      in
+      if failed <> [] then begin
+        Format.eprintf "@.FAILED gates: %s@." (String.concat ", " failed);
+        exit 1
+      end;
+      Format.printf "@.done: every gate passed.@."

@@ -106,14 +106,7 @@ let run_sweep jobs seed agents items states timeout journal resume
   (* Atomic.set is async-signal-safe; everything else (journal flush,
      partial report) happens on the normal path once workers notice the
      flag through their ?stop hook. *)
-  let drain_on signal =
-    try
-      Sys.set_signal signal
-        (Sys.Signal_handle (fun _ -> Parallel.Supervise.request_drain ()))
-    with Invalid_argument _ | Sys_error _ -> ()
-  in
-  drain_on Sys.sigint;
-  drain_on Sys.sigterm;
+  Parallel.Supervise.on_drain_signals Parallel.Supervise.request_drain;
   let report =
     Core.Experiments.run_sweep ~jobs ~seed ~budget:(budget_of_timeout timeout)
       ~scopes:[ (scope_tag, scope) ] ?journal ~resume

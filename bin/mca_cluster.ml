@@ -27,31 +27,11 @@ let exit_unknown = 10
 let exit_partial = 11
 let exit_fenced = 13
 
-let worker_of s =
-  match String.index_opt s ':' with
-  | Some i when String.sub s 0 i = "unix" ->
-      Ok (Service.Server.Unix_path (String.sub s (i + 1) (String.length s - i - 1)))
-  | Some i when String.sub s 0 i = "tcp" -> (
-      let hp = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.rindex_opt hp ':' with
-      | Some j -> (
-          let host = String.sub hp 0 j in
-          let host = if host = "" then "127.0.0.1" else host in
-          match int_of_string_opt (String.sub hp (j + 1) (String.length hp - j - 1)) with
-          | Some port when port > 0 && port < 65536 ->
-              Ok (Service.Server.Tcp (host, port))
-          | _ -> Error (`Msg ("invalid worker port in " ^ s)))
-      | None -> Error (`Msg ("tcp worker expects tcp:HOST:PORT, got " ^ s)))
-  | _ -> Ok (Service.Server.Unix_path s)
-
 let worker_conv =
   Arg.conv
-    ( worker_of,
-      fun ppf a ->
-        Format.pp_print_string ppf
-          (match a with
-          | Service.Server.Unix_path p -> "unix:" ^ p
-          | Service.Server.Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p) )
+    ( (fun s ->
+        Result.map_error (fun m -> `Msg m) (Service.Server.addr_of_string s)),
+      Service.Server.pp_addr )
 
 let print_stats workers timeout =
   List.iter
@@ -96,18 +76,6 @@ let print_report journal (report : Service.Cluster.report) =
   else if Core.Experiments.sweep_decided sweep then 0
   else exit_unknown
 
-let install_drain () =
-  (* same drain path as mca_check: the handler only flips an atomic; the
-     coordinator's stop hook polls it between attempts *)
-  let drain_on signal =
-    try
-      Sys.set_signal signal
-        (Sys.Signal_handle (fun _ -> Parallel.Supervise.request_drain ()))
-    with Invalid_argument _ | Sys_error _ -> ()
-  in
-  drain_on Sys.sigint;
-  drain_on Sys.sigterm
-
 let run_sweep workers jobs seed agents items states deadline timeout retries
     steal_after down_after heartbeat no_recheck journal resume flush_every
     ring_points repl epoch epoch_journal standby lease_ms poll_ms
@@ -117,7 +85,9 @@ let run_sweep workers jobs seed agents items states deadline timeout retries
       bitwidth = 4 }
   in
   let scope_tag = Printf.sprintf "%dp%dv/%dst" agents items states in
-  install_drain ();
+  (* same drain path as mca_check: the handler only flips an atomic; the
+     coordinator's stop hook polls it between attempts *)
+  Parallel.Supervise.on_drain_signals Parallel.Supervise.request_drain;
   (* epoch choice: never at or below the durable floor. The floor is the
      highest epoch in --epoch-journal (if given); an explicit --epoch
      above the floor is honored, anything else becomes floor+1. The

@@ -32,16 +32,7 @@ let exit_shed = 12
 let addr_of socket tcp =
   match (socket, tcp) with
   | Some p, None -> Ok (Service.Server.Unix_path p)
-  | None, Some hp -> (
-      match String.rindex_opt hp ':' with
-      | Some i -> (
-          let host = String.sub hp 0 i in
-          let host = if host = "" then "127.0.0.1" else host in
-          match int_of_string_opt (String.sub hp (i + 1) (String.length hp - i - 1)) with
-          | Some port when port > 0 && port < 65536 ->
-              Ok (Service.Server.Tcp (host, port))
-          | _ -> Error "invalid --tcp port")
-      | None -> Error "--tcp expects HOST:PORT")
+  | None, Some hp -> Service.Server.addr_of_string ("tcp:" ^ hp)
   | None, None -> Error "one of --socket or --tcp is required"
   | Some _, Some _ -> Error "--socket and --tcp are mutually exclusive"
 
@@ -64,14 +55,7 @@ let serve addr jobs queue_cap deadline max_deadline io_deadline seed journal
     }
   in
   let t = Service.Server.start cfg in
-  let drain_on signal =
-    try
-      Sys.set_signal signal
-        (Sys.Signal_handle (fun _ -> Service.Server.stop t))
-    with Invalid_argument _ | Sys_error _ -> ()
-  in
-  drain_on Sys.sigterm;
-  drain_on Sys.sigint;
+  Parallel.Supervise.on_drain_signals (fun () -> Service.Server.stop t);
   Format.printf "mca_serve: listening on %a (jobs=%d cap=%d%s)@."
     Service.Server.pp_addr addr jobs queue_cap
     (match journal with Some p -> " journal=" ^ p | None -> "");

@@ -117,7 +117,7 @@ let sweep_scopes =
 (* Deterministic per-cell instance: at the canonical 2×2 scope the
    paper's contended utilities, elsewhere utilities seeded from
    (seed, policy, scope) — independent of worker scheduling. *)
-let sweep_config ~seed ~policy_label ~scope_tag (p : Mca.Policy.t)
+let cell_config ~seed ~policy_label ~scope_tag (p : Mca.Policy.t)
     (scope : Mca_model.scope_spec) =
   let n = scope.Mca_model.pnodes and j = scope.Mca_model.vnodes in
   let p = { p with Mca.Policy.target_items = min p.Mca.Policy.target_items j } in
@@ -132,13 +132,13 @@ let sweep_config ~seed ~policy_label ~scope_tag (p : Mca.Policy.t)
       ~base_utilities ~policy:p
   end
 
-let sweep_cell ?stop ~shared ?(incremental = false) ~budget ~seed
+let run_cell ?stop ~shared ?(incremental = false) ~budget ~seed
     ((policy_label, p, mp, scope_tag, scope) :
       string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) =
   if shared.Mca_model.shared_scope <> scope then
     invalid_arg "Experiments.run_cell: shared translation of another scope";
   let t0 = Unix.gettimeofday () in
-  let cfg = sweep_config ~seed ~policy_label ~scope_tag p scope in
+  let cfg = cell_config ~seed ~policy_label ~scope_tag p scope in
   let sim_ok =
     match Mca.Protocol.run_sync ~max_rounds:200 ~budget cfg with
     | Mca.Protocol.Converged _ -> true
@@ -195,12 +195,9 @@ let lookup_policy label =
   | Some p, Some mp -> Some (p, mp)
   | _ -> None
 
-let cell_config = sweep_config
-let run_cell = sweep_cell
-
 (* -- journal cell records ------------------------------------------- *)
-(* One journal entry per completed cell, pipe-separated key=value
-   fields with percent-escaping, e.g.
+(* One journal entry per completed cell, in the {!Parallel.Record}
+   format, e.g.
 
      cell|1|seed=1|scope=2p2v|policy=submod|sat=holds|exh=holds|
      sim=true|secs=0.41|cert=1a2b3c4d
@@ -211,100 +208,46 @@ let run_cell = sweep_cell
    re-computed on load, so a record whose verdict was tampered with
    (with a re-framed, valid CRC) is rejected and its cell re-runs. *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' -> Buffer.add_string b "%25"
-      | '|' -> Buffer.add_string b "%7c"
-      | '=' -> Buffer.add_string b "%3d"
-      | '\n' -> Buffer.add_string b "%0a"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module R = Parallel.Record
 
-let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' && !i + 2 < n then begin
-       (match String.sub s (!i + 1) 2 with
-       | "25" -> Buffer.add_char b '%'
-       | "7c" -> Buffer.add_char b '|'
-       | "3d" -> Buffer.add_char b '='
-       | "0a" -> Buffer.add_char b '\n'
-       | other -> Buffer.add_char b '%'; Buffer.add_string b other);
-       i := !i + 3
-     end
-     else begin
-       Buffer.add_char b s.[!i];
-       incr i
-     end)
-  done;
-  Buffer.contents b
-
-let verdict_enc = function
+let verdict_to_wire = function
   | Holds -> "holds"
   | Violated -> "violated"
-  | Undecided reason -> "unknown:" ^ escape reason
+  | Undecided reason -> R.unknown reason
 
-let verdict_dec s =
-  match s with
+let verdict_of_wire = function
   | "holds" -> Some Holds
   | "violated" -> Some Violated
-  | s when String.length s >= 8 && String.sub s 0 8 = "unknown:" ->
-      Some (Undecided (unescape (String.sub s 8 (String.length s - 8))))
-  | _ -> None
-
-(* exported for the service's wire protocol, which frames its requests
-   and responses with exactly the journal record syntax *)
-let escape_field = escape
-let unescape_field = unescape
-let verdict_to_wire = verdict_enc
-let verdict_of_wire = verdict_dec
+  | s -> Option.map (fun r -> Undecided r) (R.unknown_reason s)
 
 let cell_fingerprint ~seed c =
-  Parallel.Journal.crc32_hex
-    (String.concat "|"
-       [
-         string_of_int seed; escape c.scope_tag; escape c.policy_label;
-         verdict_enc c.sat_verdict; verdict_enc c.exhaustive;
-         string_of_bool c.sim_ok;
-       ])
+  R.fingerprint
+    [
+      string_of_int seed; R.escape c.scope_tag; R.escape c.policy_label;
+      verdict_to_wire c.sat_verdict; verdict_to_wire c.exhaustive;
+      string_of_bool c.sim_ok;
+    ]
 
 let cell_record ~seed c =
   Printf.sprintf
     "cell|1|seed=%d|scope=%s|policy=%s|sat=%s|exh=%s|sim=%b|secs=%.6f|cert=%s"
-    seed (escape c.scope_tag) (escape c.policy_label)
-    (verdict_enc c.sat_verdict) (verdict_enc c.exhaustive) c.sim_ok
+    seed (R.escape c.scope_tag) (R.escape c.policy_label)
+    (verdict_to_wire c.sat_verdict) (verdict_to_wire c.exhaustive) c.sim_ok
     c.cell_seconds
     (cell_fingerprint ~seed c)
 
 let cell_of_record line =
-  match String.split_on_char '|' line with
-  | "cell" :: "1" :: fields ->
-      let assoc =
-        List.filter_map
-          (fun f ->
-            match String.index_opt f '=' with
-            | Some i ->
-                Some
-                  ( String.sub f 0 i,
-                    String.sub f (i + 1) (String.length f - i - 1) )
-            | None -> None)
-          fields
-      in
+  match R.parse line with
+  | Some ("cell", fields) ->
       let ( let* ) = Option.bind in
-      let* seed = Option.bind (List.assoc_opt "seed" assoc) int_of_string_opt in
-      let* scope_tag = Option.map unescape (List.assoc_opt "scope" assoc) in
-      let* policy_label = Option.map unescape (List.assoc_opt "policy" assoc) in
-      let* sat_verdict = Option.bind (List.assoc_opt "sat" assoc) verdict_dec in
-      let* exhaustive = Option.bind (List.assoc_opt "exh" assoc) verdict_dec in
-      let* sim_ok = Option.bind (List.assoc_opt "sim" assoc) bool_of_string_opt in
-      let* secs = Option.bind (List.assoc_opt "secs" assoc) float_of_string_opt in
-      let* cert = List.assoc_opt "cert" assoc in
+      let* seed = R.int fields "seed" in
+      let* scope_tag = R.str fields "scope" in
+      let* policy_label = R.str fields "policy" in
+      let* sat_verdict = Option.bind (R.raw fields "sat") verdict_of_wire in
+      let* exhaustive = Option.bind (R.raw fields "exh") verdict_of_wire in
+      let* sim_ok = R.bool fields "sim" in
+      let* secs = R.float fields "secs" in
+      let* cert = R.raw fields "cert" in
       let cell =
         {
           policy_label; scope_tag; sat_verdict; sim_ok; exhaustive;
@@ -318,6 +261,11 @@ let cell_of_record line =
   | _ -> None
 
 (* -- the crash-safe sweep ------------------------------------------- *)
+
+let cell_decided c =
+  match (c.sat_verdict, c.exhaustive) with
+  | Undecided _, _ | _, Undecided _ -> false
+  | _ -> true
 
 let undecided_cell ~origin ~reason
     ((policy_label, _, _, scope_tag, _) :
@@ -403,7 +351,7 @@ let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
                 (tag, min mp.Mca_model.target scope.Mca_model.vnodes)
             in
             let cell =
-              sweep_cell ~stop ~shared ~incremental:true
+              run_cell ~stop ~shared ~incremental:true
                 ~budget:(Netsim.Budget.restarted budget) ~seed task
             in
             (* journal at the record boundary — but never an attempt the
@@ -493,12 +441,7 @@ let render_sweep ?(timings = false) r =
 let pp_sweep ?timings ppf r =
   Format.pp_print_string ppf (render_sweep ?timings r)
 
-let sweep_decided r =
-  List.for_all
-    (fun c ->
-      (match c.sat_verdict with Undecided _ -> false | _ -> true)
-      && match c.exhaustive with Undecided _ -> false | _ -> true)
-    r.cells
+let sweep_decided r = List.for_all cell_decided r.cells
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Result 2                                                       *)

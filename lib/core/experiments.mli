@@ -161,15 +161,11 @@ val run_cell :
     [Invalid_argument] when [shared] was built for another scope or
     target. *)
 
-(** The field-level escaping and verdict syntax of the journal records,
-    exported because the service's newline-framed wire protocol reuses
-    them verbatim (a service response is journal-record-shaped). *)
-
-val escape_field : string -> string
-val unescape_field : string -> string
-
 val verdict_to_wire : sweep_verdict -> string
 val verdict_of_wire : string -> sweep_verdict option
+(** The verdict text of the journal records and of the service's
+    verdict replies: ["holds"], ["violated"] or
+    {!Parallel.Record.unknown} of the reason. *)
 
 val cell_record : seed:int -> sweep_cell -> string
 (** The journal line for a completed cell (format ["cell|1|…"], with a
@@ -181,6 +177,25 @@ val cell_of_record : string -> (int * sweep_cell) option
     malformed or tampered records. The cell comes back with
     [origin = Resumed]. *)
 
+val cell_decided : sweep_cell -> bool
+(** Neither verdict column is [Undecided]: the cell may be journaled,
+    cached and replayed. *)
+
+val undecided_cell :
+  origin:cell_origin ->
+  reason:string ->
+  (string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) ->
+  sweep_cell
+(** A task's cell with both verdict columns [Undecided reason] — what a
+    quarantined, drained or unanswered cell reports. *)
+
+val load_journal :
+  seed:int -> string -> (string * string, sweep_cell) Hashtbl.t
+(** The resume step of {!run_sweep}: recovers the journal at the path
+    (truncating a torn tail) and returns its digest-valid cells of
+    [seed], keyed by (scope tag, policy label); the last record of a
+    cell wins. *)
+
 val render_sweep : ?timings:bool -> sweep_report -> string
 (** Canonical text of the report. Without [timings] (the default) the
     rendering contains no clocks: equal verdicts give byte-identical
@@ -190,7 +205,7 @@ val render_sweep : ?timings:bool -> sweep_report -> string
 val pp_sweep : ?timings:bool -> Format.formatter -> sweep_report -> unit
 
 val sweep_decided : sweep_report -> bool
-(** [true] when no cell is [Undecided] — the CLI maps [false] to the
+(** [true] when every cell is {!cell_decided} — the CLI maps [false] to the
     UNKNOWN exit code (10), exactly as in sequential runs. *)
 
 (** E4 — Result 2: the rebidding attack with a single attacker, plus the

@@ -20,10 +20,6 @@ let create ~capacity =
     not_full = Condition.create ();
   }
 
-let with_lock q f =
-  Mutex.lock q.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock q.lock) f
-
 let take_locked q =
   let x = q.buf.(q.head) in
   q.buf.(q.head) <- None;
@@ -33,7 +29,7 @@ let take_locked q =
   x
 
 let push q x =
-  with_lock q (fun () ->
+  Mutex.protect q.lock (fun () ->
       while q.len = Array.length q.buf && not q.closed do
         Condition.wait q.not_full q.lock
       done;
@@ -46,7 +42,7 @@ let try_push q x =
   (* the admission-control primitive: a full (or closed) queue answers
      [false] immediately — an acceptor thread must never block behind
      the workload it is trying to shed *)
-  with_lock q (fun () ->
+  Mutex.protect q.lock (fun () ->
       if q.closed || q.len = Array.length q.buf then false
       else begin
         q.buf.((q.head + q.len) mod Array.length q.buf) <- Some x;
@@ -56,7 +52,7 @@ let try_push q x =
       end)
 
 let pop q =
-  with_lock q (fun () ->
+  Mutex.protect q.lock (fun () ->
       while q.len = 0 && not q.closed do
         Condition.wait q.not_empty q.lock
       done;
@@ -64,9 +60,9 @@ let pop q =
       else take_locked q)
 
 let close q =
-  with_lock q (fun () ->
+  Mutex.protect q.lock (fun () ->
       q.closed <- true;
       Condition.broadcast q.not_empty;
       Condition.broadcast q.not_full)
 
-let length q = with_lock q (fun () -> q.len)
+let length q = Mutex.protect q.lock (fun () -> q.len)

@@ -144,18 +144,12 @@ let flush_locked w =
   w.last_flush <- Unix.gettimeofday ()
 
 let flush w =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  Mutex.protect w.lock (fun () ->
       if w.closed then invalid_arg "Journal.flush: closed writer";
       flush_locked w)
 
 let append w record =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  Mutex.protect w.lock (fun () ->
       if w.closed then invalid_arg "Journal.append: closed writer";
       if String.length record > max_record_len then
         invalid_arg "Journal.append: record exceeds 16 MiB";
@@ -170,17 +164,10 @@ let append w record =
       in
       if w.pending >= w.flush_every || interval_due then flush_locked w)
 
-let pending w =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () -> w.pending)
+let pending w = Mutex.protect w.lock (fun () -> w.pending)
 
 let close w =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  Mutex.protect w.lock (fun () ->
       if not w.closed then begin
         Fun.protect
           ~finally:(fun () ->

@@ -37,16 +37,3 @@ let map_result ?(jobs = 1) f tasks =
     Array.iter Domain.join domains;
     Array.map Option.get results
   end
-
-let map ?(jobs = 1) f tasks =
-  if jobs < 1 then invalid_arg "Pool.map: jobs < 1";
-  if jobs = 1 || Array.length tasks <= 1 then Array.map f tasks
-  else begin
-    let results = map_result ~jobs f tasks in
-    (* deterministic error reporting: the lowest-indexed failure wins *)
-    Array.iter (function Error e -> raise e | Ok _ -> ()) results;
-    Array.map (function Ok r -> r | Error _ -> assert false) results
-  end
-
-let map_budgeted ?jobs ~budget f tasks =
-  map ?jobs (fun x -> f ~budget:(Netsim.Budget.restarted budget) x) tasks

@@ -3,9 +3,9 @@
     The multicore driver for the verification matrix: independent tasks
     (one policy/scope cell of the paper's evaluation each) are fanned
     out over OCaml 5 domains through a bounded {!Bqueue} and the results
-    are collected {e keyed by task index}, so the output of [map] is the
-    same array whatever the scheduling — parallelism never changes a
-    report, only its wall-clock time.
+    are collected {e keyed by task index}, so the output of
+    {!map_result} is the same array whatever the scheduling —
+    parallelism never changes a report, only its wall-clock time.
 
     [jobs = 1] (the default) runs every task inline in the calling
     domain without spawning: the sequential path and the 1-job parallel
@@ -16,8 +16,7 @@
     build→translate→solve pipeline safe per task. A task that raises
     fills its own result slot with an explicit [Error] ({!map_result}),
     so a worker never dies mid-queue and joiners never wait on a lost
-    slot; {!map} re-raises the exception of the lowest-indexed failing
-    task (deterministic again) after every worker has joined. *)
+    slot. *)
 
 val available_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism cap
@@ -27,24 +26,8 @@ val map_result : ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** [map_result ~jobs f tasks] evaluates every task to completion, even
     when some raise: slot [i] is [Ok (f tasks.(i))] or [Error exn]. The
     supervision layer builds on this — one poisoned cell must never
-    discard the rest of a sweep. Raises [Invalid_argument] when
-    [jobs < 1]. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs f tasks] evaluates [f] on every element using at most
-    [jobs] domains (clamped to the task count {e and} to
-    {!available_jobs} — oversubscribing cores makes the stop-the-world
-    minor GC serialize the domains and runs slower than sequentially, so
-    [jobs] is a ceiling, not a demand). [map ~jobs:1] is [Array.map f].
-    Raises [Invalid_argument] when [jobs < 1]. *)
-
-val map_budgeted :
-  ?jobs:int ->
-  budget:Netsim.Budget.t ->
-  (budget:Netsim.Budget.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** Like {!map}, but every task receives [Netsim.Budget.restarted
-    budget]: its wall-clock window opens when the task is picked up, not
-    when the sweep was launched, so queueing behind other tasks never
-    eats a task's own deadline. Step/conflict caps are per task. *)
+    discard the rest of a sweep. At most [jobs] domains run the tasks,
+    clamped to the task count {e and} to {!available_jobs}:
+    oversubscribing cores makes the stop-the-world minor GC serialize
+    the domains and runs slower than sequentially, so [jobs] is a
+    ceiling, not a demand. Raises [Invalid_argument] when [jobs < 1]. *)

@@ -23,6 +23,13 @@ let request_drain () = Atomic.set drain_flag true
 let draining () = Atomic.get drain_flag
 let reset_drain () = Atomic.set drain_flag false
 
+let on_drain_signals f =
+  List.iter
+    (fun signal ->
+      try Sys.set_signal signal (Sys.Signal_handle (fun _ -> f ()))
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigint; Sys.sigterm ]
+
 (* EINTR is expected here: drain is requested from signal handlers and a
    sleeping supervisor must wake up, notice, and stop retrying *)
 let interruptible_sleep d =

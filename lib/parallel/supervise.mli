@@ -72,5 +72,11 @@ val draining : unit -> bool
 val reset_drain : unit -> unit
 (** Clears the flag (tests, or a driver starting a fresh campaign). *)
 
+val on_drain_signals : (unit -> unit) -> unit
+(** Makes SIGINT and SIGTERM call the function — {!request_drain} in
+    the sweep drivers, the daemon's own stop in [mca_serve]. It runs
+    in a signal handler, so it should only flip an atomic. A platform
+    without these signals keeps its defaults. *)
+
 val pp_outcome :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a outcome -> unit

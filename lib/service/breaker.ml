@@ -30,18 +30,14 @@ let make ?(trip_after = 3) ?(backoff = Netsim.Backoff.make ~base_s:1.0 ~cap_s:60
     probing = false;
   }
 
-let with_lock b f =
-  Mutex.lock b.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock b.lock) f
-
 let state b ~now =
-  with_lock b (fun () ->
+  Mutex.protect b.lock (fun () ->
       if b.open_until = 0.0 then Closed
       else if now < b.open_until then Open_until b.open_until
       else Half_open)
 
 let admit b ~now =
-  with_lock b (fun () ->
+  Mutex.protect b.lock (fun () ->
       if b.open_until = 0.0 then true
       else if now < b.open_until then false
       else if b.probing then false (* one probe at a time *)
@@ -51,7 +47,7 @@ let admit b ~now =
       end)
 
 let success b =
-  with_lock b (fun () ->
+  Mutex.protect b.lock (fun () ->
       b.consecutive <- 0;
       b.trips <- 0;
       b.open_until <- 0.0;
@@ -60,7 +56,7 @@ let success b =
 (* a cancelled attempt (drain, request deadline) says nothing about the
    backend: release the half-open probe slot without transitioning, or
    the breaker would stay wedged refusing every future probe *)
-let cancel b = with_lock b (fun () -> b.probing <- false)
+let cancel b = Mutex.protect b.lock (fun () -> b.probing <- false)
 
 let trip_locked b ~now =
   b.trips <- b.trips + 1;
@@ -70,7 +66,7 @@ let trip_locked b ~now =
   b.probing <- false
 
 let timeout b ~now =
-  with_lock b (fun () ->
+  Mutex.protect b.lock (fun () ->
       if b.open_until <> 0.0 then
         (* a half-open probe timed out: straight back to Open, with the
            next (longer) cooldown from the stream *)

@@ -1,20 +1,37 @@
 (** Blocking client for the verification service: one newline-framed
     request and one reply per connection. *)
 
-(** {2 Low-level socket plumbing}
+(** {2 Connections}
 
-    Exposed for protocol extensions that read more than one reply line
-    per connection (the replication puller in {!Repl}). *)
+    The connecting side of the service's sockets (the listening side is
+    {!Server.listen}), exposed for protocol extensions that read more
+    than one line per connection (the replication puller and publisher
+    in {!Repl}) and for the fault shim's upstream leg ({!Shim}). *)
 
 val connect : ?timeout_s:float -> Server.addr -> Unix.file_descr
 (** Connected socket with send/receive timeouts set. Raises on
     failure (callers wrap). *)
 
 val send_all : Unix.file_descr -> string -> unit
+(** Writes the whole string, retrying [EINTR]. Raises on a write
+    error or a closed peer. *)
 
-val recv_line : Unix.file_descr -> string option
-(** One newline-terminated line ([None] on a clean EOF before any
-    byte). Raises [Failure] past 64 KiB without a newline. *)
+val line_reader : Unix.file_descr -> unit -> string option
+(** A buffered reader of newline-terminated lines from one socket:
+    each call returns the next line without its newline, or [None] on
+    a clean EOF before any byte of it. It reads a chunk at a time and
+    keeps the bytes past a newline for the next call. Raises [Failure]
+    past 64 KiB without a newline, and [Unix.Unix_error] when a read
+    fails or times out ([EINTR] is retried). *)
+
+val with_connection :
+  ?timeout_s:float ->
+  Server.addr ->
+  (Unix.file_descr -> (unit -> string option) -> ('a, string) result) ->
+  ('a, string) result
+(** Connects ({!connect}), runs the exchange with the socket and its
+    {!line_reader}, and closes the socket. A failed connect and any
+    exception of the exchange come back as [Error _]. *)
 
 val roundtrip :
   ?timeout_s:float ->

@@ -19,6 +19,7 @@
 
 module E = Core.Experiments
 module M = Core.Mca_model
+module R = Parallel.Record
 
 type config = {
   workers : Server.addr list;
@@ -166,11 +167,6 @@ let counters_assoc c =
     ("fenced", Atomic.get c.c_fenced);
   ]
 
-let cell_decided (c : E.sweep_cell) =
-  match (c.E.sat_verdict, c.E.exhaustive) with
-  | E.Undecided _, _ | _, E.Undecided _ -> false
-  | _ -> true
-
 let sat_decided (c : E.sweep_cell) =
   match c.E.sat_verdict with E.Undecided _ -> false | _ -> true
 
@@ -179,7 +175,7 @@ let sat_decided (c : E.sweep_cell) =
    return None for it), so the journal stays interchangeable. *)
 let disp_record ~seed ~key ~worker ~attempt =
   Printf.sprintf "disp|1|seed=%d|key=%s|worker=%d|attempt=%d" seed
-    (E.escape_field key) worker attempt
+    (R.escape key) worker attempt
 
 (* ---- epoch records -------------------------------------------------- *)
 
@@ -195,20 +191,15 @@ let epoch_record ~seed ~epoch =
 (* the highest [epoch=N] field anywhere in a record, 0 if none — reads
    both epoch markers and stamped cell/disp records *)
 let record_epoch line =
-  match String.split_on_char '|' line with
-  | _kind :: "1" :: fields ->
+  match R.parse line with
+  | Some (_kind, fields) ->
       List.fold_left
-        (fun acc f ->
-          match String.index_opt f '=' with
-          | Some i when String.sub f 0 i = "epoch" -> (
-              match
-                int_of_string_opt (String.sub f (i + 1) (String.length f - i - 1))
-              with
-              | Some e -> max acc e
-              | None -> acc)
+        (fun acc (k, v) ->
+          match int_of_string_opt v with
+          | Some e when k = "epoch" -> max acc e
           | _ -> acc)
         0 fields
-  | _ -> 0
+  | None -> 0
 
 (* the durable epoch floor: the highest epoch recorded in a journal
    file. A restarted coordinator reads this before choosing its own
@@ -248,19 +239,12 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
   let ctr = fresh_counters () in
 
   (* resume: journaled cells (same seed, digest-checked) short-circuit
-     their slots; last write wins, like the single-process sweep *)
-  let resumed : (string, E.sweep_cell) Hashtbl.t = Hashtbl.create 16 in
-  (match (cfg.cl_resume, cfg.cl_journal) with
-  | true, Some path ->
-      let r = Parallel.Journal.recover path in
-      List.iter
-        (fun line ->
-          match E.cell_of_record line with
-          | Some (seed, cell) when seed = cfg.seed ->
-              Hashtbl.replace resumed (cell.E.scope_tag ^ "/" ^ cell.E.policy_label) cell
-          | _ -> ())
-        r.Parallel.Journal.entries
-  | _ -> ());
+     their slots, exactly as in the single-process sweep *)
+  let resumed =
+    match (cfg.cl_resume, cfg.cl_journal) with
+    | true, Some path -> E.load_journal ~seed:cfg.seed path
+    | _ -> Hashtbl.create 1
+  in
   let writer =
     Option.map
       (fun p -> Parallel.Journal.open_append ~flush_every:cfg.cl_flush_every p)
@@ -279,10 +263,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
     match writer with
     | None -> ()
     | Some w ->
-        Mutex.lock journal_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock journal_lock)
-          (fun () ->
+        Mutex.protect journal_lock (fun () ->
             if not (Atomic.get deposed) then Parallel.Journal.append w line)
   in
   let journal line =
@@ -317,7 +298,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
             s_result = Atomic.make None;
           }
         in
-        (match Hashtbl.find_opt resumed key with
+        (match Hashtbl.find_opt resumed (tag, label) with
         | Some cell ->
             Atomic.set slot.s_result
               (Some { d_cell = cell; d_worker = -1; d_relocated = false })
@@ -369,10 +350,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
   let shared_lock = Mutex.create () in
   let shared_tbl : (string * int, M.shared) Hashtbl.t = Hashtbl.create 4 in
   let shared_for tag scope target =
-    Mutex.lock shared_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock shared_lock)
-      (fun () ->
+    Mutex.protect shared_lock (fun () ->
         match Hashtbl.find_opt shared_tbl (tag, target) with
         | Some sh -> sh
         | None ->
@@ -420,7 +398,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
       | `Mismatch -> Atomic.incr ctr.c_recert_mismatch
       | `Unavailable | `Skipped -> ());
       if stolen then Atomic.incr ctr.c_steal_wins;
-      if cell_decided cell then journal (E.cell_record ~seed:cfg.seed cell);
+      if E.cell_decided cell then journal (E.cell_record ~seed:cfg.seed cell);
       true
     end
     else false
@@ -460,7 +438,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
       | Ok (Wire.Verdict v) ->
           worker_ok w;
           let cell = cell_of_reply slot v in
-          if cell_decided cell then begin
+          if E.cell_decided cell then begin
             ignore (accept slot ~worker:w ~stolen cell);
             `Accepted
           end
@@ -515,18 +493,6 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
   in
 
   (* ---- the per-slot dispatch loop ---- *)
-  let undecided_with slot reason origin =
-    let label, _, _, tag, _ = slot.s_task in
-    {
-      E.policy_label = label;
-      scope_tag = tag;
-      sat_verdict = E.Undecided reason;
-      sim_ok = false;
-      exhaustive = E.Undecided reason;
-      cell_seconds = 0.0;
-      origin;
-    }
-  in
   let halted () = stop () || Atomic.get deposed in
   let dispatch_slot slot =
     if Atomic.get slot.s_result = None && not (Atomic.get deposed) then begin
@@ -543,10 +509,11 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
             match !last_soft with
             | Some c -> { c with E.origin = E.Quarantined }
             | None ->
-                undecided_with slot
-                  (Printf.sprintf "cluster: no answer after %d attempts"
-                     cfg.max_attempts)
-                  E.Quarantined
+                E.undecided_cell ~origin:E.Quarantined
+                  ~reason:
+                    (Printf.sprintf "cluster: no answer after %d attempts"
+                       cfg.max_attempts)
+                  slot.s_task
           in
           ignore (accept slot ~worker:(-1) ~stolen:false cell)
         else begin
@@ -573,7 +540,10 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
                   retry ~failed:w ()
               | `Refused msg ->
                   last_soft :=
-                    Some (undecided_with slot ("cluster: worker refused: " ^ msg) E.Computed);
+                    Some
+                      (E.undecided_cell ~origin:E.Computed
+                         ~reason:("cluster: worker refused: " ^ msg)
+                         slot.s_task);
                   Atomic.incr ctr.c_soft_retries;
                   retry ~failed:w ()
               | `Transport _ ->
@@ -689,7 +659,8 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
          (fun slot ->
            match Atomic.get slot.s_result with
            | Some d -> d.d_cell
-           | None -> undecided_with slot "drained" E.Skipped)
+           | None ->
+               E.undecided_cell ~origin:E.Skipped ~reason:"drained" slot.s_task)
          slots)
   in
   let partial = List.exists (fun c -> c.E.origin = E.Skipped) cells in

@@ -48,8 +48,6 @@ let refresh p =
       p.p_count <- p.p_count + 1)
     r.Parallel.Journal.tailed
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let send_lines fd lines =
   try
     Client.send_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
@@ -60,7 +58,7 @@ let send_lines fd lines =
 let serve_pull p fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0;
-  (match (try Client.recv_line fd with _ -> None) with
+  (match (try Client.line_reader fd () with _ -> None) with
   | None -> ()
   | Some line -> (
       match Wire.parse_incoming line with
@@ -95,7 +93,7 @@ let serve_pull p fd =
               Wire.render_response
                 (Wire.Error { req_id = ""; msg = "expected repl-hello" });
             ]));
-  close_quiet fd
+  Server.close_quiet fd
 
 let acceptor p =
   let rec loop () =
@@ -114,22 +112,9 @@ let acceptor p =
   loop ()
 
 let start_publisher ~addr ~journal ~epoch =
-  (match addr with
-  | Server.Unix_path path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Server.Tcp _ -> ());
-  let domain =
-    match addr with
-    | Server.Unix_path _ -> Unix.PF_UNIX
-    | Server.Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
-  Unix.bind fd (Server.sockaddr_of addr);
-  Unix.listen fd 16;
   let p =
     {
-      p_listen = fd;
+      p_listen = Server.listen addr;
       p_stop = Atomic.make false;
       p_epoch = epoch;
       p_tail = Parallel.Journal.open_tail journal;
@@ -144,7 +129,7 @@ let start_publisher ~addr ~journal ~epoch =
 let stop_publisher p =
   if not (Atomic.exchange p.p_stop true) then begin
     (match p.p_domain with Some d -> Domain.join d | None -> ());
-    close_quiet p.p_listen
+    Server.close_quiet p.p_listen
   end
 
 (* ---- puller (standby side) ----------------------------------------- *)
@@ -157,71 +142,56 @@ type pulled = {
 
 let pull ?(timeout_s = 5.0) addr ~from =
   if from < 0 then invalid_arg "Repl.pull: negative position";
-  match Client.connect ~timeout_s addr with
-  | exception e ->
-      Result.Error (Printf.sprintf "connect: %s" (Printexc.to_string e))
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> close_quiet fd)
-        (fun () ->
-          match
-            Client.send_all fd (Wire.render_repl_hello ~id:"" ~from ^ "\n");
-            Client.recv_line fd
-          with
-          | exception e ->
-              Result.Error (Printf.sprintf "i/o: %s" (Printexc.to_string e))
-          | None -> Result.Error "connection closed before repl-ack"
-          | Some line -> (
-              match Wire.parse_response line with
-              | Ok (Wire.Repl_ack { repl_epoch; repl_from; repl_have }) ->
-                  (* frames stream until EOF; every one must be the next
-                     index and carry a matching fingerprint, or the whole
-                     pull is rejected — a half-valid batch must not enter
-                     the replica *)
-                  let rec frames next acc =
-                    match (try Client.recv_line fd with _ -> None) with
-                    | None ->
-                        if next = repl_have then Ok (List.rev acc)
-                        else
+  Client.with_connection ~timeout_s addr (fun fd next_line ->
+      Client.send_all fd (Wire.render_repl_hello ~id:"" ~from ^ "\n");
+      match next_line () with
+      | None -> Result.Error "connection closed before repl-ack"
+      | Some line -> (
+          match Wire.parse_response line with
+          | Ok (Wire.Repl_ack { repl_epoch; repl_from; repl_have }) ->
+              (* frames stream until EOF; every one must be the next
+                 index and carry a matching fingerprint, or the whole
+                 pull is rejected — a half-valid batch must not enter
+                 the replica *)
+              let rec frames next acc =
+                match (try next_line () with _ -> None) with
+                | None ->
+                    if next = repl_have then Ok (List.rev acc)
+                    else
+                      Result.Error
+                        (Printf.sprintf "stream ended at record %d, expected %d"
+                           next repl_have)
+                | Some line -> (
+                    match Wire.parse_response line with
+                    | Ok (Wire.Repl_frame { frame_idx; frame_fp; frame_rec }) ->
+                        if frame_idx <> next then
                           Result.Error
-                            (Printf.sprintf
-                               "stream ended at record %d, expected %d" next
-                               repl_have)
-                    | Some line -> (
-                        match Wire.parse_response line with
-                        | Ok (Wire.Repl_frame { frame_idx; frame_fp; frame_rec })
-                          ->
-                            if frame_idx <> next then
-                              Result.Error
-                                (Printf.sprintf
-                                   "out-of-order frame %d, expected %d"
-                                   frame_idx next)
-                            else if
-                              Parallel.Journal.crc32_hex frame_rec <> frame_fp
-                            then
-                              Result.Error
-                                (Printf.sprintf
-                                   "fingerprint mismatch on frame %d" frame_idx)
-                            else frames (next + 1) (frame_rec :: acc)
-                        | Ok _ | Result.Error _ ->
-                            Result.Error "unexpected line in frame stream")
-                  in
-                  if repl_from <> from then
-                    (* the publisher knows fewer records than our replica:
-                       a different history — refuse to diverge silently *)
-                    Result.Error
-                      (Printf.sprintf
-                         "publisher acknowledged %d, replica is at %d"
-                         repl_from from)
-                  else
-                    Result.map
-                      (fun records ->
-                        {
-                          pulled_epoch = repl_epoch;
-                          pulled_have = repl_have;
-                          pulled_records = records;
-                        })
-                      (frames from [])
-              | Ok (Wire.Error { msg; _ }) -> Result.Error msg
-              | Ok _ -> Result.Error "unexpected reply to repl-hello"
-              | Result.Error msg -> Result.Error msg))
+                            (Printf.sprintf "out-of-order frame %d, expected %d"
+                               frame_idx next)
+                        else if Parallel.Journal.crc32_hex frame_rec <> frame_fp
+                        then
+                          Result.Error
+                            (Printf.sprintf "fingerprint mismatch on frame %d"
+                               frame_idx)
+                        else frames (next + 1) (frame_rec :: acc)
+                    | Ok _ | Result.Error _ ->
+                        Result.Error "unexpected line in frame stream")
+              in
+              if repl_from <> from then
+                (* the publisher knows fewer records than our replica:
+                   a different history — refuse to diverge silently *)
+                Result.Error
+                  (Printf.sprintf "publisher acknowledged %d, replica is at %d"
+                     repl_from from)
+              else
+                Result.map
+                  (fun records ->
+                    {
+                      pulled_epoch = repl_epoch;
+                      pulled_have = repl_have;
+                      pulled_records = records;
+                    })
+                  (frames from [])
+          | Ok (Wire.Error { msg; _ }) -> Result.Error msg
+          | Ok _ -> Result.Error "unexpected reply to repl-hello"
+          | Result.Error msg -> Result.Error msg))

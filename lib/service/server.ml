@@ -29,6 +29,48 @@ let pp_addr ppf = function
   | Unix_path p -> Format.fprintf ppf "unix:%s" p
   | Tcp (host, port) -> Format.fprintf ppf "tcp:%s:%d" host port
 
+let addr_of_string s =
+  let after prefix =
+    let n = String.length prefix in
+    String.sub s n (String.length s - n)
+  in
+  if String.starts_with ~prefix:"tcp:" s then
+    let hp = after "tcp:" in
+    match String.rindex_opt hp ':' with
+    | Some i -> (
+        let host = match String.sub hp 0 i with "" -> "127.0.0.1" | h -> h in
+        match
+          int_of_string_opt (String.sub hp (i + 1) (String.length hp - i - 1))
+        with
+        | Some port when port > 0 && port < 65536 -> Ok (Tcp (host, port))
+        | _ -> Error ("invalid port in " ^ s))
+    | None -> Error ("expected tcp:HOST:PORT, got " ^ s)
+  else if String.starts_with ~prefix:"unix:" s then
+    Ok (Unix_path (after "unix:"))
+  else Ok (Unix_path s)
+
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let unlink = function
+  | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
+let listen addr =
+  unlink addr;
+  let sa = sockaddr_of addr in
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0
+  in
+  try
+    (try Unix.setsockopt fd Unix.SO_REUSEADDR true
+     with Unix.Unix_error _ -> ());
+    Unix.bind fd sa;
+    Unix.listen fd 128;
+    fd
+  with e ->
+    close_quiet fd;
+    raise e
+
 type config = {
   addr : addr;
   jobs : int;  (** worker domains *)
@@ -181,8 +223,6 @@ let send_line fd ~deadline s =
   in
   go 0
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* ---- the journal-backed verdict cache ----------------------------- *)
 
 let cache_key ~seed ~policy ~scope_tag = (seed, policy, scope_tag)
@@ -218,14 +258,6 @@ let load_cache cfg cache spec_cache =
         entries;
       Some (Parallel.Journal.open_append path)
 
-(* Only decided cells are cacheable: an [Undecided] answer reflects the
-   load/deadline of one moment, not the cell, and must never be replayed
-   as if it were a verdict. *)
-let cell_decided (c : Core.Experiments.sweep_cell) =
-  match (c.sat_verdict, c.exhaustive) with
-  | Core.Experiments.Undecided _, _ | _, Core.Experiments.Undecided _ -> false
-  | _ -> true
-
 (* ---- the shared-translation cache ---------------------------------- *)
 
 (* Bounded so arbitrary client-chosen scopes cannot grow it without
@@ -234,29 +266,24 @@ let cell_decided (c : Core.Experiments.sweep_cell) =
 let max_shared_cache = 8
 
 let shared_for t scope target =
-  Mutex.lock t.shared_lock;
-  let hit = Hashtbl.find_opt t.shared_cache (scope, target) in
-  Mutex.unlock t.shared_lock;
-  match hit with
+  let find () = Hashtbl.find_opt t.shared_cache (scope, target) in
+  match Mutex.protect t.shared_lock find with
   | Some sh -> sh
-  | None -> (
+  | None ->
       (* build outside the lock: translation takes long enough that
          serializing workers on it would defeat the point; a racing
          duplicate build is wasted work, not a bug *)
       let sh =
         Core.Mca_model.build_shared ~target Core.Mca_model.Efficient scope
       in
-      Mutex.lock t.shared_lock;
-      match Hashtbl.find_opt t.shared_cache (scope, target) with
-      | Some first ->
-          Mutex.unlock t.shared_lock;
-          first
-      | None ->
-          if Hashtbl.length t.shared_cache >= max_shared_cache then
-            Hashtbl.reset t.shared_cache;
-          Hashtbl.replace t.shared_cache (scope, target) sh;
-          Mutex.unlock t.shared_lock;
-          sh)
+      Mutex.protect t.shared_lock (fun () ->
+          match find () with
+          | Some first -> first
+          | None ->
+              if Hashtbl.length t.shared_cache >= max_shared_cache then
+                Hashtbl.reset t.shared_cache;
+              Hashtbl.replace t.shared_cache (scope, target) sh;
+              sh)
 
 (* ---- one request, end to end -------------------------------------- *)
 
@@ -365,130 +392,120 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
       in
       Ok (cell, answer)
 
-let serve_check t fd (req : Wire.request) =
-  let c = t.counters in
+(* The request skeleton both verbs share: the absolute deadline and the
+   stop hook, the locked cache lookup, the verb's compute step, the
+   journal-then-cache insert of a result worth replaying, and the reply
+   with its served counter. A verb supplies its cache and key ([None]
+   bypasses the cache), the reply for a hit, and a compute step that
+   answers the reply plus, when the result may be replayed, the value
+   to cache and the journal record that makes it durable. *)
+let serve_request t fd ~deadline_s ~lock ~cache ~key ~hit ~compute =
   let now0 = Unix.gettimeofday () in
-  let deadline_s =
-    Float.min t.cfg.max_deadline
-      (Option.value req.Wire.deadline_s ~default:t.cfg.default_deadline)
+  let abs_deadline =
+    now0
+    +. Float.min t.cfg.max_deadline
+         (Option.value deadline_s ~default:t.cfg.default_deadline)
   in
-  let abs_deadline = now0 +. deadline_s in
-  let io_deadline () = Unix.gettimeofday () +. t.cfg.io_deadline in
   let reply resp =
     (* count before the write lands: a client that reads its reply and
        immediately asks for stats must see itself in the counter *)
-    Atomic.incr c.served;
-    if not (send_line fd ~deadline:(io_deadline ()) (Wire.render_response resp))
-    then Atomic.decr c.served
-  in
-  let scope_tag, _ = Wire.scope_of_request req in
-  let key =
-    cache_key ~seed:req.Wire.seed ~policy:req.Wire.policy ~scope_tag
-  in
-  (* the journal is keyed by (seed, policy, scope tag) with the sweep's
-     fixed bid-level count; other values-scopes bypass the cache *)
-  let cacheable = req.Wire.values = 6 in
-  let cached_cell =
-    if cacheable then begin
-      Mutex.lock t.cache_lock;
-      let r = Hashtbl.find_opt t.cache key in
-      Mutex.unlock t.cache_lock;
-      r
-    end
-    else None
-  in
-  match cached_cell with
-  | Some cell ->
-      Atomic.incr c.cached;
-      reply
-        (Wire.Verdict
-           {
-             Wire.req_id = req.Wire.id;
-             sat = cell.Core.Experiments.sat_verdict;
-             exhaustive = cell.Core.Experiments.exhaustive;
-             sim_ok = cell.Core.Experiments.sim_ok;
-             rung = "journal";
-             cached = true;
-             secs = Unix.gettimeofday () -. now0;
-           })
-  | None -> (
-      let stop () =
-        Atomic.get t.aborting || Unix.gettimeofday () >= abs_deadline
-      in
-      match compute_cell t req ~stop ~abs_deadline with
-      | Error msg ->
-          Atomic.incr c.errors;
-          reply (Wire.Error { req_id = req.Wire.id; msg })
-      | Ok (cell, answer) ->
-          if answer.Ladder.degraded then Atomic.incr c.degraded;
-          if Atomic.get t.stopping then Atomic.incr c.drained;
-          if cacheable && cell_decided cell then begin
-            (match t.journal_w with
-            | Some w ->
-                Parallel.Journal.append w
-                  (Core.Experiments.cell_record ~seed:req.Wire.seed cell)
-            | None -> ());
-            Mutex.lock t.cache_lock;
-            Hashtbl.replace t.cache key cell;
-            Mutex.unlock t.cache_lock
-          end;
-          reply
-            (Wire.Verdict
-               {
-                 Wire.req_id = req.Wire.id;
-                 sat = cell.Core.Experiments.sat_verdict;
-                 exhaustive = cell.Core.Experiments.exhaustive;
-                 sim_ok = cell.Core.Experiments.sim_ok;
-                 rung = answer.Ladder.rung;
-                 cached = false;
-                 secs = cell.Core.Experiments.cell_seconds;
-               }))
-
-let serve_submit t fd (h : Wire.submit_header) spec =
-  let c = t.counters in
-  let now0 = Unix.gettimeofday () in
-  let deadline_s =
-    Float.min t.cfg.max_deadline
-      (Option.value h.Wire.sub_deadline_s ~default:t.cfg.default_deadline)
-  in
-  let abs_deadline = now0 +. deadline_s in
-  let reply resp =
-    Atomic.incr c.served;
+    Atomic.incr t.counters.served;
     if
       not
         (send_line fd
            ~deadline:(Unix.gettimeofday () +. t.cfg.io_deadline)
            (Wire.render_response resp))
-    then Atomic.decr c.served
+    then Atomic.decr t.counters.served
   in
-  let digest = Speccheck.digest spec in
-  let key = spec_cache_key ~digest ~cmd:h.Wire.sub_cmd ~certify:h.Wire.certify in
-  let hit =
-    Mutex.lock t.spec_lock;
-    let r = Hashtbl.find_opt t.spec_cache key in
-    Mutex.unlock t.spec_lock;
-    r
+  let cached =
+    Option.bind key (fun k ->
+        Mutex.protect lock (fun () -> Hashtbl.find_opt cache k))
   in
-  match hit with
-  | Some r ->
-      Atomic.incr c.spec_cached;
-      Tenant.note_served t.tenants h.Wire.tenant;
-      Tenant.note_cached t.tenants h.Wire.tenant;
-      reply
-        (Wire.Spec
-           {
-             Wire.spec_id = h.Wire.sub_id;
-             digest;
-             command = r.Speccheck.rec_cmd;
-             spec_verdict = r.Speccheck.rec_verdict;
-             certified = r.Speccheck.rec_certify;
-             spec_cached = true;
-             spec_secs = r.Speccheck.rec_secs;
-           })
-  | None -> (
+  match cached with
+  | Some v -> reply (hit ~now0 v)
+  | None ->
       let stop () =
         Atomic.get t.aborting || Unix.gettimeofday () >= abs_deadline
       in
+      let resp, keep = compute ~stop ~abs_deadline in
+      (match (key, keep) with
+      | Some k, Some (v, record) ->
+          Option.iter (fun w -> Parallel.Journal.append w record) t.journal_w;
+          Mutex.protect lock (fun () -> Hashtbl.replace cache k v)
+      | _ -> ());
+      reply resp
+
+let verdict_reply (req : Wire.request) (cell : Core.Experiments.sweep_cell)
+    ~rung ~cached ~secs =
+  Wire.Verdict
+    {
+      Wire.req_id = req.Wire.id;
+      sat = cell.Core.Experiments.sat_verdict;
+      exhaustive = cell.Core.Experiments.exhaustive;
+      sim_ok = cell.Core.Experiments.sim_ok;
+      rung;
+      cached;
+      secs;
+    }
+
+let serve_check t fd (req : Wire.request) =
+  let c = t.counters in
+  let scope_tag, _ = Wire.scope_of_request req in
+  serve_request t fd ~deadline_s:req.Wire.deadline_s ~lock:t.cache_lock
+    ~cache:t.cache
+    ~key:
+      ((* the journal is keyed by (seed, policy, scope tag) with the
+          sweep's fixed bid-level count; other values-scopes bypass the
+          cache *)
+       if req.Wire.values = 6 then
+         Some (cache_key ~seed:req.Wire.seed ~policy:req.Wire.policy ~scope_tag)
+       else None)
+    ~hit:(fun ~now0 cell ->
+      Atomic.incr c.cached;
+      verdict_reply req cell ~rung:"journal" ~cached:true
+        ~secs:(Unix.gettimeofday () -. now0))
+    ~compute:(fun ~stop ~abs_deadline ->
+      match compute_cell t req ~stop ~abs_deadline with
+      | Error msg ->
+          Atomic.incr c.errors;
+          (Wire.Error { req_id = req.Wire.id; msg }, None)
+      | Ok (cell, answer) ->
+          if answer.Ladder.degraded then Atomic.incr c.degraded;
+          if Atomic.get t.stopping then Atomic.incr c.drained;
+          (* only decided cells are replayed: an [Undecided] answer
+             reflects the load/deadline of one moment, not the cell *)
+          ( verdict_reply req cell ~rung:answer.Ladder.rung ~cached:false
+              ~secs:cell.Core.Experiments.cell_seconds,
+            if Core.Experiments.cell_decided cell then
+              Some (cell, Core.Experiments.cell_record ~seed:req.Wire.seed cell)
+            else None ))
+
+let spec_reply (h : Wire.submit_header) ~digest (r : Speccheck.record) ~cached =
+  Wire.Spec
+    {
+      Wire.spec_id = h.Wire.sub_id;
+      digest;
+      command = r.Speccheck.rec_cmd;
+      spec_verdict = r.Speccheck.rec_verdict;
+      certified = r.Speccheck.rec_certify;
+      spec_cached = cached;
+      spec_secs = r.Speccheck.rec_secs;
+    }
+
+let serve_submit t fd (h : Wire.submit_header) spec =
+  let c = t.counters in
+  let digest = Speccheck.digest spec in
+  serve_request t fd ~deadline_s:h.Wire.sub_deadline_s ~lock:t.spec_lock
+    ~cache:t.spec_cache
+    ~key:
+      (Some
+         (spec_cache_key ~digest ~cmd:h.Wire.sub_cmd ~certify:h.Wire.certify))
+    ~hit:(fun ~now0:_ r ->
+      Atomic.incr c.spec_cached;
+      Tenant.note_served t.tenants h.Wire.tenant;
+      Tenant.note_cached t.tenants h.Wire.tenant;
+      spec_reply h ~digest r ~cached:true)
+    ~compute:(fun ~stop ~abs_deadline ->
       let caps =
         {
           Speccheck.max_bytes = t.cfg.max_spec_bytes;
@@ -503,46 +520,31 @@ let serve_submit t fd (h : Wire.submit_header) spec =
       | Result.Error d ->
           Atomic.incr c.spec_errors;
           Tenant.note_served t.tenants h.Wire.tenant;
-          reply (Wire.Bad_spec { req_id = h.Wire.sub_id; diag = d })
+          (Wire.Bad_spec { req_id = h.Wire.sub_id; diag = d }, None)
       | Ok r ->
           let decided =
             match r.Speccheck.verdict with
             | Wire.Spec_unknown _ -> false
             | _ -> true
           in
-          (* cache only verdicts that can be replayed verbatim: decided,
-             and — when certification was asked for — actually certified *)
-          if decided && ((not h.Wire.certify) || r.Speccheck.certified) then begin
-            let record =
-              {
-                Speccheck.rec_digest = digest;
-                rec_req = Option.value h.Wire.sub_cmd ~default:"";
-                rec_cmd = r.Speccheck.command;
-                rec_certify = r.Speccheck.certified;
-                rec_verdict = r.Speccheck.verdict;
-                rec_secs = r.Speccheck.secs;
-              }
-            in
-            (match t.journal_w with
-            | Some w -> Parallel.Journal.append w (Speccheck.spec_record record)
-            | None -> ());
-            Mutex.lock t.spec_lock;
-            Hashtbl.replace t.spec_cache key record;
-            Mutex.unlock t.spec_lock
-          end;
+          let record =
+            {
+              Speccheck.rec_digest = digest;
+              rec_req = Option.value h.Wire.sub_cmd ~default:"";
+              rec_cmd = r.Speccheck.command;
+              rec_certify = r.Speccheck.certified;
+              rec_verdict = r.Speccheck.verdict;
+              rec_secs = r.Speccheck.secs;
+            }
+          in
           if Atomic.get t.stopping then Atomic.incr c.drained;
           Tenant.note_served t.tenants h.Wire.tenant;
-          reply
-            (Wire.Spec
-               {
-                 Wire.spec_id = h.Wire.sub_id;
-                 digest;
-                 command = r.Speccheck.command;
-                 spec_verdict = r.Speccheck.verdict;
-                 certified = r.Speccheck.certified;
-                 spec_cached = false;
-                 spec_secs = r.Speccheck.secs;
-               }))
+          (* cache only verdicts that can be replayed verbatim: decided,
+             and — when certification was asked for — actually certified *)
+          ( spec_reply h ~digest record ~cached:false,
+            if decided && ((not h.Wire.certify) || r.Speccheck.certified) then
+              Some (record, Speccheck.spec_record record)
+            else None ))
 
 let worker t =
   let serve job =
@@ -830,21 +832,6 @@ let acceptor t =
 
 (* ---- lifecycle ----------------------------------------------------- *)
 
-let listen cfg =
-  (match cfg.addr with
-  | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
-  let domain =
-    match cfg.addr with Unix_path _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.SO_REUSEADDR true
-   with Unix.Unix_error _ -> ());
-  Unix.bind fd (sockaddr_of cfg.addr);
-  Unix.listen fd 128;
-  Unix.set_nonblock fd;
-  fd
-
 let start cfg =
   if cfg.jobs < 1 then invalid_arg "Server.start: jobs < 1";
   if cfg.queue_cap < 1 then invalid_arg "Server.start: queue_cap < 1";
@@ -881,7 +868,10 @@ let start cfg =
       spec_lock = Mutex.create ();
       journal_w;
       epoch = Atomic.make 0;
-      listen_fd = listen cfg;
+      listen_fd =
+        (let fd = listen cfg.addr in
+         Unix.set_nonblock fd;
+         fd);
       domains = [];
     }
   in
@@ -909,9 +899,7 @@ let join t =
   Parallel.Bqueue.close t.queue;
   List.iter Domain.join t.domains;
   close_quiet t.listen_fd;
-  (match t.cfg.addr with
-  | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
+  unlink t.cfg.addr;
   match t.journal_w with Some w -> Parallel.Journal.close w | None -> ()
 
 let run cfg =

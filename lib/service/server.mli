@@ -45,7 +45,32 @@
 type addr = Unix_path of string | Tcp of string * int
 
 val sockaddr_of : addr -> Unix.sockaddr
+
 val pp_addr : Format.formatter -> addr -> unit
+(** [unix:PATH] or [tcp:HOST:PORT]. *)
+
+val addr_of_string : string -> (addr, string) result
+(** Reads what {!pp_addr} prints; a bare path is a Unix socket and an
+    empty host is [127.0.0.1]. The address syntax of the service
+    binaries. *)
+
+(** {2 Sockets}
+
+    The listening side shared by the daemon, the replication publisher
+    ({!Repl}) and the fault shim ({!Shim}); the connecting side is
+    {!Client}. *)
+
+val listen : addr -> Unix.file_descr
+(** A bound, listening stream socket (blocking; callers that select
+    set it non-blocking). A stale Unix socket file at the path is
+    replaced. Raises [Unix.Unix_error] when the address cannot be
+    bound. *)
+
+val close_quiet : Unix.file_descr -> unit
+(** [Unix.close], ignoring errors. *)
+
+val unlink : addr -> unit
+(** Removes a Unix socket's path, ignoring errors; nothing for TCP. *)
 
 type config = {
   addr : addr;

@@ -30,17 +30,6 @@ type t = {
   conns_lock : Mutex.t;
 }
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let write_all fd buf n =
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write fd buf !off (n - !off) with
-    | 0 -> raise Exit
-    | k -> off := !off + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
 (* bidirectional copy until both sides are done, the shim stops, or
    either side errors (a reset is just another fault to the peer) *)
 let pump stopping a b =
@@ -60,13 +49,13 @@ let pump stopping a b =
                (try Unix.shutdown fwd Unix.SHUTDOWN_SEND
                 with Unix.Unix_error _ -> ());
                if fd == a then open_a := false else open_b := false
-           | n -> write_all fwd buf n
+           | n -> Client.send_all fwd (Bytes.sub_string buf 0 n)
            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
          ready
      done
    with _ -> ());
-  close_quiet a;
-  close_quiet b
+  Server.close_quiet a;
+  Server.close_quiet b
 
 (* is the worker inside one of its crash windows at logical [time]? *)
 let crashed_at plan ~agent ~time =
@@ -81,39 +70,27 @@ let handle t client =
   let time = Atomic.fetch_and_add t.accepted 1 in
   let cfg = t.cfg in
   if crashed_at cfg.plan ~agent:cfg.shim_dst ~time then begin
-    Mutex.lock t.faults_lock;
-    Netsim.Faults.note_to_down t.faults ~time ~src:cfg.shim_src
-      ~dst:cfg.shim_dst;
-    Mutex.unlock t.faults_lock;
-    close_quiet client
+    Mutex.protect t.faults_lock (fun () ->
+        Netsim.Faults.note_to_down t.faults ~time ~src:cfg.shim_src
+          ~dst:cfg.shim_dst);
+    Server.close_quiet client
   end
   else begin
-    Mutex.lock t.faults_lock;
     let action =
-      Netsim.Faults.on_send t.faults ~time ~src:cfg.shim_src ~dst:cfg.shim_dst
+      Mutex.protect t.faults_lock (fun () ->
+          Netsim.Faults.on_send t.faults ~time ~src:cfg.shim_src
+            ~dst:cfg.shim_dst)
     in
-    Mutex.unlock t.faults_lock;
     match action with
-    | Netsim.Faults.Lost -> close_quiet client
+    | Netsim.Faults.Lost -> Server.close_quiet client
     | Netsim.Faults.Pass { delays } ->
         let delay = match delays with d :: _ -> d | [] -> 0 in
         if delay > 0 then Unix.sleepf (float_of_int delay *. cfg.delay_unit_s);
-        if Atomic.get t.stopping then close_quiet client
+        if Atomic.get t.stopping then Server.close_quiet client
         else begin
-          match
-            let fd =
-              Unix.socket ~cloexec:true
-                (match cfg.forward with
-                | Server.Unix_path _ -> Unix.PF_UNIX
-                | Server.Tcp _ -> Unix.PF_INET)
-                Unix.SOCK_STREAM 0
-            in
-            (try Unix.connect fd (Server.sockaddr_of cfg.forward)
-             with e -> close_quiet fd; raise e);
-            fd
-          with
+          match Client.connect cfg.forward with
           | upstream -> pump t.stopping client upstream
-          | exception _ -> close_quiet client
+          | exception _ -> Server.close_quiet client
         end
   end
 
@@ -125,9 +102,7 @@ let acceptor_loop t =
         match Unix.accept ~cloexec:true t.listen_fd with
         | client, _ ->
             let d = Domain.spawn (fun () -> handle t client) in
-            Mutex.lock t.conns_lock;
-            t.conns := d :: !(t.conns);
-            Mutex.unlock t.conns_lock
+            Mutex.protect t.conns_lock (fun () -> t.conns := d :: !(t.conns))
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
         | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -135,27 +110,12 @@ let acceptor_loop t =
   done
 
 let start cfg =
-  (match cfg.listen with
-  | Server.Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Server.Tcp _ -> ());
-  let fd =
-    Unix.socket ~cloexec:true
-      (match cfg.listen with
-      | Server.Unix_path _ -> Unix.PF_UNIX
-      | Server.Tcp _ -> Unix.PF_INET)
-      Unix.SOCK_STREAM 0
-  in
-  (match cfg.listen with
-  | Server.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-  | Server.Unix_path _ -> ());
-  Unix.bind fd (Server.sockaddr_of cfg.listen);
-  Unix.listen fd 64;
   let t =
     {
       cfg;
       faults = Netsim.Faults.start cfg.plan;
       faults_lock = Mutex.create ();
-      listen_fd = fd;
+      listen_fd = Server.listen cfg.listen;
       stopping = Atomic.make false;
       accepted = Atomic.make 0;
       acceptor = ref None;
@@ -173,14 +133,14 @@ let stop t =
         Domain.join d;
         t.acceptor := None
     | None -> ());
-    close_quiet t.listen_fd;
-    (match t.cfg.listen with
-    | Server.Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-    | Server.Tcp _ -> ());
-    Mutex.lock t.conns_lock;
-    let conns = !(t.conns) in
-    t.conns := [];
-    Mutex.unlock t.conns_lock;
+    Server.close_quiet t.listen_fd;
+    Server.unlink t.cfg.listen;
+    let conns =
+      Mutex.protect t.conns_lock (fun () ->
+          let conns = !(t.conns) in
+          t.conns := [];
+          conns)
+    in
     List.iter Domain.join conns
   end
 

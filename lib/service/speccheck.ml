@@ -181,53 +181,37 @@ type record = {
   rec_secs : float;
 }
 
-let escape = Core.Experiments.escape_field
-let unescape = Core.Experiments.unescape_field
+module R = Parallel.Record
 
 let fingerprint r =
-  Parallel.Journal.crc32_hex
-    (String.concat "|"
-       [
-         escape r.rec_digest; escape r.rec_req; escape r.rec_cmd;
-         string_of_bool r.rec_certify;
-         Wire.spec_verdict_to_wire r.rec_verdict;
-       ])
+  R.fingerprint
+    [
+      R.escape r.rec_digest; R.escape r.rec_req; R.escape r.rec_cmd;
+      string_of_bool r.rec_certify;
+      Wire.spec_verdict_to_wire r.rec_verdict;
+    ]
 
 let spec_record r =
   Printf.sprintf
     "spec|1|digest=%s|req=%s|cmd=%s|certify=%b|verdict=%s|secs=%.6f|fp=%s"
-    (escape r.rec_digest) (escape r.rec_req) (escape r.rec_cmd) r.rec_certify
+    (R.escape r.rec_digest) (R.escape r.rec_req) (R.escape r.rec_cmd)
+    r.rec_certify
     (Wire.spec_verdict_to_wire r.rec_verdict)
     r.rec_secs (fingerprint r)
 
 let spec_of_record line =
-  match String.split_on_char '|' line with
-  | "spec" :: "1" :: fields ->
-      let assoc =
-        List.filter_map
-          (fun f ->
-            match String.index_opt f '=' with
-            | Some i ->
-                Some
-                  ( String.sub f 0 i,
-                    String.sub f (i + 1) (String.length f - i - 1) )
-            | None -> None)
-          fields
-      in
+  match R.parse line with
+  | Some ("spec", fields) ->
       let ( let* ) = Option.bind in
-      let* rec_digest = Option.map unescape (List.assoc_opt "digest" assoc) in
-      let* rec_req = Option.map unescape (List.assoc_opt "req" assoc) in
-      let* rec_cmd = Option.map unescape (List.assoc_opt "cmd" assoc) in
-      let* rec_certify =
-        Option.bind (List.assoc_opt "certify" assoc) bool_of_string_opt
-      in
+      let* rec_digest = R.str fields "digest" in
+      let* rec_req = R.str fields "req" in
+      let* rec_cmd = R.str fields "cmd" in
+      let* rec_certify = R.bool fields "certify" in
       let* rec_verdict =
-        Option.bind (List.assoc_opt "verdict" assoc) Wire.spec_verdict_of_wire
+        Option.bind (R.raw fields "verdict") Wire.spec_verdict_of_wire
       in
-      let* rec_secs =
-        Option.bind (List.assoc_opt "secs" assoc) float_of_string_opt
-      in
-      let* fp = List.assoc_opt "fp" assoc in
+      let* rec_secs = R.float fields "secs" in
+      let* fp = R.raw fields "fp" in
       let r =
         { rec_digest; rec_req; rec_cmd; rec_certify; rec_verdict; rec_secs }
       in

@@ -20,10 +20,6 @@ type t = {
 
 let create cfg = { cfg; mutex = Mutex.create (); entries = Hashtbl.create 64 }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 (* registry bound: drop the least-recently-seen tenant that holds no
    queue slot. If every entry holds slots (more tenants mid-flight
    than max_tenants — queue_cap makes that practically impossible),
@@ -63,7 +59,7 @@ let holders t =
 let admit t ~now ~queue_cap name =
   if name = "" then Granted
   else
-    locked t @@ fun () ->
+    Mutex.protect t.mutex @@ fun () ->
     let e = entry_of t ~now name in
     e.last_seen <- now;
     e.tokens <-
@@ -93,12 +89,12 @@ let admit t ~now ~queue_cap name =
 
 let release t name =
   if name <> "" then
-    locked t @@ fun () ->
+    Mutex.protect t.mutex @@ fun () ->
     match Hashtbl.find_opt t.entries name with
     | Some e -> e.slots <- max 0 (e.slots - 1)
     | None -> ()
 
-let active t = locked t @@ fun () -> holders t
+let active t = Mutex.protect t.mutex @@ fun () -> holders t
 
 (* ---- per-tenant accounting ----------------------------------------- *)
 
@@ -109,7 +105,7 @@ let active t = locked t @@ fun () -> holders t
 
 let note t name f =
   if name <> "" then
-    locked t @@ fun () ->
+    Mutex.protect t.mutex @@ fun () ->
     match Hashtbl.find_opt t.entries name with Some e -> f e | None -> ()
 
 let note_served t name = note t name (fun e -> e.served <- e.served + 1)
@@ -117,7 +113,7 @@ let note_served t name = note t name (fun e -> e.served <- e.served + 1)
 let note_cached t name = note t name (fun e -> e.cached <- e.cached + 1)
 
 let stats t =
-  locked t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   let rows =
     Hashtbl.fold
       (fun name e acc -> (name, e.served, e.refused, e.cached) :: acc)

@@ -1,12 +1,11 @@
-(* Newline-framed key=value wire protocol, reusing the journal record
-   syntax of Core.Experiments (pipe-separated fields, percent escaping).
+(* Newline-framed key=value wire protocol in the {!Parallel.Record}
+   format of the journals (pipe-separated fields, percent escaping).
    One line = one message; a check request names a policy-matrix cell
    and the verdict reply carries the same three-column verdict as a
    sweep cell, so the service, the sweep and the journal all speak one
    vocabulary. *)
 
-let escape = Core.Experiments.escape_field
-let unescape = Core.Experiments.unescape_field
+module R = Parallel.Record
 
 type request = {
   id : string;
@@ -68,18 +67,14 @@ let spec_verdict_to_wire = function
   | Spec_counterexample -> "counterexample"
   | Spec_instance -> "instance"
   | Spec_none -> "none"
-  | Spec_unknown r -> "unknown:" ^ escape r
+  | Spec_unknown r -> R.unknown r
 
-let spec_verdict_of_wire s =
-  match s with
+let spec_verdict_of_wire = function
   | "holds" -> Some Spec_holds
   | "counterexample" -> Some Spec_counterexample
   | "instance" -> Some Spec_instance
   | "none" -> Some Spec_none
-  | _ ->
-      if String.length s >= 8 && String.sub s 0 8 = "unknown:" then
-        Some (Spec_unknown (unescape (String.sub s 8 (String.length s - 8))))
-      else None
+  | s -> Option.map (fun r -> Spec_unknown r) (R.unknown_reason s)
 
 type spec_reply = {
   spec_id : string;
@@ -142,7 +137,8 @@ type incoming =
 
 let render_request r =
   Printf.sprintf "check|1|id=%s|policy=%s|n=%d|j=%d|st=%d|vals=%d|seed=%d%s%s"
-    (escape r.id) (escape r.policy) r.agents r.items r.states r.values r.seed
+    (R.escape r.id) (R.escape r.policy) r.agents r.items r.states r.values
+    r.seed
     (match r.deadline_s with
     | None -> ""
     | Some d -> Printf.sprintf "|deadline=%.6f" d)
@@ -153,20 +149,20 @@ let render_request r =
 let stats_request = "stats|1"
 
 let render_fence ~id ~epoch =
-  Printf.sprintf "fence|1|id=%s|epoch=%d" (escape id) epoch
+  Printf.sprintf "fence|1|id=%s|epoch=%d" (R.escape id) epoch
 
 let render_repl_hello ~id ~from =
-  Printf.sprintf "repl-hello|1|id=%s|from=%d" (escape id) from
+  Printf.sprintf "repl-hello|1|id=%s|from=%d" (R.escape id) from
 
 (* The submit header line. The spec body — exactly [spec_bytes] raw
    bytes, NOT escaped and possibly containing newlines — follows
    immediately after the header's terminating newline. *)
 let render_submit_header h =
-  Printf.sprintf "submit|1|id=%s|tenant=%s|bytes=%d%s%s%s" (escape h.sub_id)
-    (escape h.tenant) h.spec_bytes
+  Printf.sprintf "submit|1|id=%s|tenant=%s|bytes=%d%s%s%s" (R.escape h.sub_id)
+    (R.escape h.tenant) h.spec_bytes
     (match h.sub_cmd with
     | None -> ""
-    | Some c -> Printf.sprintf "|cmd=%s" (escape c))
+    | Some c -> Printf.sprintf "|cmd=%s" (R.escape c))
     (if h.certify then "|certify=true" else "")
     (match h.sub_deadline_s with
     | None -> ""
@@ -185,133 +181,115 @@ let render_response = function
   | Verdict v ->
       Printf.sprintf
         "verdict|1|id=%s|proto=%d|sat=%s|exh=%s|sim=%b|rung=%s|cached=%b|secs=%.6f"
-        (escape v.req_id) proto_version
+        (R.escape v.req_id) proto_version
         (Core.Experiments.verdict_to_wire v.sat)
         (Core.Experiments.verdict_to_wire v.exhaustive)
-        v.sim_ok (escape v.rung) v.cached v.secs
+        v.sim_ok (R.escape v.rung) v.cached v.secs
   | Spec s ->
       Printf.sprintf
         "spec|1|id=%s|proto=%d|digest=%s|cmd=%s|verdict=%s|cert=%b|cached=%b|secs=%.6f"
-        (escape s.spec_id) proto_version (escape s.digest) (escape s.command)
+        (R.escape s.spec_id) proto_version (R.escape s.digest)
+        (R.escape s.command)
         (spec_verdict_to_wire s.spec_verdict)
         s.certified s.spec_cached s.spec_secs
   | Shed s ->
-      Printf.sprintf "shed|1|id=%s|proto=%d|depth=%d|cap=%d" (escape s.req_id)
-        proto_version s.depth s.capacity
+      Printf.sprintf "shed|1|id=%s|proto=%d|depth=%d|cap=%d"
+        (R.escape s.req_id) proto_version s.depth s.capacity
   | Quota q ->
       Printf.sprintf "quota|1|id=%s|proto=%d|tenant=%s|retry=%.3f"
-        (escape q.req_id) proto_version (escape q.tenant) q.retry_after_s
+        (R.escape q.req_id) proto_version (R.escape q.tenant) q.retry_after_s
   | Bad_spec b ->
       (* rendered as an [error] reply so one-revision-old clients still
          see a refusal; the extra span keys are what typed clients use *)
       let d = b.diag in
       Printf.sprintf
         "error|1|id=%s|proto=%d|stage=%s|line=%d|col=%d|eline=%d|ecol=%d|msg=%s%s"
-        (escape b.req_id) proto_version
+        (R.escape b.req_id) proto_version
         (Alloylite.Diag.stage_name d.Alloylite.Diag.stage)
         d.span.line d.span.col d.span.end_line d.span.end_col
-        (escape (Alloylite.Diag.to_string d))
+        (R.escape (Alloylite.Diag.to_string d))
         (match d.hint with
         | None -> ""
-        | Some h -> Printf.sprintf "|hint=%s" (escape h))
+        | Some h -> Printf.sprintf "|hint=%s" (R.escape h))
   | Error e ->
-      Printf.sprintf "error|1|id=%s|proto=%d|msg=%s" (escape e.req_id)
-        proto_version (escape e.msg)
+      Printf.sprintf "error|1|id=%s|proto=%d|msg=%s" (R.escape e.req_id)
+        proto_version (R.escape e.msg)
   | Stats kvs ->
       String.concat "|"
         ("stats" :: "1"
         :: Printf.sprintf "proto=%d" proto_version
-        :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" (escape k) v) kvs)
+        :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" (R.escape k) v) kvs)
   | Fenced f ->
-      Printf.sprintf "fenced|1|id=%s|proto=%d|epoch=%d" (escape f.req_id)
+      Printf.sprintf "fenced|1|id=%s|proto=%d|epoch=%d" (R.escape f.req_id)
         proto_version f.fenced_epoch
   | Repl_ack a ->
       Printf.sprintf "repl-ack|1|proto=%d|epoch=%d|from=%d|have=%d"
         proto_version a.repl_epoch a.repl_from a.repl_have
   | Repl_frame f ->
       Printf.sprintf "repl-frame|1|idx=%d|fp=%s|rec=%s" f.frame_idx
-        (escape f.frame_fp) (escape f.frame_rec)
+        (R.escape f.frame_fp) (R.escape f.frame_rec)
 
 (* ---- parsing ---- *)
-
-let fields_of line =
-  match String.split_on_char '|' line with
-  | kind :: "1" :: fields ->
-      Some
-        ( kind,
-          List.filter_map
-            (fun f ->
-              match String.index_opt f '=' with
-              | Some i ->
-                  Some
-                    ( String.sub f 0 i,
-                      String.sub f (i + 1) (String.length f - i - 1) )
-              | None -> None)
-            fields )
-  | _ -> None
-
-let field assoc k = Option.map unescape (List.assoc_opt k assoc)
-
-let int_field assoc k = Option.bind (List.assoc_opt k assoc) int_of_string_opt
 
 let positive name = function
   | Some n when n >= 1 -> Ok n
   | Some _ -> Result.Error (Printf.sprintf "non-positive %s" name)
   | None -> Result.Error (Printf.sprintf "missing %s" name)
 
+let deadline assoc =
+  match R.raw assoc "deadline" with
+  | None -> Ok None
+  | Some d -> (
+      match float_of_string_opt d with
+      | Some d when d > 0.0 -> Ok (Some d)
+      | _ -> Result.Error "invalid deadline")
+
 let parse_incoming line =
-  match fields_of line with
+  match R.parse line with
   | Some ("stats", _) -> Ok Get_stats
-  | Some ("check", assoc) -> (
+  | Some ("check", assoc) ->
       let ( let* ) = Result.bind in
       let* policy =
-        Option.to_result ~none:"missing policy" (field assoc "policy")
+        Option.to_result ~none:"missing policy" (R.str assoc "policy")
       in
-      let* agents = positive "n" (int_field assoc "n") in
-      let* items = positive "j" (int_field assoc "j") in
-      let* states = positive "st" (int_field assoc "st") in
-      let* values = positive "vals" (int_field assoc "vals") in
-      let seed = Option.value (int_field assoc "seed") ~default:1 in
-      let id = Option.value (field assoc "id") ~default:"" in
-      let epoch = int_field assoc "epoch" in
-      match List.assoc_opt "deadline" assoc with
-      | Some d -> (
-          match float_of_string_opt d with
-          | Some d when d > 0.0 ->
-              Ok
-                (Check
-                   { id; policy; agents; items; states; values; seed;
-                     deadline_s = Some d; epoch })
-          | _ -> Result.Error "invalid deadline")
-      | None ->
-          Ok
-            (Check
-               { id; policy; agents; items; states; values; seed;
-                 deadline_s = None; epoch }))
+      let* agents = positive "n" (R.int assoc "n") in
+      let* items = positive "j" (R.int assoc "j") in
+      let* states = positive "st" (R.int assoc "st") in
+      let* values = positive "vals" (R.int assoc "vals") in
+      let* deadline_s = deadline assoc in
+      Ok
+        (Check
+           {
+             id = Option.value (R.str assoc "id") ~default:"";
+             policy; agents; items; states; values;
+             seed = Option.value (R.int assoc "seed") ~default:1;
+             deadline_s;
+             epoch = R.int assoc "epoch";
+           })
   | Some ("fence", assoc) -> (
-      match int_field assoc "epoch" with
+      match R.int assoc "epoch" with
       | Some e when e >= 1 ->
           Ok
             (Fence
                {
-                 fence_id = Option.value (field assoc "id") ~default:"";
+                 fence_id = Option.value (R.str assoc "id") ~default:"";
                  fence_epoch = e;
                })
       | _ -> Result.Error "fence without a positive epoch")
   | Some ("repl-hello", assoc) -> (
-      match int_field assoc "from" with
+      match R.int assoc "from" with
       | Some from when from >= 0 ->
           Ok
             (Repl_hello
                {
-                 repl_id = Option.value (field assoc "id") ~default:"";
+                 repl_id = Option.value (R.str assoc "id") ~default:"";
                  repl_from = from;
                })
       | _ -> Result.Error "repl-hello without a valid position")
-  | Some ("submit", assoc) -> (
+  | Some ("submit", assoc) ->
       let ( let* ) = Result.bind in
       let* spec_bytes =
-        Option.to_result ~none:"missing bytes" (int_field assoc "bytes")
+        Option.to_result ~none:"missing bytes" (R.int assoc "bytes")
       in
       let* spec_bytes =
         if spec_bytes < 0 then Result.Error "negative bytes"
@@ -321,62 +299,45 @@ let parse_incoming line =
                spec_bytes max_spec_bytes)
         else Ok spec_bytes
       in
-      let header =
-        {
-          sub_id = Option.value (field assoc "id") ~default:"";
-          tenant = Option.value (field assoc "tenant") ~default:"";
-          spec_bytes;
-          sub_cmd = field assoc "cmd";
-          certify =
-            Option.value ~default:false
-              (Option.bind (List.assoc_opt "certify" assoc) bool_of_string_opt);
-          sub_deadline_s = None;
-        }
-      in
-      match List.assoc_opt "deadline" assoc with
-      | Some d -> (
-          match float_of_string_opt d with
-          | Some d when d > 0.0 ->
-              Ok (Submit { header with sub_deadline_s = Some d })
-          | _ -> Result.Error "invalid deadline")
-      | None -> Ok (Submit header))
+      let* sub_deadline_s = deadline assoc in
+      Ok
+        (Submit
+           {
+             sub_id = Option.value (R.str assoc "id") ~default:"";
+             tenant = Option.value (R.str assoc "tenant") ~default:"";
+             spec_bytes;
+             sub_cmd = R.str assoc "cmd";
+             certify = Option.value ~default:false (R.bool assoc "certify");
+             sub_deadline_s;
+           })
   | Some (kind, _) -> Result.Error (Printf.sprintf "unknown request kind %S" kind)
   | None -> Result.Error "malformed request line"
 
 let parse_response line =
-  match fields_of line with
+  match R.parse line with
   | Some ("verdict", assoc) -> (
       let ( let* ) = Result.bind in
       let* sat =
         Option.to_result ~none:"missing sat verdict"
-          (Option.bind (List.assoc_opt "sat" assoc)
-             Core.Experiments.verdict_of_wire)
+          (Option.bind (R.raw assoc "sat") Core.Experiments.verdict_of_wire)
       in
       let* exhaustive =
         Option.to_result ~none:"missing exh verdict"
-          (Option.bind (List.assoc_opt "exh" assoc)
-             Core.Experiments.verdict_of_wire)
+          (Option.bind (R.raw assoc "exh") Core.Experiments.verdict_of_wire)
       in
       let* sim_ok =
-        Option.to_result ~none:"missing sim flag"
-          (Option.bind (List.assoc_opt "sim" assoc) bool_of_string_opt)
+        Option.to_result ~none:"missing sim flag" (R.bool assoc "sim")
       in
-      let cached =
-        Option.value ~default:false
-          (Option.bind (List.assoc_opt "cached" assoc) bool_of_string_opt)
-      in
-      let secs =
-        Option.value ~default:0.0
-          (Option.bind (List.assoc_opt "secs" assoc) float_of_string_opt)
-      in
+      let cached = Option.value ~default:false (R.bool assoc "cached") in
+      let secs = Option.value ~default:0.0 (R.float assoc "secs") in
       Ok
         (Verdict
            {
-             req_id = Option.value (field assoc "id") ~default:"";
+             req_id = Option.value (R.str assoc "id") ~default:"";
              sat;
              exhaustive;
              sim_ok;
-             rung = Option.value (field assoc "rung") ~default:"";
+             rung = Option.value (R.str assoc "rung") ~default:"";
              cached;
              secs;
            }))
@@ -384,55 +345,44 @@ let parse_response line =
       let ( let* ) = Result.bind in
       let* spec_verdict =
         Option.to_result ~none:"missing spec verdict"
-          (Option.bind (List.assoc_opt "verdict" assoc) spec_verdict_of_wire)
+          (Option.bind (R.raw assoc "verdict") spec_verdict_of_wire)
       in
       Ok
         (Spec
            {
-             spec_id = Option.value (field assoc "id") ~default:"";
-             digest = Option.value (field assoc "digest") ~default:"";
-             command = Option.value (field assoc "cmd") ~default:"";
+             spec_id = Option.value (R.str assoc "id") ~default:"";
+             digest = Option.value (R.str assoc "digest") ~default:"";
+             command = Option.value (R.str assoc "cmd") ~default:"";
              spec_verdict;
-             certified =
-               Option.value ~default:false
-                 (Option.bind (List.assoc_opt "cert" assoc) bool_of_string_opt);
-             spec_cached =
-               Option.value ~default:false
-                 (Option.bind (List.assoc_opt "cached" assoc)
-                    bool_of_string_opt);
-             spec_secs =
-               Option.value ~default:0.0
-                 (Option.bind (List.assoc_opt "secs" assoc)
-                    float_of_string_opt);
+             certified = Option.value ~default:false (R.bool assoc "cert");
+             spec_cached = Option.value ~default:false (R.bool assoc "cached");
+             spec_secs = Option.value ~default:0.0 (R.float assoc "secs");
            }))
   | Some ("shed", assoc) ->
       Ok
         (Shed
            {
-             req_id = Option.value (field assoc "id") ~default:"";
-             depth = Option.value (int_field assoc "depth") ~default:0;
-             capacity = Option.value (int_field assoc "cap") ~default:0;
+             req_id = Option.value (R.str assoc "id") ~default:"";
+             depth = Option.value (R.int assoc "depth") ~default:0;
+             capacity = Option.value (R.int assoc "cap") ~default:0;
            })
   | Some ("quota", assoc) ->
       Ok
         (Quota
            {
-             req_id = Option.value (field assoc "id") ~default:"";
-             tenant = Option.value (field assoc "tenant") ~default:"";
-             retry_after_s =
-               Option.value ~default:0.0
-                 (Option.bind (List.assoc_opt "retry" assoc)
-                    float_of_string_opt);
+             req_id = Option.value (R.str assoc "id") ~default:"";
+             tenant = Option.value (R.str assoc "tenant") ~default:"";
+             retry_after_s = Option.value ~default:0.0 (R.float assoc "retry");
            })
   | Some ("error", assoc) -> (
-      let req_id = Option.value (field assoc "id") ~default:"" in
-      let msg = Option.value (field assoc "msg") ~default:"" in
+      let req_id = Option.value (R.str assoc "id") ~default:"" in
+      let msg = Option.value (R.str assoc "msg") ~default:"" in
       (* an [error] carrying a [stage] key is a typed spec rejection *)
-      match Option.bind (field assoc "stage") Alloylite.Diag.stage_of_name with
+      match Option.bind (R.str assoc "stage") Alloylite.Diag.stage_of_name with
       | Some stage ->
-          let at k d = Option.value (int_field assoc k) ~default:d in
+          let at k d = Option.value (R.int assoc k) ~default:d in
           let line = at "line" 1 and col = at "col" 1 in
-          let hint = field assoc "hint" in
+          let hint = R.str assoc "hint" in
           (* the [msg] field carries the full rendered diagnostic for the
              benefit of pre-submit clients; strip the location prefix and
              hint suffix back off so re-rendering is idempotent *)
@@ -483,28 +433,28 @@ let parse_response line =
                 (* [proto] is framing metadata, not a counter *)
                 if k = "proto" then None
                 else
-                  Option.map (fun n -> (unescape k, n)) (int_of_string_opt v))
+                  Option.map (fun n -> (R.unescape k, n)) (int_of_string_opt v))
               assoc))
   | Some ("fenced", assoc) -> (
-      match int_field assoc "epoch" with
+      match R.int assoc "epoch" with
       | Some e ->
           Ok
             (Fenced
                {
-                 req_id = Option.value (field assoc "id") ~default:"";
+                 req_id = Option.value (R.str assoc "id") ~default:"";
                  fenced_epoch = e;
                })
       | None -> Result.Error "fenced reply without an epoch")
   | Some ("repl-ack", assoc) -> (
       match
-        (int_field assoc "epoch", int_field assoc "from", int_field assoc "have")
+        (R.int assoc "epoch", R.int assoc "from", R.int assoc "have")
       with
       | Some repl_epoch, Some repl_from, Some repl_have
         when repl_from >= 0 && repl_have >= 0 ->
           Ok (Repl_ack { repl_epoch; repl_from; repl_have })
       | _ -> Result.Error "malformed repl-ack")
   | Some ("repl-frame", assoc) -> (
-      match (int_field assoc "idx", field assoc "fp", field assoc "rec") with
+      match (R.int assoc "idx", R.str assoc "fp", R.str assoc "rec") with
       | Some frame_idx, Some frame_fp, Some frame_rec when frame_idx >= 0 ->
           Ok (Repl_frame { frame_idx; frame_fp; frame_rec })
       | _ -> Result.Error "malformed repl-frame")

@@ -1,7 +1,7 @@
-(** The service's wire protocol: newline-framed, pipe-separated
-    [key=value] messages with the percent-escaping and verdict syntax
-    of the sweep-journal records ({!Core.Experiments.cell_record}) —
-    one vocabulary for requests, replies, and the on-disk journal.
+(** The service's wire protocol: newline-framed {!Parallel.Record}
+    lines, the format of the sweep-journal records
+    ({!Core.Experiments.cell_record}) too — one vocabulary for
+    requests, replies, and the on-disk journal.
 
     Frames on the wire:
 

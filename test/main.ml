@@ -15,5 +15,6 @@ let () =
       ("crashsafe", Test_crashsafe.suite);
       ("service", Test_service.suite);
       ("cluster", Test_cluster.suite);
+      ("identity", Test_identity.suite);
       ("differential", Test_differential.suite);
     ]

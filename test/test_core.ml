@@ -35,6 +35,49 @@ let test_facts_satisfiable_naive () =
   | Alloylite.Compile.Sat _ -> ()
   | Alloylite.Compile.Unsat -> Alcotest.fail "naive facts inconsistent"
 
+(* The facts alone, at every scope the repo pins, benches or serves.
+   Two pnodes need four distinct bids above zero, which six values
+   give; three pnodes need six, and the efficient encoding's [value]
+   signature holds only five (its first atom is the zero bid). So every
+   three-pnode check is UNSAT whatever it asserts, and so is 2p2v with
+   values 4. These rows are ROADMAP's open item "Every SAT verdict at
+   three pnodes is vacuous": the change that derives the value bound
+   from pnodes must flip the [false] rows and keep the [true] ones. *)
+let test_facts_have_an_instance () =
+  let scope pnodes vnodes states values =
+    { Core.Mca_model.small_scope with
+      Core.Mca_model.pnodes; vnodes; states; values }
+  in
+  List.iter
+    (fun (label, sc, expect) ->
+      let p = Core.Mca_model.honest_submodular in
+      let m =
+        Core.Mca_model.build Core.Mca_model.Efficient
+          { p with
+            Core.Mca_model.target =
+              min p.Core.Mca_model.target sc.Core.Mca_model.vnodes }
+          sc
+      in
+      let found =
+        match Core.Mca_model.run_instance m with
+        | Alloylite.Compile.Sat _ -> true
+        | Alloylite.Compile.Unsat -> false
+      in
+      check label expect found)
+    [
+      ("2p2v/4st values 6", scope 2 2 4 6, true);
+      ("2p2v/5st values 6", scope 2 2 5 6, true);
+      ("2p2v/6st values 6", scope 2 2 6 6, true);
+      ("2p2v/3st values 5", scope 2 2 3 5, true);
+      ("2p2v/4st values 5", scope 2 2 4 5, true);
+      ("3p1v/3st values 6 (vacuous)", scope 3 1 3 6, false);
+      ("3p2v/5st values 6 (vacuous)", scope 3 2 5 6, false);
+      ("3p2v/6st values 6 (vacuous)", scope 3 2 6 6, false);
+      ("3p2v/3st values 4 (vacuous)", scope 3 2 3 4, false);
+      ("2p2v/2st values 4 (vacuous)", scope 2 2 2 4, false);
+      ("2p2v/3st values 4 (vacuous)", scope 2 2 3 4, false);
+    ]
+
 let test_attack_counterexample () =
   (* Result 2 at a reduced trace length: the attack refutes consensus *)
   let p = { Core.Mca_model.honest_submodular with Core.Mca_model.rebid_attack = true } in
@@ -127,6 +170,7 @@ let suite =
     Alcotest.test_case "facts satisfiable (efficient, all policies)" `Slow
       test_facts_satisfiable_efficient;
     Alcotest.test_case "facts satisfiable (naive)" `Slow test_facts_satisfiable_naive;
+    Alcotest.test_case "facts have an instance" `Slow test_facts_have_an_instance;
     Alcotest.test_case "result 2: attack counterexample" `Slow test_attack_counterexample;
     Alcotest.test_case "result 1: nonsubmod+release counterexample" `Slow
       test_nonsubmod_release_counterexample;

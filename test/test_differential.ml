@@ -51,8 +51,10 @@ let sat_engines_agree ~policy_idx ~states ~values =
       | _ -> false)
 
 let qcheck_dpll_cdcl_agree_unsat_family =
-  (* value lattice 1..3: every paper policy is consensus-safe at this
-     horizon, so the shared CNF is UNSAT and both engines must prove it *)
+  (* values 4 leaves three positive bids, and two pnodes' four distinct
+     utilities need four: the facts alone have no instance (ROADMAP's
+     vacuity item), so the CNF is UNSAT whatever the policy asserts.
+     This checks only that the two engines agree on that refutation. *)
   QCheck.Test.make ~count:8
     ~name:"dpll = cdcl on MCA consensus CNF (unsat family)"
     QCheck.(

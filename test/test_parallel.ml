@@ -131,11 +131,13 @@ let test_bqueue_pop_close_wakes () =
 
 (* ---- Pool ---- *)
 
+let all_ok f tasks = Array.map (fun x -> Ok (f x)) tasks
+
 let test_pool_jobs1_is_array_map () =
   let tasks = Array.init 20 Fun.id in
   check "jobs:1 = Array.map" true
-    (Parallel.Pool.map ~jobs:1 (fun x -> x * x) tasks
-    = Array.map (fun x -> x * x) tasks)
+    (Parallel.Pool.map_result ~jobs:1 (fun x -> x * x) tasks
+    = all_ok (fun x -> x * x) tasks)
 
 let test_pool_results_keyed_by_index () =
   (* uneven per-task work: completion order varies, the result array
@@ -150,32 +152,36 @@ let test_pool_results_keyed_by_index () =
     x * 3
   in
   check "jobs:4 result = sequential result" true
-    (Parallel.Pool.map ~jobs:4 f tasks = Array.map f tasks)
+    (Parallel.Pool.map_result ~jobs:4 f tasks = all_ok f tasks)
 
 let test_pool_empty_and_bad_jobs () =
-  check "empty task array" true (Parallel.Pool.map ~jobs:4 Fun.id [||] = [||]);
+  check "empty task array" true
+    (Parallel.Pool.map_result ~jobs:4 Fun.id [||] = [||]);
   check "jobs:0 rejected" true
-    (match Parallel.Pool.map ~jobs:0 Fun.id [| 1 |] with
-    | (_ : int array) -> false
+    (match Parallel.Pool.map_result ~jobs:0 Fun.id [| 1 |] with
+    | (_ : (int, exn) result array) -> false
     | exception Invalid_argument _ -> true)
 
-let test_pool_reraises_lowest_index () =
+let test_pool_captures_exceptions () =
+  (* a raising task fills its own slot, inline and across domains, and
+     every other task still completes *)
   let f i = if i = 1 || i = 3 then failwith (Printf.sprintf "boom%d" i) else i in
-  check "lowest failing index wins" true
-    (match Parallel.Pool.map ~jobs:2 f (Array.init 6 Fun.id) with
-    | (_ : int array) -> false
-    | exception Failure msg -> msg = "boom1")
-
-let test_pool_map_budgeted_rearms () =
-  (* two tasks each sleeping most of the window: with a shared window the
-     second would expire; per-task re-arming keeps both Within *)
-  let budget = Netsim.Budget.create ~wall_s:0.3 () in
-  let f ~budget () =
-    Unix.sleepf 0.2;
-    Netsim.Budget.check budget = Netsim.Budget.Within
+  let shape r =
+    Array.to_list
+      (Array.map
+         (function
+           | Ok v -> string_of_int v
+           | Error (Failure m) -> m
+           | Error e -> Printexc.to_string e)
+         r)
   in
-  let ok = Parallel.Pool.map_budgeted ~jobs:1 ~budget f [| (); () |] in
-  check "each task gets a fresh wall-clock window" true (ok = [| true; true |])
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs:%d slots" jobs)
+        [ "0"; "boom1"; "2"; "boom3"; "4"; "5" ]
+        (shape (Parallel.Pool.map_result ~jobs f (Array.init 6 Fun.id))))
+    [ 1; 2 ]
 
 (* ---- scaling regression ---- *)
 
@@ -196,9 +202,10 @@ let test_pool_scaling_not_slower () =
   in
   let time jobs =
     let t0 = Unix.gettimeofday () in
-    let r = Parallel.Pool.map ~jobs work tasks in
+    let r = Parallel.Pool.map_result ~jobs work tasks in
     let dt = Unix.gettimeofday () -. t0 in
-    check_int "pigeonhole tasks all unsat" 0 (Array.fold_left ( + ) 0 r);
+    check_int "pigeonhole tasks all unsat" 0
+      (Array.fold_left (fun acc r -> acc + Result.get_ok r) 0 r);
     dt
   in
   let median l = List.nth (List.sort compare l) (List.length l / 2) in
@@ -308,8 +315,8 @@ let suite =
     Alcotest.test_case "pool jobs=1 is Array.map" `Quick test_pool_jobs1_is_array_map;
     Alcotest.test_case "pool results keyed by index" `Quick test_pool_results_keyed_by_index;
     Alcotest.test_case "pool empty/bad jobs" `Quick test_pool_empty_and_bad_jobs;
-    Alcotest.test_case "pool re-raises lowest index" `Quick test_pool_reraises_lowest_index;
-    Alcotest.test_case "map_budgeted re-arms per task" `Quick test_pool_map_budgeted_rearms;
+    Alcotest.test_case "pool captures each task's exception" `Quick
+      test_pool_captures_exceptions;
     Alcotest.test_case "pool scaling: jobs=4 not slower than jobs=1" `Quick
       test_pool_scaling_not_slower;
     Alcotest.test_case "budget intersect caps" `Quick test_budget_intersect_caps;

@@ -442,6 +442,84 @@ let test_wire_cross_revision_server () =
   | Ok r -> Alcotest.failf "unexpected reply %a" Service.Wire.pp_response r
   | Result.Error e -> Alcotest.fail e
 
+(* ---- the buffered line reader ---- *)
+
+(* A one-connection responder: reads the request line, then writes
+   [chunks] as separate writes with a pause between them, so the
+   client's reads see partial lines. *)
+let serve_chunked path chunks =
+  let fd = Service.Server.listen (Service.Server.Unix_path path) in
+  Domain.spawn (fun () ->
+      let client, _ = Unix.accept ~cloexec:true fd in
+      ignore (Service.Client.line_reader client () : string option);
+      List.iter
+        (fun c ->
+          Service.Client.send_all client c;
+          Unix.sleepf 0.002)
+        chunks;
+      Service.Server.close_quiet client;
+      Service.Server.close_quiet fd)
+
+let bytes_of s = List.init (String.length s) (fun i -> String.make 1 s.[i])
+
+let test_client_reply_byte_at_a_time () =
+  let path = temp_sock () in
+  let reply =
+    Service.Wire.render_response
+      (Service.Wire.Verdict
+         {
+           Service.Wire.req_id = "r1";
+           sat = Core.Experiments.Holds;
+           exhaustive = Core.Experiments.Violated;
+           sim_ok = true;
+           rung = "cdcl";
+           cached = false;
+           secs = 0.41;
+         })
+  in
+  let d = serve_chunked path (bytes_of (reply ^ "\n")) in
+  let got =
+    Service.Client.check (Service.Server.Unix_path path)
+      (Service.Wire.request ~id:"r1" "submod")
+  in
+  Domain.join d;
+  match got with
+  | Ok r -> check_string "reply parsed" reply (Service.Wire.render_response r)
+  | Result.Error e -> Alcotest.fail e
+
+let test_repl_stream_split_across_writes () =
+  let path = temp_sock () in
+  let records = [ "cell|1|seed=1|x=a%7cb"; "disp|1|key=k"; "epoch|1|epoch=2" ] in
+  let stream =
+    String.concat ""
+      (List.map
+         (fun r -> Service.Wire.render_response r ^ "\n")
+         (Service.Wire.Repl_ack { repl_epoch = 2; repl_from = 0; repl_have = 3 }
+         :: List.mapi
+              (fun i r ->
+                Service.Wire.Repl_frame
+                  {
+                    frame_idx = i;
+                    frame_fp = Parallel.Journal.crc32_hex r;
+                    frame_rec = r;
+                  })
+              records))
+  in
+  (* seven-byte writes: every line boundary falls inside a write *)
+  let chunks =
+    List.init
+      ((String.length stream + 6) / 7)
+      (fun i -> String.sub stream (7 * i) (min 7 (String.length stream - (7 * i))))
+  in
+  let d = serve_chunked path chunks in
+  let got = Service.Repl.pull (Service.Server.Unix_path path) ~from:0 in
+  Domain.join d;
+  match got with
+  | Ok p ->
+      check_int "epoch" 2 p.Service.Repl.pulled_epoch;
+      Alcotest.(check (list string)) "records" records p.Service.Repl.pulled_records
+  | Result.Error e -> Alcotest.fail e
+
 let test_server_verdict_cache_stats () =
   let path = temp_sock () in
   let t = Service.Server.start (mk_cfg ~jobs:1 path) in
@@ -1133,6 +1211,10 @@ let test_server_hostile_spec_flood () =
 
 let suite =
   [
+    Alcotest.test_case "client: reply written a byte at a time" `Quick
+      test_client_reply_byte_at_a_time;
+    Alcotest.test_case "repl: frame stream split across writes" `Quick
+      test_repl_stream_split_across_writes;
     Alcotest.test_case "wire: request round trip" `Quick test_wire_request_roundtrip;
     Alcotest.test_case "wire: response round trip" `Quick test_wire_response_roundtrip;
     Alcotest.test_case "wire: hostile input rejected" `Quick test_wire_hostile_input;
