@@ -47,7 +47,7 @@ let run ?(max_states = 200_000) ?(max_drops = 0) ?(max_dups = 0)
            expanded state, mirroring the solver's conflict-boundary poll *)
         let status =
           if stop () then Netsim.Budget.Expired "cancelled"
-          else Netsim.Budget.check ~steps:!states budget
+          else Netsim.Budget.check ~steps:!states ~conflicts:0 ~propagations:0 budget
         in
         (match status with
         | Netsim.Budget.Expired reason ->

@@ -82,7 +82,7 @@ let run_sync ?(max_rounds = 200) ?(budget = Netsim.Budget.unlimited) ?record
   let rec loop round =
     if
       round >= max_rounds
-      || Netsim.Budget.check ~steps:round budget <> Netsim.Budget.Within
+      || Netsim.Budget.check ~steps:round ~conflicts:0 ~propagations:0 budget <> Netsim.Budget.Within
     then Exhausted { rounds = round; messages = !messages }
     else begin
       let changed = ref false in
@@ -154,7 +154,7 @@ let run_async ?(max_steps = 10_000) ?(sched = Netsim.Sched.Fifo)
   let rec loop steps =
     if
       steps >= max_steps
-      || Netsim.Budget.check ~steps budget <> Netsim.Budget.Within
+      || Netsim.Budget.check ~steps ~conflicts:0 ~propagations:0 budget <> Netsim.Budget.Within
     then
       Exhausted { rounds = steps; messages = Netsim.Sched.total_sent buffer }
     else
@@ -335,7 +335,7 @@ let run_faulty ?(max_steps = 50_000) ?(sched = Netsim.Sched.Fifo)
   let rec loop steps =
     if
       steps >= max_steps
-      || Netsim.Budget.check ~steps budget <> Netsim.Budget.Within
+      || Netsim.Budget.check ~steps ~conflicts:0 ~propagations:0 budget <> Netsim.Budget.Within
     then exhausted steps
     else begin
       apply_crashes steps;

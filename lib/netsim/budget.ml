@@ -60,7 +60,7 @@ let intersect a b =
 
 type status = Within | Expired of string
 
-let check ?(steps = 0) ?(conflicts = 0) ?(propagations = 0) t =
+let check ~steps ~conflicts ~propagations t =
   let over cap used label =
     match cap with
     | Some c when used >= c -> Some (Printf.sprintf "%s cap %d" label c)

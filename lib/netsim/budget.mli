@@ -43,8 +43,10 @@ type status = Within | Expired of string
 (** [Expired reason] names the first cap that was hit, e.g.
     ["conflict cap 5000"] or ["deadline 2s"]. *)
 
-val check : ?steps:int -> ?conflicts:int -> ?propagations:int -> t -> status
-(** Compares the caller's counters (and the clock) against the caps.
-    Counters default to 0, i.e. only the deadline is consulted. *)
+val check : steps:int -> conflicts:int -> propagations:int -> t -> status
+(** Compares the caller's counters (and the clock) against the caps; a
+    caller passes 0 for a counter it does not keep. The counters are
+    plain labelled ints, not optional ones, so that a poll at every
+    decision and conflict allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit

@@ -45,9 +45,8 @@ let lit_is_true m l =
   let b = m.(var_of l) in
   if is_pos l then b else not b
 
-(* Loops rather than [Array.exists] and [List.for_all]: the solver runs
-   [satisfies] over every problem clause on each Sat answer, where a
-   closure per clause would be most of a warm verdict's garbage. *)
+(* Loops rather than [Array.exists] and [List.for_all], so that checking
+   a model against a whole clause list allocates nothing. *)
 let satisfies m (c : clause) =
   let n = Array.length c in
   let i = ref 0 in

@@ -72,9 +72,7 @@ val lit_is_true : model -> lit -> bool
 
 val satisfies : model -> clause -> bool
 (** [satisfies m c] holds when some literal of [c] is true under [m];
-    never for the empty clause. It allocates nothing, so the solver can
-    afford to run it over its whole clause database on every [Sat]
-    answer. *)
+    never for the empty clause. It allocates nothing. *)
 
 val check_model : model -> clause list -> bool
 (** [check_model m cs] verifies every clause has a true literal — the

@@ -66,7 +66,7 @@ let solve_internal ?(stop = fun () -> false) ?(wall = Netsim.Budget.unlimited)
             (* cancellation and wall budget polled per decision, the
                DPLL analogue of the CDCL conflict-boundary poll *)
             if stop () then raise (Stopped ("cancelled", !decisions));
-            (match Netsim.Budget.check ~steps:!decisions wall with
+            (match Netsim.Budget.check ~steps:!decisions ~conflicts:0 ~propagations:0 wall with
             | Netsim.Budget.Expired reason ->
                 raise (Stopped (reason, !decisions))
             | Netsim.Budget.Within -> ());

@@ -1,17 +1,10 @@
 (* CDCL solver, MiniSat lineage.
 
-   Watching convention: a clause watches its first two literals
-   [lits.(0)] and [lits.(1)]; the clause is registered in the watcher
-   list of the *negation* of each watched literal, so when a literal [p]
-   is enqueued (made true) we visit [watches.(p)] — exactly the clauses
-   in which a watched literal just became false. *)
-
-type clause = {
-  mutable lits : Cnf.lit array;
-  mutable activity : float;
-  learnt : bool;
-  mutable deleted : bool;
-}
+   Watching convention: a clause watches its first two literals; the
+   clause is registered in the watcher list of the *negation* of each
+   watched literal, so when a literal [p] is enqueued (made true) we
+   visit [watches.(p)] — exactly the clauses in which a watched literal
+   just became false. *)
 
 type result = Sat of Cnf.model | Unsat
 
@@ -27,20 +20,56 @@ type stats = {
   learnt_literals : int;
   max_vars : int;
   clauses_added : int;
+  compactions : int;
 }
 
-(* Fills unused vector slots, and in [reason] means "no reason": a
-   decision, an assumption, or a root-level or learnt unit. *)
-let dummy_clause = { lits = [||]; activity = 0.0; learnt = false; deleted = false }
+(* ---- the clause store ----
+
+   Clauses live in a few large int arrays, the segments, and a clause
+   is named by an int reference: its segment's index shifted left by
+   [seg_bits], plus the offset of its block in the segment. A block is
+   a header word (the size, shifted left by two, then the learnt and
+   deleted bits), an activity slot (an index into [act]; learnt clauses
+   only), then the literals. Reference -1 is "no clause", and reference
+   0 is a permanent deleted clause, the sentinel.
+
+   Segment 0 holds the sentinel and the problem [of_problem] loaded; no
+   clause enters, leaves or is deleted from it afterwards. Every later
+   clause (learnt, or added one by one) goes into the last segment, and
+   a new segment opens when it is full: its size doubles with the
+   clauses outside segment 0, up to [seg_words], and a longer clause
+   gets a segment of its own. *)
+
+let seg_bits = 32
+let off_mask = (1 lsl seg_bits) - 1
+let seg_words = 65536
+let hdr_words = 2
+let learnt_bit = 2
+let deleted_bit = 1
+let sentinel = 0
+
+(* literal values, in a literal-indexed byte string *)
+let l_undef = '\000'
+let l_true = '\001'
+let l_false = '\002'
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause Vec.t; (* problem clauses *)
-  learnts : clause Vec.t; (* learnt clauses *)
-  mutable watches : clause Vec.t array; (* lit-indexed *)
-  mutable assigns : Cnf.value array; (* var-indexed *)
+  (* the clause store *)
+  mutable segs : int array array;
+  mutable nsegs : int;
+  mutable fill : int; (* words used in the last segment *)
+  mutable late_words : int; (* words allocated outside segment 0 *)
+  mutable wasted : int; (* words of deleted clauses *)
+  mutable act : float array; (* learnt-clause activities, by slot *)
+  mutable n_slots : int;
+  free_slots : int Vec.t;
+  clauses : int Vec.t; (* problem clauses *)
+  learnts : int Vec.t; (* learnt clauses *)
+  mutable watches : int Vec.t array; (* lit-indexed *)
+  mutable vals : Bytes.t; (* lit-indexed *)
   mutable level : int array; (* var-indexed *)
-  mutable reason : clause array; (* var-indexed, [dummy_clause] = none *)
+  mutable reason : int array; (* var-indexed, -1 = none *)
   mutable polarity : bool array; (* var-indexed saved phase *)
   mutable seen : bool array; (* var-indexed scratch *)
   trail : Cnf.lit Vec.t;
@@ -67,20 +96,34 @@ type t = {
   mutable n_restarts : int;
   mutable n_learnt_lits : int;
   mutable n_clauses_added : int;
+  mutable n_compactions : int;
 }
 
 let var_decay = 1.0 /. 0.95
 let clause_decay = 1.0 /. 0.999
 
-let create () =
+(* A solver whose segment 0 has room for [words] words of clauses after
+   the sentinel. *)
+let create_sized words =
+  let segs = Array.make 8 [||] in
+  segs.(0) <- Array.make (hdr_words + words) 0;
+  segs.(0).(0) <- deleted_bit;
   {
     nvars = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
-    learnts = Vec.create ~dummy:dummy_clause ();
-    watches = Array.make 2 (Vec.create ~dummy:dummy_clause ());
-    assigns = Array.make 1 Cnf.Unknown;
+    segs;
+    nsegs = 1;
+    fill = hdr_words;
+    late_words = 0;
+    wasted = 0;
+    act = Array.make 16 0.0;
+    n_slots = 0;
+    free_slots = Vec.create ~dummy:0 ();
+    clauses = Vec.create ~dummy:0 ();
+    learnts = Vec.create ~dummy:0 ();
+    watches = Array.make 2 (Vec.create ~dummy:0 ());
+    vals = Bytes.make 2 l_undef;
     level = Array.make 1 (-1);
-    reason = Array.make 1 dummy_clause;
+    reason = Array.make 1 (-1);
     polarity = Array.make 1 false;
     seen = Array.make 1 false;
     trail = Vec.create ~dummy:0 ();
@@ -102,8 +145,10 @@ let create () =
     n_restarts = 0;
     n_learnt_lits = 0;
     n_clauses_added = 0;
+    n_compactions = 0;
   }
 
+let create () = create_sized 0
 let num_vars s = s.nvars
 
 let enable_proof s =
@@ -137,17 +182,22 @@ let resize_arrays s n =
     end
     else a
   in
-  s.assigns <- grow s.assigns Cnf.Unknown;
   s.level <- grow s.level (-1);
-  s.reason <- grow s.reason dummy_clause;
+  s.reason <- grow s.reason (-1);
   s.polarity <- grow s.polarity false;
   s.seen <- grow s.seen false;
+  let oldv = Bytes.length s.vals in
+  if (2 * n) + 2 > oldv then begin
+    let b = Bytes.make (max ((2 * n) + 2) (2 * oldv)) l_undef in
+    Bytes.blit s.vals 0 b 0 oldv;
+    s.vals <- b
+  end;
   let oldw = Array.length s.watches in
   if (2 * n) + 2 > oldw then begin
-    let w = Array.make (max ((2 * n) + 2) (2 * oldw)) (Vec.create ~dummy:dummy_clause ()) in
+    let w = Array.make (max ((2 * n) + 2) (2 * oldw)) (Vec.create ~dummy:0 ()) in
     Array.blit s.watches 0 w 0 oldw;
     for i = oldw to Array.length w - 1 do
-      w.(i) <- Vec.create ~dummy:dummy_clause ()
+      w.(i) <- Vec.create ~dummy:0 ()
     done;
     s.watches <- w
   end;
@@ -173,11 +223,11 @@ let new_var s =
    propagation loop is an out-of-line call. The literal arithmetic of
    {!Cnf} and the few {!Vec} operations the search loops need are
    therefore restated here, where they are inlined. They must mean
-   exactly what the originals mean — above all, [push_clause] and
+   exactly what the originals mean — above all, [push_int] and
    [swap_remove] keep Vec's order, which fixes the order watchers are
-   visited in, and with it the whole search. The pushes come one per
-   element type so that each compiles to its own store: a plain one for
-   ints, the write barrier for clauses. *)
+   visited in, and with it the whole search. Every vector the search
+   writes holds ints, so none of these stores calls the write
+   barrier. *)
 
 let[@inline] var_of l = l lsr 1
 let[@inline] negate l = l lxor 1
@@ -190,81 +240,80 @@ let[@inline] push_int (v : int Vec.t) x =
     v.Vec.sz <- v.Vec.sz + 1
   end
 
-let[@inline] push_clause (v : clause Vec.t) c =
-  if v.Vec.sz = Array.length v.Vec.data then Vec.push v c
-  else begin
-    Array.unsafe_set v.Vec.data v.Vec.sz c;
-    v.Vec.sz <- v.Vec.sz + 1
-  end
-
-let[@inline] swap_remove (v : clause Vec.t) i =
+let[@inline] swap_remove (v : int Vec.t) i =
   let last = v.Vec.sz - 1 in
   v.Vec.sz <- last;
-  v.Vec.data.(i) <- v.Vec.data.(last);
-  v.Vec.data.(last) <- v.Vec.dummy
+  v.Vec.data.(i) <- v.Vec.data.(last)
 
-let[@inline] value_lit s l =
-  let v = s.assigns.(var_of l) in
-  if is_pos l then v
-  else match v with Cnf.True -> Cnf.False | Cnf.False -> Cnf.True | Cnf.Unknown -> v
-
+let[@inline] value_lit s l = Bytes.get s.vals l
 let[@inline] decision_level s = s.trail_lim.Vec.sz
+
+(* A clause reference's segment and the offset of its block. *)
+let[@inline] seg_of s c = s.segs.(c lsr seg_bits)
+let[@inline] off_of c = c land off_mask
+let[@inline] size_of hdr = hdr lsr 2
 
 (* Enqueue a literal as true, recording its reason. *)
 let[@inline] enqueue s l reason =
   let v = var_of l in
-  s.assigns.(v) <- (if is_pos l then Cnf.True else Cnf.False);
+  Bytes.set s.vals l l_true;
+  Bytes.set s.vals (negate l) l_false;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   push_int s.trail l
 
-let[@inline] watch s l c = push_clause s.watches.(l) c
-
 (* Boolean constraint propagation. Returns the conflicting clause, or
-   [dummy_clause] when there is none. Allocates nothing. *)
+   -1 when there is none. Allocates nothing. *)
 let propagate s =
-  let conflict = ref dummy_clause in
-  let trail = s.trail in
-  while !conflict == dummy_clause && s.qhead < trail.Vec.sz do
+  let conflict = ref (-1) in
+  let trail = s.trail and vals = s.vals and segs = s.segs in
+  let watches = s.watches in
+  while !conflict < 0 && s.qhead < trail.Vec.sz do
     let p = trail.Vec.data.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
-    let ws = s.watches.(p) in
+    let ws = watches.(p) in
     let false_lit = negate p in
     let i = ref 0 in
     while !i < ws.Vec.sz do
       let c = ws.Vec.data.(!i) in
-      if c.deleted then swap_remove ws !i
+      let seg = segs.(c lsr seg_bits) in
+      let o = off_of c in
+      let hdr = seg.(o) in
+      if hdr land deleted_bit <> 0 then swap_remove ws !i
       else begin
-        let lits = c.lits in
+        let o0 = o + hdr_words in
         (* normalize: put the falsified watcher at position 1 *)
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
+        if seg.(o0) = false_lit then begin
+          seg.(o0) <- seg.(o0 + 1);
+          seg.(o0 + 1) <- false_lit
         end;
-        if value_lit s lits.(0) = Cnf.True then incr i
+        let first = seg.(o0) in
+        let first_val = Bytes.get vals first in
+        if first_val = l_true then incr i
         else begin
           (* look for a replacement watch *)
-          let n = Array.length lits in
-          let k = ref 2 in
-          while !k < n && value_lit s lits.(!k) = Cnf.False do
+          let stop = o0 + size_of hdr in
+          let k = ref (o0 + 2) in
+          while !k < stop && Bytes.get vals seg.(!k) = l_false do
             incr k
           done;
-          if !k < n then begin
+          if !k < stop then begin
             let k = !k in
-            lits.(1) <- lits.(k);
-            lits.(k) <- false_lit;
-            watch s (negate lits.(1)) c;
+            let w = seg.(k) in
+            seg.(o0 + 1) <- w;
+            seg.(k) <- false_lit;
+            push_int watches.(negate w) c;
             swap_remove ws !i
           end
-          else if value_lit s lits.(0) = Cnf.False then begin
+          else if first_val = l_false then begin
             (* conflict: drain queue *)
             conflict := c;
             s.qhead <- trail.Vec.sz;
             i := ws.Vec.sz
           end
           else begin
-            enqueue s lits.(0) c;
+            enqueue s first c;
             incr i
           end
         end
@@ -280,10 +329,15 @@ let var_bump s v =
     s.var_inc <- s.var_inc *. 1e-100
   end
 
-let clause_bump s c =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun c -> c.activity <- c.activity *. 1e-20) s.learnts;
+(* Bumps a learnt clause's activity; [slot] is its activity slot. The
+   rescale runs over every slot, free ones too, which is harmless. *)
+let clause_bump s slot =
+  let act = s.act in
+  act.(slot) <- act.(slot) +. s.cla_inc;
+  if act.(slot) > 1e20 then begin
+    for i = 0 to s.n_slots - 1 do
+      act.(i) <- act.(i) *. 1e-20
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -291,20 +345,20 @@ let clause_bump s c =
    literals are all in the clause already or fixed at the root. *)
 let is_redundant s q =
   let c = s.reason.(var_of q) in
-  c != dummy_clause
+  c >= 0
   &&
-  let lits = c.lits and nq = negate q in
-  let n = Array.length lits in
-  let i = ref 0 in
+  let seg = seg_of s c and o0 = off_of c + hdr_words in
+  let stop = o0 + size_of seg.(o0 - hdr_words) and nq = negate q in
+  let i = ref o0 in
   while
-    !i < n
+    !i < stop
     &&
-    let l = lits.(!i) in
+    let l = seg.(!i) in
     l = nq || s.seen.(var_of l) || s.level.(var_of l) = 0
   do
     incr i
   done;
-  !i = n
+  !i = stop
 
 (* First-UIP conflict analysis. Leaves the learnt clause in [s.learnt],
    asserting literal first, then the other literals in reverse order of
@@ -320,11 +374,14 @@ let analyze s confl =
   let continue = ref true in
   while !continue do
     let c = !confl in
-    if c != dummy_clause then begin
-      if c.learnt then clause_bump s c;
-      let start = if !p = -1 then 0 else 1 in
-      for j = start to Array.length c.lits - 1 do
-        let q = c.lits.(j) in
+    if c >= 0 then begin
+      let seg = seg_of s c and o = off_of c in
+      let hdr = seg.(o) in
+      if hdr land learnt_bit <> 0 then clause_bump s seg.(o + 1);
+      let o0 = o + hdr_words in
+      let start = if !p = -1 then o0 else o0 + 1 in
+      for j = start to o0 + size_of hdr - 1 do
+        let q = seg.(j) in
         let v = var_of q in
         if (not seen.(v)) && s.level.(v) > 0 then begin
           seen.(v) <- true;
@@ -374,9 +431,10 @@ let cancel_until s lvl =
     for i = s.trail.Vec.sz - 1 downto bound do
       let l = s.trail.Vec.data.(i) in
       let v = var_of l in
-      s.assigns.(v) <- Cnf.Unknown;
+      Bytes.set s.vals l l_undef;
+      Bytes.set s.vals (negate l) l_undef;
       s.polarity.(v) <- is_pos l;
-      s.reason.(v) <- dummy_clause;
+      s.reason.(v) <- -1;
       s.level.(v) <- -1;
       if s.order.Heap.index.(v) < 0 then Heap.insert s.order v
     done;
@@ -385,25 +443,43 @@ let cancel_until s lvl =
     s.qhead <- bound
   end
 
+(* Marks [q]'s variable for [analyze_final], remembering it in
+   [seen_lits] so that the marks can be cleared. *)
+let mark_final s q =
+  let v = var_of q in
+  if (not s.seen.(v)) && s.level.(v) > 0 then begin
+    s.seen.(v) <- true;
+    push_int s.seen_lits v
+  end
+
+let mark_clause_final s c =
+  let seg = seg_of s c and o0 = off_of c + hdr_words in
+  for j = o0 to o0 + size_of seg.(o0 - hdr_words) - 1 do
+    mark_final s seg.(j)
+  done
+
+(* Whether trail position [i] opens a decision level. *)
+let is_boundary s i =
+  let n = decision_level s in
+  let k = ref 0 in
+  while !k < n && s.trail_lim.Vec.data.(!k) <> i do
+    incr k
+  done;
+  !k < n
+
 (* Assumption-aware final conflict analysis (MiniSat's [analyzeFinal]):
-   starting from the literals of a conflicting clause, resolve back
-   through the implication graph until only assumption pseudo-decisions
-   remain. The result is the subset of the assumptions that actually
-   drove the conflict — a core: the formula is already unsatisfiable
-   under just these literals. Must run before the trail is cancelled. *)
-let analyze_final s confl_lits =
+   starting from the literals of a conflicting clause [confl] (or, when
+   [confl] is -1, from the one literal [l]), resolve back through the
+   implication graph until only assumption pseudo-decisions remain. The
+   result is the subset of the assumptions that actually drove the
+   conflict — a core: the formula is already unsatisfiable under just
+   these literals. Must run before the trail is cancelled. *)
+let analyze_final s confl l =
   if decision_level s = 0 then []
   else begin
-    let seen = s.seen in
-    let marked = ref [] in
-    let mark q =
-      let v = var_of q in
-      if (not seen.(v)) && s.level.(v) > 0 then begin
-        seen.(v) <- true;
-        marked := v :: !marked
-      end
-    in
-    Array.iter mark confl_lits;
+    let seen = s.seen and marked = s.seen_lits in
+    marked.Vec.sz <- 0;
+    if confl >= 0 then mark_clause_final s confl else mark_final s l;
     let core = ref [] in
     let bound = s.trail_lim.Vec.data.(0) in
     (* Only literals sitting at a level boundary are pseudo-decisions
@@ -413,111 +489,282 @@ let analyze_final s confl_lits =
        learnt clauses are consequences of the clause set alone, so such
        a literal needs no assumption behind it and stays out of the
        core (nor is there a reason clause to resolve through). *)
-    let is_boundary i =
-      let n = decision_level s in
-      let rec go k = k < n && (s.trail_lim.Vec.data.(k) = i || go (k + 1)) in
-      go 0
-    in
     for i = s.trail.Vec.sz - 1 downto bound do
       let l = s.trail.Vec.data.(i) in
       let v = var_of l in
       if seen.(v) then begin
         let c = s.reason.(v) in
-        if c == dummy_clause then begin
-          if is_boundary i then core := l :: !core
+        if c < 0 then begin
+          if is_boundary s i then core := l :: !core
         end
-        else Array.iter mark c.lits
+        else mark_clause_final s c
       end
     done;
-    List.iter (fun v -> seen.(v) <- false) !marked;
+    for j = 0 to marked.Vec.sz - 1 do
+      seen.(marked.Vec.data.(j)) <- false
+    done;
     !core
   end
 
-(* Attach a clause of >= 2 literals to the watch lists. *)
-let attach s c =
-  watch s (negate c.lits.(0)) c;
-  watch s (negate c.lits.(1)) c
+(* ---- growing and compacting the store ---- *)
+
+let new_segment s need =
+  let size = max need (min seg_words (max 1024 s.late_words)) in
+  if s.nsegs = Array.length s.segs then begin
+    let segs = Array.make (2 * s.nsegs) [||] in
+    Array.blit s.segs 0 segs 0 s.nsegs;
+    s.segs <- segs
+  end;
+  s.segs.(s.nsegs) <- Array.make size 0;
+  s.nsegs <- s.nsegs + 1;
+  s.fill <- 0
+
+(* A block of [n] literals in the last segment, its header written and
+   its activity slot (a fresh one, at activity 0, for a learnt clause)
+   assigned; the caller writes the literals. *)
+let alloc s n ~learnt =
+  let need = n + hdr_words in
+  if s.fill + need > Array.length s.segs.(s.nsegs - 1) then new_segment s need;
+  let si = s.nsegs - 1 in
+  let seg = s.segs.(si) and o = s.fill in
+  s.fill <- o + need;
+  if si > 0 then s.late_words <- s.late_words + need;
+  seg.(o) <- (n lsl 2) lor if learnt then learnt_bit else 0;
+  if learnt then begin
+    let slot =
+      if s.free_slots.Vec.sz > 0 then begin
+        s.free_slots.Vec.sz <- s.free_slots.Vec.sz - 1;
+        s.free_slots.Vec.data.(s.free_slots.Vec.sz)
+      end
+      else begin
+        if s.n_slots = Array.length s.act then begin
+          let act = Array.make (2 * s.n_slots) 0.0 in
+          Array.blit s.act 0 act 0 s.n_slots;
+          s.act <- act
+        end;
+        s.n_slots <- s.n_slots + 1;
+        s.n_slots - 1
+      end
+    in
+    s.act.(slot) <- 0.0;
+    seg.(o + 1) <- slot
+  end;
+  (si lsl seg_bits) lor o
+
+(* Load [data.(0 .. n-1)] as a new clause and watch its first two
+   literals. *)
+let store_clause s data n ~learnt =
+  let c = alloc s n ~learnt in
+  let seg = seg_of s c and o0 = off_of c + hdr_words in
+  for j = 0 to n - 1 do
+    seg.(o0 + j) <- data.(j)
+  done;
+  push_int s.watches.(negate data.(0)) c;
+  push_int s.watches.(negate data.(1)) c;
+  c
+
+(* Moves every clause outside segment 0 into fresh segments, leaving
+   the deleted ones behind. A live clause's old block keeps its new
+   reference in its activity slot word, and the watch lists, reasons
+   and clause vectors are rewritten in place: a live clause keeps its
+   place in each, and a deleted clause still sitting in a watch list
+   becomes the sentinel, which [propagate] drops at the same visit it
+   would have dropped the clause. Literal order, activities and every
+   vector's order are kept, so the search is unchanged. *)
+let compact s =
+  let old = s.segs in
+  s.segs <- Array.make (Array.length old) [||];
+  s.segs.(0) <- old.(0);
+  s.nsegs <- 1;
+  s.fill <- Array.length old.(0);
+  s.late_words <- 0;
+  s.wasted <- 0;
+  let relocate (v : int Vec.t) =
+    for i = 0 to v.Vec.sz - 1 do
+      let c = v.Vec.data.(i) in
+      if c lsr seg_bits > 0 then begin
+        let seg = old.(c lsr seg_bits) and o = off_of c in
+        let hdr = seg.(o) in
+        let n = size_of hdr in
+        let c' = alloc s n ~learnt:false in
+        let seg' = seg_of s c' and o' = off_of c' in
+        seg'.(o') <- hdr;
+        seg'.(o' + 1) <- seg.(o + 1);
+        for j = hdr_words to hdr_words + n - 1 do
+          seg'.(o' + j) <- seg.(o + j)
+        done;
+        seg.(o + 1) <- c';
+        v.Vec.data.(i) <- c'
+      end
+    done
+  in
+  relocate s.clauses;
+  relocate s.learnts;
+  let forward c =
+    let seg = old.(c lsr seg_bits) and o = off_of c in
+    if seg.(o) land deleted_bit <> 0 then sentinel
+    else if c lsr seg_bits = 0 then c
+    else seg.(o + 1)
+  in
+  for l = 0 to (2 * s.nvars) + 1 do
+    let ws = s.watches.(l) in
+    for i = 0 to ws.Vec.sz - 1 do
+      ws.Vec.data.(i) <- forward ws.Vec.data.(i)
+    done
+  done;
+  for v = 1 to s.nvars do
+    let c = s.reason.(v) in
+    if c >= 0 then s.reason.(v) <- forward c
+  done;
+  s.n_compactions <- s.n_compactions + 1
 
 (* Record the clause [analyze] left in [s.learnt]. *)
 let record_learnt s =
-  let n = s.learnt.Vec.sz in
-  let arr = Array.sub s.learnt.Vec.data 0 n in
+  let learnt = s.learnt in
+  let n = learnt.Vec.sz and data = learnt.Vec.data in
   (match s.proof with
-  | Some t -> Proof.log_add t arr
+  | Some t -> Proof.log_add t (Array.sub data 0 n)
   | None -> ());
   if n = 1 then
     (* asserting unit: enqueue at the backjumped (root) level *)
-    enqueue s arr.(0) dummy_clause
+    enqueue s data.(0) (-1)
   else begin
     (* watch the asserting literal and a literal from the backjump level *)
     let max_i = ref 1 in
     for i = 2 to n - 1 do
-      if s.level.(var_of arr.(i)) > s.level.(var_of arr.(!max_i)) then max_i := i
+      if s.level.(var_of data.(i)) > s.level.(var_of data.(!max_i)) then
+        max_i := i
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!max_i);
-    arr.(!max_i) <- tmp;
-    let c = { lits = arr; activity = 0.0; learnt = true; deleted = false } in
-    push_clause s.learnts c;
-    attach s c;
-    clause_bump s c;
+    let tmp = data.(1) in
+    data.(1) <- data.(!max_i);
+    data.(!max_i) <- tmp;
+    let c = store_clause s data n ~learnt:true in
+    push_int s.learnts c;
+    clause_bump s (seg_of s c).(off_of c + 1);
     s.n_learnt_lits <- s.n_learnt_lits + n;
-    enqueue s arr.(0) c
+    enqueue s data.(0) c
   end
 
-let max_var lits = List.fold_left (fun m l -> Int.max m (var_of l)) 0 lits
-
-let add_clause s lits =
+let add_array s (lits : Cnf.lit array) =
   if s.ok then begin
     s.n_clauses_added <- s.n_clauses_added + 1;
-    ensure_vars s (max_var lits);
-    if s.proof <> None then s.originals <- Array.of_list lits :: s.originals;
-    (* root-level simplification: drop false lits, detect tautology —
-       once sorted, a literal and its negation sit side by side *)
-    let lits = List.sort_uniq Int.compare lits in
-    let rec complementary = function
-      | a :: (b :: _ as rest) -> b = negate a || complementary rest
-      | [ _ ] | [] -> false
-    in
-    let tauto =
-      complementary lits || List.exists (fun l -> value_lit s l = Cnf.True) lits
-    in
-    if not tauto then begin
-      let lits = List.filter (fun l -> value_lit s l <> Cnf.False) lits in
-      match lits with
-      | [] ->
+    ensure_vars s (Array.fold_left (fun m l -> Int.max m (var_of l)) 0 lits);
+    if s.proof <> None then s.originals <- lits :: s.originals;
+    (* root-level simplification: merge duplicates, detect tautology —
+       once sorted, a literal and its negation sit side by side — and
+       drop false lits *)
+    let a = Array.copy lits in
+    Array.sort Int.compare a;
+    let n = ref 0 and tauto = ref false in
+    for j = 0 to Array.length a - 1 do
+      let l = a.(j) in
+      if !n = 0 || a.(!n - 1) <> l then begin
+        if (!n > 0 && a.(!n - 1) = negate l) || value_lit s l = l_true then
+          tauto := true;
+        a.(!n) <- l;
+        incr n
+      end
+    done;
+    if not !tauto then begin
+      let kept = ref 0 in
+      for j = 0 to !n - 1 do
+        if value_lit s a.(j) <> l_false then begin
+          a.(!kept) <- a.(j);
+          incr kept
+        end
+      done;
+      match !kept with
+      | 0 ->
           s.ok <- false;
           log_empty s
-      | [ l ] ->
-          enqueue s l dummy_clause;
-          if propagate s != dummy_clause then begin
+      | 1 ->
+          enqueue s a.(0) (-1);
+          if propagate s >= 0 then begin
             s.ok <- false;
             log_empty s
           end
-      | _ ->
-          let arr = Array.of_list lits in
-          let c = { lits = arr; activity = 0.0; learnt = false; deleted = false } in
-          push_clause s.clauses c;
-          attach s c
+      | n -> push_int s.clauses (store_clause s a n ~learnt:false)
     end
   end
 
-(* Reduce the learnt-clause database: drop the less active half, keeping
-   clauses that are the current reason of an assignment. *)
-let reduce_db s =
-  let locked c =
-    Array.length c.lits > 0 && s.reason.(var_of c.lits.(0)) == c
+let add_clause s lits = add_array s (Array.of_list lits)
+
+(* [Array.sort]'s ternary heap sort, restated for the learnt vector
+   ordered by activity so that it stores ints only: the same
+   comparisons in the same order give the same permutation, ties
+   included, as sorting the vector with [compare] on activities. *)
+let sort_learnts s =
+  let a = s.learnts.Vec.data and l = s.learnts.Vec.sz in
+  let key c = s.act.((seg_of s c).(off_of c + 1)) in
+  (* the largest of [i]'s sons below [l], or -1 when it has none *)
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if key a.(i31) < key a.(i31 + 1) then i31 + 1 else i31 in
+      if key a.(x) < key a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && key a.(i31) < key a.(i31 + 1) then i31 + 1
+    else if i31 < l then i31
+    else -1
   in
+  let rec trickle l i e =
+    let j = maxson l i in
+    if j >= 0 && key a.(j) > key e then begin
+      a.(i) <- a.(j);
+      trickle l j e
+    end
+    else a.(i) <- e
+  in
+  let rec bubble l i =
+    let j = maxson l i in
+    if j < 0 then i
+    else begin
+      a.(i) <- a.(j);
+      bubble l j
+    end
+  in
+  let rec trickleup i e =
+    let father = (i - 1) / 3 in
+    if key a.(father) < key e then begin
+      a.(i) <- a.(father);
+      if father > 0 then trickleup father e else a.(0) <- e
+    end
+    else a.(i) <- e
+  in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* Reduce the learnt-clause database: drop the less active half, keeping
+   clauses that are the current reason of an assignment; then compact
+   the store once deleted clauses fill half of it outside segment 0. *)
+let reduce_db s =
   let learnts = s.learnts in
-  Vec.sort (fun a b -> compare a.activity b.activity) learnts;
+  sort_learnts s;
   let n = learnts.Vec.sz in
   let kept = ref 0 in
   for i = 0 to n - 1 do
     let c = learnts.Vec.data.(i) in
-    if i < n / 2 && (not (locked c)) && Array.length c.lits > 2 then begin
-      c.deleted <- true;
+    let seg = seg_of s c and o = off_of c in
+    let hdr = seg.(o) in
+    let size = size_of hdr in
+    let locked = s.reason.(var_of seg.(o + hdr_words)) = c in
+    if i < n / 2 && (not locked) && size > 2 then begin
+      seg.(o) <- hdr lor deleted_bit;
+      s.wasted <- s.wasted + size + hdr_words;
+      push_int s.free_slots seg.(o + 1);
       match s.proof with
-      | Some t -> Proof.log_delete t c.lits
+      | Some t -> Proof.log_delete t (Array.sub seg (o + hdr_words) size)
       | None -> ()
     end
     else begin
@@ -525,23 +772,39 @@ let reduce_db s =
       incr kept
     end
   done;
-  Vec.shrink learnts !kept
+  learnts.Vec.sz <- !kept;
+  if 2 * s.wasted > s.late_words then compact s
 
 (* The next decision literal, or -1 once every variable is assigned. *)
 let pick_branch_lit s =
   let lit = ref (-1) in
   while !lit < 0 && not (Heap.is_empty s.order) do
     let v = Heap.remove_max s.order in
-    if s.assigns.(v) = Cnf.Unknown then
+    if Bytes.get s.vals (v lsl 1) = l_undef then
       lit := if s.polarity.(v) then v lsl 1 else (v lsl 1) lor 1
   done;
   !lit
 
-(* The model check every Sat answer passes: a loop, so that it
+(* The model check every Sat answer passes: loops, so that it
    allocates nothing. *)
-let satisfies_clauses m (cs : clause Vec.t) =
+let satisfies_clauses s (m : Cnf.model) =
+  let satisfied c =
+    let seg = seg_of s c and o0 = off_of c + hdr_words in
+    let stop = o0 + size_of seg.(o0 - hdr_words) in
+    let j = ref o0 in
+    while
+      !j < stop
+      &&
+      let l = seg.(!j) in
+      m.(var_of l) <> is_pos l
+    do
+      incr j
+    done;
+    !j < stop
+  in
+  let cs = s.clauses in
   let i = ref 0 in
-  while !i < cs.Vec.sz && Cnf.satisfies m cs.Vec.data.(!i).lits do
+  while !i < cs.Vec.sz && satisfied cs.Vec.data.(!i) do
     incr i
   done;
   !i = cs.Vec.sz
@@ -549,7 +812,7 @@ let satisfies_clauses m (cs : clause Vec.t) =
 let extract_model s =
   let m = Array.make (s.nvars + 1) false in
   for v = 1 to s.nvars do
-    m.(v) <- s.assigns.(v) = Cnf.True
+    m.(v) <- Bytes.get s.vals (v lsl 1) = l_true
   done;
   m
 
@@ -568,6 +831,8 @@ let luby i =
   let sz, seq = expand 1 0 in
   reduce i sz seq
 
+let max_var lits = List.fold_left (fun m l -> Int.max m (var_of l)) 0 lits
+
 let solve_core ~assumptions ~budget ~stop s =
   s.conflict_core <- [];
   if not s.ok then Decided Unsat
@@ -575,7 +840,7 @@ let solve_core ~assumptions ~budget ~stop s =
     (* make sure assumption variables exist *)
     ensure_vars s (max_var assumptions);
     cancel_until s 0;
-    if propagate s != dummy_clause then begin
+    if propagate s >= 0 then begin
       s.ok <- false;
       log_empty s;
       Decided Unsat
@@ -591,19 +856,20 @@ let solve_core ~assumptions ~budget ~stop s =
       (* push assumptions as pseudo-decisions; [Some core] on failure *)
       let rec push_assumptions = function
         | [] -> None
-        | l :: rest -> (
-            match value_lit s l with
-            | Cnf.True -> push_assumptions rest
-            | Cnf.False ->
-                (* l is refuted by root facts and earlier assumptions:
-                   the core is l plus whatever implied its negation *)
-                Some (l :: analyze_final s [| l |])
-            | Cnf.Unknown ->
-                push_int s.trail_lim s.trail.Vec.sz;
-                enqueue s l dummy_clause;
-                let c = propagate s in
-                if c != dummy_clause then Some (analyze_final s c.lits)
-                else push_assumptions rest)
+        | l :: rest ->
+            let v = value_lit s l in
+            if v = l_true then push_assumptions rest
+            else if v = l_false then
+              (* l is refuted by root facts and earlier assumptions:
+                 the core is l plus whatever implied its negation *)
+              Some (l :: analyze_final s (-1) l)
+            else begin
+              push_int s.trail_lim s.trail.Vec.sz;
+              enqueue s l (-1);
+              let c = propagate s in
+              if c >= 0 then Some (analyze_final s c l)
+              else push_assumptions rest
+            end
       in
       match push_assumptions assumptions with
       | Some core ->
@@ -622,7 +888,7 @@ let solve_core ~assumptions ~budget ~stop s =
           let propagations = s.n_propagations - propagations0 in
           let status =
             if stop () then Netsim.Budget.Expired "cancelled"
-            else Netsim.Budget.check ~conflicts ~propagations budget
+            else Netsim.Budget.check ~steps:0 ~conflicts ~propagations budget
           in
           match status with
           | Netsim.Budget.Expired reason ->
@@ -630,7 +896,7 @@ let solve_core ~assumptions ~budget ~stop s =
               result := Some (Unknown { reason; conflicts; propagations })
           | Netsim.Budget.Within ->
               let confl = propagate s in
-              if confl != dummy_clause then begin
+              if confl >= 0 then begin
                 s.n_conflicts <- s.n_conflicts + 1;
                 incr conflicts_since_restart;
                 if decision_level s <= assumption_level then begin
@@ -648,7 +914,7 @@ let solve_core ~assumptions ~budget ~stop s =
                     s.ok <- false;
                     log_empty s
                   end
-                  else s.conflict_core <- analyze_final s confl.lits;
+                  else s.conflict_core <- analyze_final s confl (-1);
                   cancel_until s 0;
                   result := Some (Decided Unsat)
                 end
@@ -679,13 +945,13 @@ let solve_core ~assumptions ~budget ~stop s =
                 if l < 0 then begin
                   let m = extract_model s in
                   cancel_until s 0;
-                  assert (satisfies_clauses m s.clauses);
+                  assert (satisfies_clauses s m);
                   result := Some (Decided (Sat m))
                 end
                 else begin
                   s.n_decisions <- s.n_decisions + 1;
                   push_int s.trail_lim s.trail.Vec.sz;
-                  enqueue s l dummy_clause
+                  enqueue s l (-1)
                 end
               end
         done;
@@ -773,11 +1039,17 @@ let solve_assuming_certified ~assumptions s =
   | Error msg -> raise (Proof.Certification_failed msg));
   r
 
+(* Segment 0 is sized to the problem's clauses; once they are loaded it
+   is sealed, so that every later clause goes into a later segment. *)
 let of_problem ?(proof = false) (p : Cnf.problem) =
-  let s = create () in
+  let words =
+    List.fold_left (fun w c -> w + Array.length c + hdr_words) 0 p.clauses
+  in
+  let s = create_sized words in
   if proof then enable_proof s;
   ensure_vars s p.num_vars;
-  List.iter (fun c -> add_clause s (Array.to_list c)) (List.rev p.clauses);
+  List.iter (add_array s) (List.rev p.clauses);
+  s.fill <- Array.length s.segs.(0);
   s
 
 let solve_problem ?(certify = false) p =
@@ -792,6 +1064,7 @@ let stats s =
     learnt_literals = s.n_learnt_lits;
     max_vars = s.nvars;
     clauses_added = s.n_clauses_added;
+    compactions = s.n_compactions;
   }
 
 let pp_stats ppf st =

@@ -31,6 +31,9 @@ type stats = {
   learnt_literals : int;
   max_vars : int;
   clauses_added : int;
+  compactions : int;
+      (** times the clause store was compacted after a learnt-clause
+          reduction freed much of it *)
 }
 
 val create : unit -> t

@@ -356,11 +356,11 @@ let test_fault_window_blocks () =
 
 let test_budget_caps () =
   let b = Netsim.Budget.create ~steps:10 ~conflicts:5 () in
-  check "within" true (Netsim.Budget.check ~steps:9 ~conflicts:4 b = Netsim.Budget.Within);
-  check "step cap" true (Netsim.Budget.check ~steps:10 b <> Netsim.Budget.Within);
-  check "conflict cap" true (Netsim.Budget.check ~conflicts:5 b <> Netsim.Budget.Within);
+  check "within" true (Netsim.Budget.check ~steps:9 ~conflicts:4 ~propagations:0 b = Netsim.Budget.Within);
+  check "step cap" true (Netsim.Budget.check ~steps:10 ~conflicts:0 ~propagations:0 b <> Netsim.Budget.Within);
+  check "conflict cap" true (Netsim.Budget.check ~steps:0 ~conflicts:5 ~propagations:0 b <> Netsim.Budget.Within);
   check "unlimited never expires" true
-    (Netsim.Budget.check ~steps:max_int ~conflicts:max_int
+    (Netsim.Budget.check ~steps:max_int ~conflicts:max_int ~propagations:max_int
        Netsim.Budget.unlimited = Netsim.Budget.Within)
 
 let test_sched_delay_fast_forward () =

@@ -228,15 +228,15 @@ let test_budget_intersect_caps () =
   let b = Netsim.Budget.create ~conflicts:5 ~propagations:7 () in
   let i = Netsim.Budget.intersect a b in
   check "tighter conflict cap" true
-    (match Netsim.Budget.check ~conflicts:5 i with
+    (match Netsim.Budget.check ~steps:0 ~conflicts:5 ~propagations:0 i with
     | Netsim.Budget.Expired _ -> true
     | Netsim.Budget.Within -> false);
   check "steps cap kept from a" true
-    (match Netsim.Budget.check ~steps:100 i with
+    (match Netsim.Budget.check ~steps:100 ~conflicts:0 ~propagations:0 i with
     | Netsim.Budget.Expired _ -> true
     | Netsim.Budget.Within -> false);
   check "propagation cap kept from b" true
-    (match Netsim.Budget.check ~propagations:7 i with
+    (match Netsim.Budget.check ~steps:0 ~conflicts:0 ~propagations:7 i with
     | Netsim.Budget.Expired _ -> true
     | Netsim.Budget.Within -> false);
   check "within all caps" true
@@ -247,11 +247,11 @@ let test_budget_intersect_unlimited () =
   let b = Netsim.Budget.create ~conflicts:3 () in
   let i = Netsim.Budget.intersect Netsim.Budget.unlimited b in
   check "unlimited contributes no caps" true
-    (match Netsim.Budget.check ~conflicts:3 i with
+    (match Netsim.Budget.check ~steps:0 ~conflicts:3 ~propagations:0 i with
     | Netsim.Budget.Expired _ -> true
     | Netsim.Budget.Within -> false);
   check "still within below the cap" true
-    (Netsim.Budget.check ~conflicts:2 i = Netsim.Budget.Within);
+    (Netsim.Budget.check ~steps:0 ~conflicts:2 ~propagations:0 i = Netsim.Budget.Within);
   check "unlimited ∩ unlimited is unlimited" true
     (Netsim.Budget.is_unlimited
        (Netsim.Budget.intersect Netsim.Budget.unlimited Netsim.Budget.unlimited))
@@ -261,10 +261,11 @@ let test_budget_intersect_wall () =
   let b = Netsim.Budget.create ~wall_s:0.05 () in
   let i = Netsim.Budget.intersect a b in
   check "fresh intersection within" true
-    (Netsim.Budget.check i = Netsim.Budget.Within);
+    (Netsim.Budget.check ~steps:0 ~conflicts:0 ~propagations:0 i
+     = Netsim.Budget.Within);
   Unix.sleepf 0.1;
   check "earlier deadline wins" true
-    (match Netsim.Budget.check i with
+    (match Netsim.Budget.check ~steps:0 ~conflicts:0 ~propagations:0 i with
     | Netsim.Budget.Expired _ -> true
     | Netsim.Budget.Within -> false)
 

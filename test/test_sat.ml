@@ -733,6 +733,128 @@ let test_assumption_over_fresh_var () =
   | Sat.Solver.Sat m -> check "assumption not sticky" true (not m.(7))
   | Sat.Solver.Unsat -> Alcotest.fail "satisfiable with !7 too"
 
+(* ---- the clause store: long clauses, compaction ---- *)
+
+(* One session over random 3-SAT at the phase transition, solved under
+   enough assumption sets for [reduce_db] to run many times: the store
+   compacts along the way. *)
+let compacting_base =
+  Sat.Gen.random_ksat ~seed:7 ~k:3 ~num_vars:200 ~num_clauses:852
+
+let compacting_sets n =
+  List.init n (fun i ->
+      List.init 3 (fun j ->
+          let v = 1 + (((i * 37) + (j * 61)) mod 200) in
+          if (i + j) mod 2 = 0 then Sat.Cnf.pos v else Sat.Cnf.neg v))
+
+let compactions s = (Sat.Solver.stats s).Sat.Solver.compactions
+
+let same_verdict a b =
+  match (a, b) with
+  | Sat.Solver.Sat _, Sat.Solver.Sat _ | Sat.Solver.Unsat, Sat.Solver.Unsat ->
+      true
+  | _ -> false
+
+(* A clause longer than a 64K-word segment gets a segment of its own,
+   is moved by compaction like any other, and still propagates. Its
+   literals over fresh variables 201.. are all fixed false at the root
+   but the first two, so it acts as the binary clause (201 | 202). *)
+let test_clause_longer_than_segment () =
+  let n = 70_000 in
+  let s = Sat.Solver.of_problem compacting_base in
+  Sat.Solver.add_clause s (List.init n (fun i -> Sat.Cnf.pos (201 + i)));
+  for v = 200 + n downto 203 do
+    Sat.Solver.add_clause s [ Sat.Cnf.neg v ]
+  done;
+  List.iter
+    (fun a ->
+      let warm = Sat.Solver.solve ~assumptions:a s in
+      let cold =
+        Sat.Solver.solve ~assumptions:a (Sat.Solver.of_problem compacting_base)
+      in
+      check "warm verdict = cold verdict" true (same_verdict warm cold);
+      match warm with
+      | Sat.Solver.Sat m ->
+          check "the long clause holds" true (m.(201) || m.(202))
+      | Sat.Solver.Unsat -> ())
+    (compacting_sets 12);
+  check "the store compacted with the long clause in it" true
+    (compactions s > 0);
+  (match Sat.Solver.solve ~assumptions:[ Sat.Cnf.neg 201 ] s with
+  | Sat.Solver.Sat m -> check "the long clause propagates" true m.(202)
+  | Sat.Solver.Unsat -> Alcotest.fail "(201 | 202) with !201 is satisfiable");
+  match Sat.Solver.solve ~assumptions:[ Sat.Cnf.neg 201; Sat.Cnf.neg 202 ] s with
+  | Sat.Solver.Unsat ->
+      Alcotest.(check (list int))
+        "the core is both assumptions"
+        [ Sat.Cnf.neg 201; Sat.Cnf.neg 202 ]
+        (List.sort compare (Sat.Solver.failed_assumptions s))
+  | Sat.Solver.Sat _ -> Alcotest.fail "the long clause was lost"
+
+(* DRUP deletions logged before a compaction stay valid after it: a
+   refutation whose search compacted the store, and a proof-logging
+   session that compacted between its certified verdicts, are both
+   accepted by the independent checker. *)
+let test_certified_across_compaction () =
+  let p = Sat.Gen.random_ksat ~seed:3 ~k:3 ~num_vars:120 ~num_clauses:520 in
+  let s = Sat.Solver.of_problem ~proof:true p in
+  (match Sat.Solver.solve ~certify:true s with
+  | Sat.Solver.Unsat -> ()
+  | Sat.Solver.Sat _ -> Alcotest.fail "3sat-120 is unsat");
+  check "compacted mid-proof" true (compactions s > 0);
+  (match Sat.Solver.last_certification s with
+  | Some r -> check "deletions in the proof" true (r.Sat.Proof.deletions > 0)
+  | None -> Alcotest.fail "certification report missing");
+  let session = Sat.Solver.of_problem ~proof:true compacting_base in
+  let verdicts =
+    List.map
+      (fun assumptions ->
+        let before = compactions session in
+        let r = Sat.Solver.solve_assuming_certified ~assumptions session in
+        (r, before, Sat.Solver.last_certification session))
+      (compacting_sets 3)
+  in
+  match List.rev verdicts with
+  | (Sat.Solver.Unsat, before, Some r) :: _ ->
+      check "the session compacted before its refutation" true (before > 0);
+      check "refutation with deletions" true
+        (r.Sat.Proof.kind = `Refutation && r.Sat.Proof.deletions > 0)
+  | _ -> Alcotest.fail "the third set is a certified refutation"
+
+(* Reuse schedules long enough to compact the warm solver's store,
+   checked step by step against cold solvers by [Fuzz.check_schedule];
+   a replay of the same schedule counts the compactions. *)
+let test_reuse_schedules_compact () =
+  List.iter
+    (fun seed ->
+      let rng = Netsim.Rng.create seed in
+      let lit () =
+        let v = 1 + Netsim.Rng.int rng 200 in
+        if Netsim.Rng.bool rng then Sat.Cnf.pos v else Sat.Cnf.neg v
+      in
+      let ops =
+        List.concat_map
+          (fun a ->
+            if Netsim.Rng.int rng 3 = 0 then
+              [ Sat.Fuzz.Add_clause [ lit (); lit (); lit () ];
+                Sat.Fuzz.Solve_with a ]
+            else [ Sat.Fuzz.Solve_with a ])
+          (List.map (fun _ -> [ lit (); lit (); lit () ]) (compacting_sets 10))
+      in
+      (match Sat.Fuzz.check_schedule compacting_base ops with
+      | None -> ()
+      | Some (i, what) -> Alcotest.failf "seed %d, step %d: %s" seed i what);
+      let warm = Sat.Solver.of_problem compacting_base in
+      List.iter
+        (function
+          | Sat.Fuzz.Add_clause c -> Sat.Solver.add_clause warm c
+          | Sat.Fuzz.Solve_with a ->
+              ignore (Sat.Solver.solve ~assumptions:a warm))
+        ops;
+      if compactions warm = 0 then
+        Alcotest.failf "seed %d: the schedule never compacted" seed)
+    [ 1; 2 ]
+
 let qcheck_solve_bounded_agrees =
   QCheck.Test.make ~count:30
     ~name:"generous solve_bounded verdict agrees with solve"
@@ -800,6 +922,12 @@ let suite =
     Alcotest.test_case "failed_assumptions core" `Quick test_failed_assumptions;
     Alcotest.test_case "certified solve under assumptions" `Quick test_solve_assuming_certified;
     Alcotest.test_case "assumption over a fresh variable" `Quick test_assumption_over_fresh_var;
+    Alcotest.test_case "a clause longer than a store segment" `Quick
+      test_clause_longer_than_segment;
+    Alcotest.test_case "certified refutations across compaction" `Quick
+      test_certified_across_compaction;
+    Alcotest.test_case "reuse schedules that compact = cold oracle" `Quick
+      test_reuse_schedules_compact;
     QCheck_alcotest.to_alcotest qcheck_solve_bounded_agrees;
     QCheck_alcotest.to_alcotest qcheck_cdcl_vs_dpll;
     QCheck_alcotest.to_alcotest qcheck_luby_like_restart_progress;

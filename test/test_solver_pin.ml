@@ -4,13 +4,15 @@
    of the failed-assumption core; certified solves add the DRUP trail
    length and the certificate. The expected lists were recorded from the
    solver before its hot path was reworked for allocation and inlining,
-   so any change to the search itself — a decision, a propagation, a
-   learnt literal's order, a reduce_db deletion — shows up here as a
-   changed fingerprint, not just as a changed verdict.
+   and the 3sat-200 list from the solver before its clause store, when
+   clauses were records: any change to the search itself — a decision,
+   a propagation, a learnt literal's order, a reduce_db deletion —
+   shows up here as a changed fingerprint, not just as a changed
+   verdict.
 
    The allocation gate at the end holds the other half of that rework:
-   a warm verdict on the 2p2v/4st shared translation allocates almost
-   nothing. *)
+   a verdict on the 2p2v/4st shared translation, cold or warm,
+   allocates almost nothing. *)
 
 module S = Sat.Solver
 
@@ -148,6 +150,33 @@ let fp_shared () =
         (cell_assumptions sh))
     [ 0; 1; 2; 3; 4; 5 ]
 
+(* One session long enough for [reduce_db] to run many times between
+   assumption changes, so that the pins cover the clause store's
+   compaction (the last test below checks that it happens): random
+   3-SAT with 200 variables at the phase transition, solved under
+   twelve assumption sets that give both verdicts. *)
+let random_3sat_200 =
+  Sat.Gen.random_ksat ~seed:7 ~k:3 ~num_vars:200 ~num_clauses:852
+
+let assumption_sets =
+  List.init 12 (fun i ->
+      List.init 3 (fun j ->
+          let v = 1 + (((i * 37) + (j * 61)) mod 200) in
+          if (i + j) mod 2 = 0 then Sat.Cnf.pos v else Sat.Cnf.neg v))
+
+let compaction_session =
+  lazy
+    (let s = S.of_problem random_3sat_200 in
+     let lines =
+       List.mapi
+         (fun i assumptions ->
+           Printf.sprintf "set %d %s" i (verdict s (S.solve ~assumptions s)))
+         assumption_sets
+     in
+     (s, lines))
+
+let fp_compaction () = snd (Lazy.force compaction_session)
+
 let groups =
   [
     ("solve", fp_solve);
@@ -155,8 +184,10 @@ let groups =
     ("solve ~certify", fp_certified);
     ("solve_assuming_certified", fp_assuming_certified);
     ("2p2v/4st shared translation, one session", fp_shared);
+    ("3sat-200 under twelve assumption sets, one session", fp_compaction);
   ]
-(* ---- the pins, recorded from the solver before the rework ---- *)
+(* ---- the pins, recorded from the solver before the rework (the last
+   group: before the clause store) ---- *)
 
 let expected =
   [
@@ -251,6 +282,21 @@ let expected =
         "pass 5 submod+rebid-attack sat d=29726 c=6004 p=4713715 r=31 l=2364229 m=800b2bbef15b";
         "pass 5 nonsubmod+rebid-attack sat d=29944 c=6055 p=4772135 r=31 l=2392573 m=e53c51c0d178";
       ] );
+    ( "3sat-200 under twelve assumption sets, one session",
+      [
+        "set 0 sat d=4133 c=3378 p=126695 r=16 l=39990 m=d9386aa93207";
+        "set 1 sat d=4729 c=3851 p=144585 r=19 l=45132 m=6544eb8f8462";
+        "set 2 unsat d=6805 c=5580 p=212646 r=30 l=64748 core=65fb81bd7dd1";
+        "set 3 sat d=6926 c=5659 p=215945 r=30 l=65836 m=56b3e721fff8";
+        "set 4 sat d=6957 c=5659 p=216145 r=30 l=65836 m=56b3e721fff8";
+        "set 5 sat d=7552 c=6118 p=233933 r=33 l=71618 m=7c3a59b9943f";
+        "set 6 unsat d=12807 c=10530 p=406911 r=54 l=124463 core=8586557833bf";
+        "set 7 sat d=14748 c=12117 p=470866 r=63 l=145062 m=2b6f2a46d43d";
+        "set 8 sat d=14865 c=12188 p=473947 r=63 l=145902 m=f186f81e871d";
+        "set 9 unsat d=17713 c=14558 p=561000 r=76 l=173712 core=9520e96a0fde";
+        "set 10 unsat d=21389 c=17593 p=672476 r=90 l=209028 core=27ed658904ca";
+        "set 11 sat d=25123 c=20672 p=792130 r=104 l=247648 m=da8aa0ce9a85";
+      ] );
   ]
 
 let test_group name f () =
@@ -264,15 +310,19 @@ let minor_words f =
   let r = f () in
   (r, Gc.minor_words () -. w0)
 
-(* A warm verdict allocates little beyond its answer and the clauses it
-   learns: no per-propagation garbage (reasons are not boxed) and no
-   per-clause garbage in the model check every Sat answer passes. The
-   solver before the rework allocated about 650K minor words for a
-   warm Sat verdict on this translation. The session warms up over two
-   passes: the first warm pass still searches hard on one cell (1,602
-   conflicts, and each conflict allocates its learnt clause), so the
-   gate holds on the second and third warm passes. *)
-let test_warm_verdict_allocation () =
+(* A verdict allocates little beyond its answer: no per-propagation
+   garbage (reasons are clause references, not boxed), no per-clause
+   garbage in the model check every Sat answer passes, no learnt-clause
+   garbage (learnt clauses are written into the clause store) and no
+   boxed counters in the budget poll. What is left is the two decayed
+   activity increments of each conflict and, while a session is cold,
+   watch lists outgrowing their arrays. The solver before the
+   allocation rework took about 650K minor words for a warm Sat verdict
+   on this translation; before the clause store, the cold submod cell
+   took 271K and the first warm pass up to 172K. The gate covers every
+   verdict of the session: the six cold cells, the first warm pass,
+   which still searches hard on one cell, and two more warm passes. *)
+let test_verdict_allocation () =
   let sh = Lazy.force shared in
   let session = Relalg.Translate.session sh.Core.Mca_model.shared_translation in
   let cells = cell_assumptions sh in
@@ -281,10 +331,7 @@ let test_warm_verdict_allocation () =
       ~budget:(Netsim.Budget.create ~wall_s:300.0 ())
       session assumptions
   in
-  for _warm_up = 1 to 2 do
-    List.iter (fun (_, a) -> ignore (solve a)) cells
-  done;
-  for pass = 2 to 3 do
+  for pass = 0 to 3 do
     List.iter
       (fun (label, a) ->
         let outcome, words = minor_words (fun () -> solve a) in
@@ -294,10 +341,18 @@ let test_warm_verdict_allocation () =
             Alcotest.failf "pass %d %s: unknown (%s)" pass label r);
         if words >= 50_000.0 then
           Alcotest.failf
-            "pass %d %s: a warm verdict allocated %.0f minor words (gate 50K)"
+            "pass %d %s: a verdict allocated %.0f minor words (gate 50K)"
             pass label words)
       cells
   done
+
+(* The compaction pin above is only a pin of the store's compaction if
+   its session compacts, several times. *)
+let test_compaction_pin_compacts () =
+  let s, _ = Lazy.force compaction_session in
+  let n = (S.stats s).S.compactions in
+  if n < 2 then
+    Alcotest.failf "the 3sat-200 session compacted its store %d times" n
 
 let suite =
   List.map
@@ -305,6 +360,9 @@ let suite =
       Alcotest.test_case ("search pin: " ^ name) `Quick (test_group name f))
     groups
   @ [
-      Alcotest.test_case "warm verdict allocates < 50K minor words" `Quick
-        test_warm_verdict_allocation;
+      Alcotest.test_case
+        "warm verdict allocates < 50K minor words, as do the cold ones" `Quick
+        test_verdict_allocation;
+      Alcotest.test_case "the 3sat-200 session compacts its clause store"
+        `Quick test_compaction_pin_compacts;
     ]
