@@ -62,6 +62,19 @@ val canonical_key : t -> string
     than a hash: two states have equal keys iff they are equal up to
     timestamp ranks and the order of the buffer. *)
 
+type packed = private {
+  mutable bytes : Bytes.t;
+  mutable len : int;
+  mutable hash : int;
+}
+(** The calling domain's key buffer. *)
+
+val pack : t -> packed
+(** Packs {!canonical_key}'s bytes into the calling domain's buffer,
+    without allocating: they are [bytes.[0 .. len-1]], zero-padded to
+    whole 8-byte words, and [hash] is the same for equal keys. The
+    buffer is reused by the domain's next [pack] or [canonical_key]. *)
+
 val consensus : t -> bool
 val conflict_free : t -> bool
 val pp : Format.formatter -> t -> unit

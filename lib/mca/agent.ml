@@ -7,7 +7,7 @@ type t = {
   policy : Policy.t;
   view : entry array;
   mutable bundle : item_id list; (* order of addition *)
-  lost : bool array;
+  mutable lost : bool array; (* never written in place: clones share it *)
   mutable clock : int;
 }
 
@@ -46,17 +46,17 @@ let beats t u entry =
   | Nobody -> true
   | Agent w -> u > entry.bid || (u = entry.bid && t.agent_id < w)
 
-(* The next bid of the bidding mechanism, [(item, bid)], or [None] when
-   the bundle is full or no candidate remains. Candidate items: not
-   already held and — for honest agents — the marginal utility must beat
-   the highest bid known for the item. That beat-check IS Remark 1:
-   while someone's higher bid stands, the agent cannot bid again on the
-   item. A rebidding attacker drops the check and resurrects its claim
-   regardless. *)
-let next_bid t =
-  if List.length t.bundle >= t.policy.Policy.target_items then None
+(* The item of the next bid of the bidding mechanism, its bid left in
+   [bid], or -1 when the bundle is full or no candidate remains.
+   Candidate items: not already held and — for honest agents — the
+   marginal utility must beat the highest bid known for the item. That
+   beat-check IS Remark 1: while someone's higher bid stands, the agent
+   cannot bid again on the item. A rebidding attacker drops the check
+   and resurrects its claim regardless. *)
+let next_bid t bid =
+  if List.length t.bundle >= t.policy.Policy.target_items then -1
   else begin
-    let best = ref None in
+    let best = ref (-1) in
     for j = 0 to t.num_items - 1 do
       let held = List.mem j t.bundle in
       if not held then begin
@@ -67,28 +67,28 @@ let next_bid t =
         if
           (if t.policy.Policy.rebid_lost then u > 0
            else beats t u t.view.(j))
-        then
-          match !best with
-          | Some (_, u') when u' >= u -> ()
-          | _ -> best := Some (j, u)
+          && (!best < 0 || u > !bid)
+        then begin
+          best := j;
+          bid := u
+        end
       end
     done;
     !best
   end
 
-let would_bid t = Option.is_some (next_bid t)
+let would_bid t = next_bid t (ref 0) >= 0
 
 let bid_phase t =
   let changed = ref false in
-  let continue = ref true in
-  while !continue do
-    match next_bid t with
-    | None -> continue := false
-    | Some (j, u) ->
-        t.clock <- t.clock + 1;
-        t.view.(j) <- { winner = Agent t.agent_id; bid = u; time = t.clock };
-        t.bundle <- t.bundle @ [ j ];
-        changed := true
+  let bid = ref 0 in
+  let j = ref (next_bid t bid) in
+  while !j >= 0 do
+    t.clock <- t.clock + 1;
+    t.view.(!j) <- { winner = Agent t.agent_id; bid = !bid; time = t.clock };
+    t.bundle <- t.bundle @ [ !j ];
+    changed := true;
+    j := next_bid t bid
   done;
   !changed
 
@@ -157,7 +157,10 @@ let handle_outbid t j =
   (* only a genuine overbid by another agent counts as "lost" (Remark 1);
      a reset (winner back to Nobody) leaves the item rebiddable *)
   (match t.view.(j).winner with
-  | Agent w when w <> t.agent_id -> t.lost.(j) <- true
+  | Agent w when w <> t.agent_id && not t.lost.(j) ->
+      let lost = Array.copy t.lost in
+      lost.(j) <- true;
+      t.lost <- lost
   | Agent _ | Nobody -> ());
   if t.policy.Policy.release_outbid then begin
     t.bundle <- before;
@@ -171,6 +174,14 @@ let handle_outbid t j =
       after
   end
   else t.bundle <- before @ after
+
+(* The first item of [bundle] the agent no longer wins, or -1. *)
+let rec first_outbid t = function
+  | [] -> -1
+  | j :: rest -> (
+      match t.view.(j).winner with
+      | Agent w when w = t.agent_id -> first_outbid t rest
+      | Agent _ | Nobody -> j)
 
 let receive t (msg : message) =
   if Array.length msg.view <> t.num_items then
@@ -195,23 +206,12 @@ let receive t (msg : message) =
   done;
   (* outbid detection: drop every bundle item we no longer win,
      earliest-added first (release_outbid may drop later ones with it) *)
-  let rec purge () =
-    let outbid =
-      List.find_opt
-        (fun j ->
-          match t.view.(j).winner with
-          | Agent w -> w <> t.agent_id
-          | Nobody -> true)
-        t.bundle
-    in
-    match outbid with
-    | None -> ()
-    | Some j ->
-        handle_outbid t j;
-        changed := true;
-        purge ()
-  in
-  purge ();
+  let j = ref (first_outbid t t.bundle) in
+  while !j >= 0 do
+    handle_outbid t !j;
+    changed := true;
+    j := first_outbid t t.bundle
+  done;
   !changed
 
 let pp ppf t =
@@ -226,9 +226,4 @@ let pp ppf t =
        Format.pp_print_int)
     (lost_items t)
 
-let clone t =
-  {
-    t with
-    view = Array.copy t.view;
-    lost = Array.copy t.lost;
-  }
+let clone t = { t with view = Array.copy t.view }

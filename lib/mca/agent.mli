@@ -58,5 +58,6 @@ val receive : t -> Types.message -> bool
 val pp : Format.formatter -> t -> unit
 
 val clone : t -> t
-(** Deep copy — the explicit-state checker copies an agent before a
+(** An independent copy: no later mutation of either agent shows in the
+    other. The explicit-state checker copies an agent before a
     transition mutates it, so the states it forks share the rest. *)

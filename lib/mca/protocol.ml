@@ -31,13 +31,13 @@ let make_agents cfg =
       Agent.create ~id:i ~num_items:cfg.num_items
         ~base_utility:cfg.base_utilities.(i) ~policy:cfg.policies.(i))
 
-let consensus_reached agents =
-  match Array.to_list agents with
-  | [] | [ _ ] -> true
-  | first :: rest ->
-      List.for_all
-        (fun a -> Types.view_equal (Agent.view first) (Agent.view a))
-        rest
+(* Whether agents [i ..] all hold the view of agent 0. *)
+let rec agree_from agents i =
+  i >= Array.length agents
+  || Types.view_equal (Agent.view agents.(0)) (Agent.view agents.(i))
+     && agree_from agents (i + 1)
+
+let consensus_reached agents = agree_from agents 1
 
 let conflict_free agents =
   let claimed = Hashtbl.create 16 in

@@ -219,13 +219,13 @@ let new_var s =
 (* ---- the hot path ----
 
    Dune's default profile compiles with -opaque, so no call into another
-   module is ever inlined: a [Cnf.var_of] or a [Vec.get] in the
+   module is ever inlined: a [Cnf.var_of] or a [Vec.push] in the
    propagation loop is an out-of-line call. The literal arithmetic of
-   {!Cnf} and the few {!Vec} operations the search loops need are
-   therefore restated here, where they are inlined. They must mean
-   exactly what the originals mean — above all, [push_int] and
-   [swap_remove] keep Vec's order, which fixes the order watchers are
-   visited in, and with it the whole search. Every vector the search
+   {!Cnf} and the few vector operations the search loops need are
+   therefore written here, on {!Vec}'s fields, where they are inlined.
+   Their order is part of the search: [push_int] appends and
+   [swap_remove] moves the last element into the gap, which fixes the
+   order watchers are visited in, and with it the whole search. Every vector the search
    writes holds ints, so none of these stores calls the write
    barrier. *)
 

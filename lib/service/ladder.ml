@@ -25,6 +25,24 @@ let cancelled = function
   | Core.Experiments.Undecided "cancelled" -> true
   | _ -> false
 
+let guarded ?(now = Unix.gettimeofday) t rung run =
+  let b = breaker t rung in
+  if not (Breaker.admit b ~now:(now ())) then None
+  else begin
+    let v = (run () : Core.Experiments.sweep_verdict) in
+    (match v with
+    | Core.Experiments.Undecided _ when cancelled v ->
+        (* a drain or request-deadline cancellation says nothing about
+           the backend's health: no breaker transition. The probe slot
+           must still be released: if this admit was the half-open
+           probe, leaving [probing] set would wedge the breaker open
+           forever. *)
+        Breaker.cancel b
+    | Core.Experiments.Undecided _ -> Breaker.timeout b ~now:(now ())
+    | Core.Experiments.Holds | Core.Experiments.Violated -> Breaker.success b);
+    Some v
+  end
+
 let decide ?(now = Unix.gettimeofday) t rungs =
   let trail = ref [] in
   let note rung what = trail := (rung_name rung, what) :: !trail in
@@ -39,33 +57,21 @@ let decide ?(now = Unix.gettimeofday) t rungs =
              ^ String.concat "; "
                  (List.rev_map (fun (r, w) -> r ^ "=" ^ w) !trail)))
           "none" ~degraded:true
-    | (rung, run) :: rest ->
-        let b = breaker t rung in
-        if not (Breaker.admit b ~now:(now ())) then begin
-          note rung "open";
-          walk true rest
-        end
-        else begin
-          match (run () : Core.Experiments.sweep_verdict) with
-          | Core.Experiments.Undecided _ as v when cancelled v ->
-              (* a drain or request-deadline cancellation says nothing
-                 about the backend's health: no breaker transition, and
-                 no point trying cheaper rungs — the request is out of
-                 time. The probe slot must still be released: if this
-                 admit was the half-open probe, leaving [probing] set
-                 would wedge the breaker open forever. *)
-              Breaker.cancel b;
-              note rung "cancelled";
-              finish v "none" ~degraded
-          | Core.Experiments.Undecided reason ->
-              Breaker.timeout b ~now:(now ());
-              note rung reason;
-              walk true rest
-          | v ->
-              Breaker.success b;
-              note rung "decided";
-              finish v (rung_name rung) ~degraded
-        end
+    | (rung, run) :: rest -> (
+        match guarded ~now t rung run with
+        | None ->
+            note rung "open";
+            walk true rest
+        | Some (Core.Experiments.Undecided _ as v) when cancelled v ->
+            (* no point trying cheaper rungs: the request is out of time *)
+            note rung "cancelled";
+            finish v "none" ~degraded
+        | Some (Core.Experiments.Undecided reason) ->
+            note rung reason;
+            walk true rest
+        | Some v ->
+            note rung "decided";
+            finish v (rung_name rung) ~degraded)
   in
   walk false rungs
 

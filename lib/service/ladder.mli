@@ -36,6 +36,14 @@ type answer = {
           ["cancelled"], or the [Undecided] reason *)
 }
 
+val guarded :
+  ?now:(unit -> float) ->
+  t -> rung -> (unit -> Core.Experiments.sweep_verdict) ->
+  Core.Experiments.sweep_verdict option
+(** Runs one rung through its breaker: [None] when the breaker refuses
+    it, else the verdict, recorded on the breaker as {!decide} records
+    it. {!decide} runs every rung through this. *)
+
 val decide :
   ?now:(unit -> float) ->
   t -> (rung * (unit -> Core.Experiments.sweep_verdict)) list -> answer

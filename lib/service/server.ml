@@ -345,7 +345,8 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
         | _ -> false
       in
       (* computed at most once, shared between the ladder's bottom rung
-         and the reply's exhaustive column *)
+         and the reply's exhaustive column, and only through the
+         explicit rung's breaker *)
       let exhaustive =
         lazy
           (match Checker.Explore.run ~stop ~budget:(remaining_until 1.0) cfg with
@@ -375,10 +376,21 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
           ~exhaustive:(fun () -> Lazy.force exhaustive)
           t.ladder
       in
-      (* forced before the clock is read: record fields are evaluated
+      (* decided before the clock is read: record fields are evaluated
          right to left, so inside the record [cell_seconds] would leave
-         the checker out *)
-      let exhaustive = Lazy.force exhaustive in
+         the checker out. When the ladder stopped above the explicit
+         rung, the reply's column still asks the rung's breaker, so an
+         open breaker sheds the exploration; its [unknown] column keeps
+         the cell out of the journal and the cache. *)
+      let exhaustive =
+        if Lazy.is_val exhaustive then Lazy.force exhaustive
+        else
+          match
+            Ladder.guarded t.ladder Ladder.Explicit (fun () -> Lazy.force exhaustive)
+          with
+          | Some v -> v
+          | None -> Core.Experiments.Undecided "explicit breaker open"
+      in
       let cell =
         {
           Core.Experiments.policy_label = req.Wire.policy;

@@ -105,6 +105,155 @@ let reference_key (s : Checker.State.t) =
     (List.sort compare pend_strs);
   Buffer.contents buf
 
+(* The packed key as it was built before it moved into per-domain
+   scratch, frozen verbatim: a fresh array of times, a fresh byte string
+   written field by field, buffer records sorted by swapping bytes.
+   [State.canonical_key] must return exactly these bytes. *)
+module Frozen = struct
+  open Checker.State
+
+  let sort_prefix (a : int array) len =
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+  let dedup_prefix (a : int array) len =
+    if len = 0 then 0
+    else begin
+      let k = ref 1 in
+      for i = 1 to len - 1 do
+        if a.(i) <> a.(!k - 1) then begin
+          a.(!k) <- a.(i);
+          incr k
+        end
+      done;
+      !k
+    end
+
+  let rank (a : int array) k t =
+    let lo = ref 0 and hi = ref (k - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) < t then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let swap_if_after b a size =
+    let i = ref 0 in
+    while !i < size && Bytes.get b (a + !i) = Bytes.get b (a + size + !i) do
+      incr i
+    done;
+    !i < size
+    && Bytes.get b (a + !i) > Bytes.get b (a + size + !i)
+    && begin
+         for j = !i to size - 1 do
+           let c = Bytes.get b (a + j) in
+           Bytes.set b (a + j) (Bytes.get b (a + size + j));
+           Bytes.set b (a + size + j) c
+         done;
+         true
+       end
+
+  let sort_records b start size count =
+    for i = 1 to count - 1 do
+      let j = ref (i - 1) in
+      while !j >= 0 && swap_if_after b (start + (!j * size)) size do
+        decr j
+      done
+    done
+
+  let winner_code = function Mca.Types.Nobody -> 0 | Mca.Types.Agent i -> i + 1
+
+  let note_times times nt (view : Mca.Types.view) =
+    for j = 0 to Array.length view - 1 do
+      times.(nt + j) <- view.(j).Mca.Types.time
+    done;
+    nt + Array.length view
+
+  let view_bits bits (view : Mca.Types.view) =
+    Array.fold_left
+      (fun bits (e : Mca.Types.entry) ->
+        bits lor winner_code e.Mca.Types.winner lor e.Mca.Types.bid)
+      bits view
+
+  let put b w pos v =
+    (match w with
+    | 1 -> Bytes.set_uint8 b pos v
+    | 2 -> Bytes.set_uint16_le b pos v
+    | _ -> Bytes.set_int64_le b pos (Int64.of_int v));
+    pos + w
+
+  let put_view b w times k pos (view : Mca.Types.view) =
+    let pos = ref pos in
+    for j = 0 to Array.length view - 1 do
+      let e = view.(j) in
+      pos := put b w !pos (winner_code e.Mca.Types.winner);
+      pos := put b w !pos e.Mca.Types.bid;
+      pos := put b w !pos (rank times k e.Mca.Types.time)
+    done;
+    !pos
+
+  let key s =
+    let agents = s.agents in
+    let n = Array.length agents in
+    let items = if n = 0 then 0 else Array.length (Mca.Agent.view agents.(0)) in
+    let pending = List.length s.buffer in
+    let times = Array.make ((n * (items + 1)) + (pending * items)) 0 in
+    let nt = ref 0 and bundled = ref 0 in
+    let bits = ref (n lor items lor s.drops_left lor s.dups_left) in
+    for i = 0 to n - 1 do
+      let a = agents.(i) in
+      let view = Mca.Agent.view a and bundle = Mca.Agent.bundle a in
+      nt := note_times times !nt view;
+      times.(!nt) <- Mca.Agent.clock a;
+      incr nt;
+      let len = List.length bundle in
+      bundled := !bundled + len;
+      bits := List.fold_left ( lor ) (view_bits (!bits lor len) view) bundle
+    done;
+    let nt = List.fold_left (fun nt m -> note_times times nt m.view) !nt s.buffer in
+    let bits =
+      List.fold_left
+        (fun bits m -> view_bits (bits lor m.src lor m.dst) m.view)
+        !bits s.buffer
+    in
+    sort_prefix times nt;
+    let k = dedup_prefix times nt in
+    let bits = bits lor k in
+    let w =
+      if bits < 0 then 8 else if bits < 0x100 then 1 else if bits < 0x10000 then 2 else 8
+    in
+    let record = 2 + (3 * items) in
+    let fields = 4 + (n * ((4 * items) + 2)) + !bundled + (pending * record) in
+    let b = Bytes.create (1 + (fields * w)) in
+    Bytes.set_uint8 b 0 w;
+    let pos = ref (put b w (put b w (put b w (put b w 1 n) items) s.drops_left) s.dups_left) in
+    for i = 0 to n - 1 do
+      let a = agents.(i) in
+      pos := put_view b w times k !pos (Mca.Agent.view a);
+      let bundle = Mca.Agent.bundle a in
+      pos := put b w !pos (List.length bundle);
+      pos := List.fold_left (put b w) !pos bundle;
+      for j = 0 to items - 1 do
+        pos := put b w !pos (Bool.to_int (Mca.Agent.has_lost a j))
+      done;
+      pos := put b w !pos (rank times k (Mca.Agent.clock a))
+    done;
+    let start = !pos in
+    ignore
+      (List.fold_left
+         (fun pos m -> put_view b w times k (put b w (put b w pos m.src) m.dst) m.view)
+         start s.buffer);
+    sort_records b start (record * w) pending;
+    Bytes.unsafe_to_string b
+end
+
 let test_enabled_and_apply () =
   let cfg = contended (Mca.Policy.make ~utility:(Mca.Policy.Submodular 0) ~target_items:2 ()) in
   let s = Checker.State.initial ~drops:1 ~dups:1 cfg in
@@ -433,6 +582,105 @@ let test_key_equivalence () =
     (List.init 10 succ);
   keys_agree ~drops:2 ~dups:1 "3p1v/3st adversary" (cell ~seed:1 "submod")
 
+(* [State.canonical_key] returns the frozen key's bytes on every state
+   generated from [cfg]; returns how many states were compared. *)
+let bytes_agree ?drops ?dups ?cap label cfg =
+  let compared = ref 0 in
+  walk ?drops ?dups ?cap cfg (fun s ->
+      incr compared;
+      let key = Checker.State.canonical_key s and frozen = Frozen.key s in
+      if key <> frozen then
+        Alcotest.failf "%s: %S is not the frozen key %S" label key frozen);
+  !compared
+
+(* The same states as the key-equivalence test, then four 3p2v cells
+   (two items, 8-byte records), states whose bids need two-byte and
+   eight-byte fields, and states whose times spread over many values. *)
+let test_key_bytes_frozen () =
+  List.iter
+    (fun (name, p) ->
+      ignore (bytes_agree ("2p2v " ^ name) (contended p));
+      ignore (bytes_agree ~drops:2 ~dups:1 ("2p2v adversary " ^ name) (contended p));
+      ignore (bytes_agree ("line-3 " ^ name) (line3 p)))
+    Mca.Policy.paper_grid;
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun name ->
+          ignore (bytes_agree (Printf.sprintf "3p1v/3st seed %d %s" seed name) (cell ~seed name)))
+        explored_policies)
+    (List.init 10 succ);
+  ignore (bytes_agree ~drops:2 ~dups:1 "3p1v/3st adversary" (cell ~seed:1 "submod"));
+  let p3v2 name =
+    Core.Experiments.cell_config ~seed:1 ~policy_label:name ~scope_tag:"3p2v/3st"
+      (List.assoc name Mca.Policy.paper_grid)
+      { Core.Mca_model.pnodes = 3; vnodes = 2; states = 3; values = 6; bitwidth = 4 }
+  in
+  List.iter
+    (fun name ->
+      let compared = bytes_agree ~cap:2_000 ("3p2v/3st " ^ name) (p3v2 name) in
+      check (name ^ ": 3p2v states compared") true (compared > 2_000))
+    explored_policies;
+  List.iter
+    (fun (base, width) ->
+      let cfg =
+        Mca.Protocol.uniform_config ~graph:(Netsim.Topology.clique 2) ~num_items:2
+          ~base_utilities:[| [| base; base + 1 |]; [| base + 1; base |] |]
+          ~policy:(Mca.Policy.make ~utility:(Mca.Policy.Submodular 2) ~target_items:2 ())
+      in
+      let s = Checker.State.initial cfg in
+      check_int (Printf.sprintf "bids near %d: field width" base) width
+        (Char.code (Checker.State.canonical_key s).[0]);
+      ignore (bytes_agree ~drops:1 (Printf.sprintf "bids near %d" base) cfg))
+    [ (300, 2); (70_000, 8) ];
+  (* times spread over a few dozen values, and over thousands: agent 0's
+     clock is pushed ahead by a message from the future *)
+  let cfg = contended (List.assoc "submod" Mca.Policy.paper_grid) in
+  List.iter
+    (fun ahead ->
+      let s0 = Checker.State.initial cfg in
+      let a = Mca.Agent.clone s0.Checker.State.agents.(0) in
+      ignore
+        (Mca.Agent.receive a
+           { Mca.Types.sender = 1;
+             view = Array.make 2 { Mca.Types.winner = Mca.Types.Nobody; bid = 0; time = ahead } });
+      let agents = Array.copy s0.Checker.State.agents in
+      agents.(0) <- a;
+      let seen = Hashtbl.create 256 in
+      let rec go s =
+        let key = Checker.State.canonical_key s in
+        if key <> Frozen.key s then
+          Alcotest.failf "clock %d ahead: %S is not the frozen key" ahead key;
+        if Hashtbl.length seen < 500 && not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          List.iter (fun tr -> go (Checker.State.apply cfg s tr)) (Checker.State.enabled s)
+        end
+      in
+      go { s0 with Checker.State.agents })
+    [ 40; 5_000 ]
+
+(* Allocation per explored state on the four 3p1v/3st seed-1 cells: the
+   key is built in per-domain scratch, the visited table stores keys in
+   a byte arena, transition lists are shared, and a successor copies
+   only what its transition changes. The key built afresh for every
+   successor, with a string-keyed table, took about 600 minor words per
+   state; this takes about 170. *)
+let test_explore_allocation () =
+  List.iter
+    (fun name ->
+      let cfg = cell ~seed:1 name in
+      let w0 = Gc.minor_words () in
+      let v = Checker.Explore.run cfg in
+      let words = Gc.minor_words () -. w0 in
+      match v with
+      | Checker.Explore.Converges { states; _ } ->
+          let per_state = words /. float_of_int states in
+          if per_state >= 300.0 then
+            Alcotest.failf "%s: %.0f minor words per explored state (gate 300)"
+              name per_state
+      | v -> Alcotest.failf "%s: %a" name Checker.Explore.pp_verdict v)
+    explored_policies
+
 (* One line per verdict: counts, and the witness as pp_transition
    renders it. *)
 let summary v =
@@ -527,4 +775,7 @@ let suite =
     Alcotest.test_case "pinned exploration 2p2v" `Quick test_pinned_2p2v;
     Alcotest.test_case "pinned exploration 3p1v and line-3" `Quick test_pinned_3p1v;
     Alcotest.test_case "copy-on-write successors" `Quick test_copy_on_write;
+    Alcotest.test_case "packed key bytes equal the frozen key" `Quick test_key_bytes_frozen;
+    Alcotest.test_case "exploring allocates < 300 minor words per state" `Quick
+      test_explore_allocation;
   ]

@@ -58,34 +58,17 @@ let test_check_model_loops () =
 
 (* ---- Vec ---- *)
 
-let test_vec_push_pop () =
-  let v = Sat.Vec.create ~dummy:0 () in
+let test_vec_push_grows () =
+  let v = Sat.Vec.create ~capacity:4 ~dummy:0 () in
   for i = 1 to 100 do
     Sat.Vec.push v i
   done;
-  check_int "size" 100 (Sat.Vec.size v);
-  check_int "get" 42 (Sat.Vec.get v 41);
-  check_int "last" 100 (Sat.Vec.last v);
-  check_int "pop" 100 (Sat.Vec.pop v);
-  check_int "size after pop" 99 (Sat.Vec.size v);
-  Sat.Vec.shrink v 10;
-  check_int "shrink" 10 (Sat.Vec.size v);
-  check_int "fold sum" 55 (Sat.Vec.fold ( + ) 0 v)
-
-let test_vec_swap_remove () =
-  let v = Sat.Vec.of_list ~dummy:0 [ 1; 2; 3; 4 ] in
-  Sat.Vec.swap_remove v 1;
-  Alcotest.(check (list int)) "swap_remove" [ 1; 4; 3 ] (Sat.Vec.to_list v)
-
-let test_vec_sort () =
-  let v = Sat.Vec.of_list ~dummy:0 [ 3; 1; 2 ] in
-  Sat.Vec.sort compare v;
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Sat.Vec.to_list v)
-
-let test_vec_bounds () =
-  let v = Sat.Vec.of_list ~dummy:0 [ 1 ] in
-  Alcotest.check_raises "get out of range" (Invalid_argument "Vec.get")
-    (fun () -> ignore (Sat.Vec.get v 1))
+  check_int "size" 100 v.Sat.Vec.sz;
+  check "grown past the capacity" true (Array.length v.Sat.Vec.data >= 100);
+  check_int "element 42" 42 v.Sat.Vec.data.(41);
+  check_int "last element" 100 v.Sat.Vec.data.(99);
+  check "slots past the end hold the dummy" true
+    (Array.for_all (( = ) 0) (Array.sub v.Sat.Vec.data 100 (Array.length v.Sat.Vec.data - 100)))
 
 (* ---- Heap ---- *)
 
@@ -878,10 +861,7 @@ let suite =
     Alcotest.test_case "check_model" `Quick test_check_model;
     Alcotest.test_case "check_model loops: falsified, empty, satisfied" `Quick
       test_check_model_loops;
-    Alcotest.test_case "vec push/pop/shrink" `Quick test_vec_push_pop;
-    Alcotest.test_case "vec swap_remove" `Quick test_vec_swap_remove;
-    Alcotest.test_case "vec sort" `Quick test_vec_sort;
-    Alcotest.test_case "vec bounds checked" `Quick test_vec_bounds;
+    Alcotest.test_case "vec push grows past its capacity" `Quick test_vec_push_grows;
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
     Alcotest.test_case "heap rescale" `Quick test_heap_rescale;
     Alcotest.test_case "heap grow" `Quick test_heap_grow;

@@ -597,6 +597,57 @@ let test_server_secs_include_checker () =
   | Ok r -> Alcotest.failf "unexpected reply %a" Service.Wire.pp_response r
   | Result.Error e -> Alcotest.fail e
 
+(* An open explicit breaker sheds the exploration the reply's exhaustive
+   column would cost. A 3p2v/3st nonsubmod cell explores past the
+   checker's 200 000-state cap; with [trip_after = 1] that one timeout
+   opens the breaker for a minute. The next check is answered without an
+   exploration: its column names the open breaker, and the cell is not
+   cached, so the repeat is computed again. *)
+let test_server_open_explicit_breaker_skips_checker () =
+  let path = temp_sock () in
+  let t =
+    Service.Server.start
+      { (mk_cfg ~jobs:1 path) with
+        Service.Server.trip_after = 1;
+        breaker_base_s = 60.0;
+        breaker_cap_s = 60.0 }
+  in
+  Fun.protect ~finally:(fun () -> stop_and_join t) @@ fun () ->
+  let addr = Service.Server.Unix_path path in
+  let verdict req =
+    match Service.Client.check addr req with
+    | Ok (Service.Wire.Verdict v) -> v
+    | Ok r -> Alcotest.failf "unexpected reply %a" Service.Wire.pp_response r
+    | Result.Error e -> Alcotest.fail e
+  in
+  let breaker_open () =
+    match Service.Client.get_stats addr with
+    | Ok kvs -> List.assoc_opt "breaker_explicit_open" kvs
+    | Result.Error e -> Alcotest.failf "stats failed: %s" e
+  in
+  check "closed at start" true (breaker_open () = Some 0);
+  let capped =
+    verdict
+      (Service.Wire.request ~id:"cap" ~agents:3 ~items:2 ~states:3 "nonsubmod")
+  in
+  check "the exploration hit the state cap" true
+    (capped.Service.Wire.exhaustive
+    = Core.Experiments.Undecided "state cap 200000");
+  check "one timeout opened the breaker" true (breaker_open () = Some 1);
+  let req = Service.Wire.request ~id:"next" ~states:3 "submod" in
+  List.iter
+    (fun what ->
+      let v = verdict req in
+      check (what ^ ": decided by CDCL") true
+        (match v.Service.Wire.sat with
+        | Core.Experiments.Undecided _ -> false
+        | Core.Experiments.Holds | Core.Experiments.Violated -> true);
+      check (what ^ ": no exploration, the breaker named") true
+        (v.Service.Wire.exhaustive
+        = Core.Experiments.Undecided "explicit breaker open");
+      check (what ^ ": not from the cache") false v.Service.Wire.cached)
+    [ "first check"; "its repeat" ]
+
 let test_server_flood_sheds_explicitly () =
   let path = temp_sock () in
   (* one worker, a two-deep queue, sub-second deadlines: most of the
@@ -1242,6 +1293,8 @@ let suite =
       test_server_verdict_cache_stats;
     Alcotest.test_case "server: reply secs include the explicit checker" `Slow
       test_server_secs_include_checker;
+    Alcotest.test_case "server: an open explicit breaker skips the checker"
+      `Slow test_server_open_explicit_breaker_skips_checker;
     Alcotest.test_case "server: flood sheds explicitly, never hangs" `Slow
       test_server_flood_sheds_explicitly;
     Alcotest.test_case "server: abort + restart resumes byte-identical" `Slow
