@@ -336,7 +336,9 @@ let allocate bounds =
   in
   (!next, rel_matrices, alloc)
 
-let translate ?(symmetry = false) bounds formula =
+(* The relational half of a translation: the circuit, the number of
+   primary variables and their allocation. *)
+let compile ?(symmetry = false) bounds formula =
   F.clear_sharing ();
   (* static check: every mentioned relation must be bounded *)
   List.iter
@@ -360,6 +362,14 @@ let translate ?(symmetry = false) bounds formula =
     if symmetry then F.and2 circuit (symmetry_predicate bounds rel_matrices)
     else circuit
   in
+  (circuit, num_primary, alloc)
+
+let circuit ?symmetry bounds formula =
+  let circuit, num_primary, _ = compile ?symmetry bounds formula in
+  (circuit, num_primary)
+
+let translate ?symmetry bounds formula =
+  let circuit, num_primary, alloc = compile ?symmetry bounds formula in
   let cnf = F.to_cnf ~num_primary circuit in
   { cnf; num_primary; circuit_size = F.size circuit; bounds; alloc }
 

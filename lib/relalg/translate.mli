@@ -29,6 +29,11 @@ val translate : ?symmetry:bool -> Bounds.t -> Ast.formula -> translation
     for both instance finding and refutation; counterexamples are then
     reported in canonical form. *)
 
+val circuit : ?symmetry:bool -> Bounds.t -> Ast.formula -> Sat.Formula.t * int
+(** The boolean circuit {!translate} hands to {!Sat.Formula.to_cnf},
+    with its number of primary variables: the relational half of a
+    translation, for measuring the two halves apart. *)
+
 type outcome = Sat of Instance.t | Unsat
 
 (** An {!outcome} that may also be [Unknown reason] when a

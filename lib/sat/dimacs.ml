@@ -1,17 +1,20 @@
 let parse_string text =
   let lines = String.split_on_char '\n' text in
-  let problem = ref Cnf.empty in
+  let b = Cnf.builder () in
   let declared = ref None in
-  let pending = ref [] in
+  (* whether literals follow the last terminating 0 *)
+  let pending = ref false in
   let line_no = ref 0 in
   let fail msg = failwith (Printf.sprintf "dimacs: line %d: %s" !line_no msg) in
   let handle_token tok =
     match int_of_string_opt tok with
     | None -> fail (Printf.sprintf "bad literal %S" tok)
     | Some 0 ->
-        problem := Cnf.add_clause !problem (List.rev !pending);
-        pending := []
-    | Some i -> pending := Cnf.lit_of_int i :: !pending
+        Cnf.close_clause b;
+        pending := false
+    | Some i ->
+        Cnf.add_lit b (Cnf.lit_of_int i);
+        pending := true
   in
   List.iter
     (fun line ->
@@ -32,13 +35,9 @@ let parse_string text =
         |> List.filter (( <> ) "")
         |> List.iter handle_token)
     lines;
-  if !pending <> [] then
-    problem := Cnf.add_clause !problem (List.rev !pending);
-  (match !declared with
-  | Some (nv, _) when nv > (!problem).num_vars ->
-      problem := { !problem with num_vars = nv }
-  | _ -> ());
-  !problem
+  if !pending then Cnf.close_clause b;
+  (match !declared with Some (nv, _) -> Cnf.ensure_vars b nv | None -> ());
+  Cnf.freeze b
 
 let parse_file path =
   let ic = open_in path in
@@ -49,11 +48,15 @@ let parse_file path =
 
 let print ppf (p : Cnf.problem) =
   Format.fprintf ppf "p cnf %d %d@." p.num_vars (Cnf.num_clauses p);
-  List.iter
-    (fun c ->
-      Array.iter (fun l -> Format.fprintf ppf "%d " (Cnf.int_of_lit l)) c;
+  let j = ref 0 in
+  Array.iter
+    (fun stop ->
+      while !j < stop do
+        Format.fprintf ppf "%d " (Cnf.int_of_lit p.lits.(!j));
+        incr j
+      done;
       Format.fprintf ppf "0@.")
-    (List.rev p.clauses)
+    p.ends
 
 let to_string p = Format.asprintf "%a" print p
 

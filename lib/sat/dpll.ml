@@ -1,42 +1,40 @@
 exception Out_of_budget
 exception Stopped of string * int (* reason, decisions so far *)
 
-(* Assignment: Cnf.value array, var-indexed. Clauses as lit lists. *)
+(* Assignment: Cnf.value array, var-indexed. *)
 
-let eval_clause assigns c =
-  let sat = ref false in
-  let unassigned = ref [] in
-  Array.iter
-    (fun l ->
-      match assigns.(Cnf.var_of l) with
-      | Cnf.Unknown -> unassigned := l :: !unassigned
-      | v ->
-          let t = if Cnf.is_pos l then v = Cnf.True else v = Cnf.False in
-          if t then sat := true)
-    c;
-  (!sat, !unassigned)
-
-(* Repeat unit propagation to fixpoint. Returns [None] on conflict,
-   otherwise the list of newly assigned variables (for undo). *)
-let propagate assigns clauses =
+(* Repeat unit propagation to fixpoint. A clause is unit when no literal
+   is true and exactly one literal occurrence is unassigned. Returns
+   [None] on conflict, otherwise the list of newly assigned variables
+   (for undo). *)
+let propagate assigns (p : Cnf.problem) =
   let trail = ref [] in
   let conflict = ref false in
   let changed = ref true in
+  let n = Cnf.num_clauses p in
   while !changed && not !conflict do
     changed := false;
-    List.iter
-      (fun c ->
-        if not !conflict then
-          match eval_clause assigns c with
-          | true, _ -> ()
-          | false, [] -> conflict := true
-          | false, [ l ] ->
-              let v = Cnf.var_of l in
-              assigns.(v) <- (if Cnf.is_pos l then Cnf.True else Cnf.False);
-              trail := v :: !trail;
-              changed := true
-          | false, _ -> ())
-      clauses
+    let i = ref 0 in
+    while !i < n && not !conflict do
+      let sat = ref false and unassigned = ref 0 and last = ref 0 in
+      for j = Cnf.clause_start p !i to p.ends.(!i) - 1 do
+        let l = p.lits.(j) in
+        match assigns.(Cnf.var_of l) with
+        | Cnf.Unknown ->
+            incr unassigned;
+            last := l
+        | v -> if v = if Cnf.is_pos l then Cnf.True else Cnf.False then sat := true
+      done;
+      if not !sat then
+        if !unassigned = 0 then conflict := true
+        else if !unassigned = 1 then begin
+          let v = Cnf.var_of !last in
+          assigns.(v) <- (if Cnf.is_pos !last then Cnf.True else Cnf.False);
+          trail := v :: !trail;
+          changed := true
+        end;
+      incr i
+    done
   done;
   if !conflict then begin
     List.iter (fun v -> assigns.(v) <- Cnf.Unknown) !trail;
@@ -53,7 +51,7 @@ let solve_internal ?(stop = fun () -> false) ?(wall = Netsim.Budget.unlimited)
   let assigns = Array.make (p.num_vars + 1) Cnf.Unknown in
   let decisions = ref 0 in
   let rec search () =
-    match propagate assigns p.clauses with
+    match propagate assigns p with
     | None -> false
     | Some trail -> (
         match pick_unassigned assigns p.num_vars with
@@ -88,7 +86,7 @@ let solve_internal ?(stop = fun () -> false) ?(wall = Netsim.Budget.unlimited)
     for v = 1 to p.num_vars do
       m.(v) <- assigns.(v) = Cnf.True
     done;
-    assert (Cnf.check_model m p.clauses);
+    assert (Cnf.check_model m p);
     Solver.Sat m
   end
   else Solver.Unsat

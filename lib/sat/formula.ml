@@ -230,136 +230,226 @@ type cnf_result = {
 let max_var f =
   fold_dag (fun best -> function Var (_, v) -> max best v | _ -> best) 0 f
 
-(* Tseitin translation with structural sharing: identical subcircuits are
-   encoded once. Returns the literal representing each subformula. *)
-let to_cnf ?num_primary f =
-  let primary = match num_primary with Some n -> n | None -> max_var f in
-  let problem = ref { Cnf.num_vars = max primary (max_var f); clauses = [] } in
-  let add lits = problem := Cnf.add_clause !problem lits in
-  let fresh () =
-    let p, v = Cnf.fresh_var !problem in
-    problem := p;
-    v
+(* ---- Tseitin translation, with structural sharing ----
+
+   The encoder gives each subformula a literal equivalent to it, and
+   writes the defining clauses straight into a builder. A subformula
+   that folds to a constant gets one of the two literals of variable 0,
+   which no clause may hold: [lit_true], or its negation [lit_false].
+   Negation is then [Cnf.negate] for constants and literals alike, and
+   [l < 2] tells a constant from a literal. *)
+
+let lit_true = Cnf.pos 0
+let lit_false = Cnf.neg 0
+
+type encoder = {
+  out : Cnf.builder;
+  num_primary : int;
+  (* by node id: the upstream compilers memoize their output, so shared
+     subcircuits are the same node, encoded once *)
+  cache : Cnf.lit Ids.t;
+  (* the children's literals of the n-ary nodes being encoded, innermost
+     on top *)
+  mutable stack : Cnf.lit array;
+  mutable top : int;
+}
+
+let push e l =
+  if e.top = Array.length e.stack then begin
+    let s = Array.make (2 * e.top) 0 in
+    Array.blit e.stack 0 s 0 e.top;
+    e.stack <- s
+  end;
+  e.stack.(e.top) <- l;
+  e.top <- e.top + 1
+
+let fresh e = Cnf.pos (Cnf.fresh_var e.out)
+
+let clause1 e a =
+  Cnf.add_lit e.out a;
+  Cnf.close_clause e.out
+
+let clause2 e a b =
+  Cnf.add_lit e.out a;
+  Cnf.add_lit e.out b;
+  Cnf.close_clause e.out
+
+let clause3 e a b c =
+  Cnf.add_lit e.out a;
+  Cnf.add_lit e.out b;
+  Cnf.add_lit e.out c;
+  Cnf.close_clause e.out
+
+(* A literal for an Ite branch: a constant branch gets a fresh variable
+   fixed by a unit clause. *)
+let branch_lit e l =
+  if l = lit_true then begin
+    let x = fresh e in
+    clause1 e x;
+    x
+  end
+  else if l = lit_false then begin
+    let x = fresh e in
+    clause1 e (Cnf.negate x);
+    x
+  end
+  else l
+
+let rec enc e f =
+  match f with
+  | True -> lit_true
+  | False -> lit_false
+  | Var (_, v) ->
+      if v < 1 || v > e.num_primary then
+        invalid_arg
+          (Printf.sprintf "Formula.to_cnf: variable %d outside 1..%d" v
+             e.num_primary);
+      Cnf.pos v
+  | Not (_, g) -> Cnf.negate (enc e g)
+  | And _ | Or _ | Implies _ | Iff _ | Ite _ -> (
+      match Ids.find e.cache (id f) with
+      | l -> l
+      | exception Not_found ->
+          let l = enc_node e f in
+          Ids.replace e.cache (id f) l;
+          l)
+
+and enc_node e f =
+  match f with
+  | And (_, fs) -> enc_nary e ~neutral:lit_true fs
+  | Or (_, fs) -> enc_nary e ~neutral:lit_false fs
+  | Implies (_, a, b) -> enc e (or2 (not_ a) b)
+  | Iff (_, a, b) ->
+      let la = enc e a in
+      let lb = enc e b in
+      if la < 2 && lb < 2 then if la = lb then lit_true else lit_false
+      else if la = lit_true then lb
+      else if lb = lit_true then la
+      else if la = lit_false then Cnf.negate lb
+      else if lb = lit_false then Cnf.negate la
+      else begin
+        let x = fresh e in
+        (* x -> (la <-> lb), !x -> (la <-> !lb) *)
+        clause3 e (Cnf.negate x) (Cnf.negate la) lb;
+        clause3 e (Cnf.negate x) la (Cnf.negate lb);
+        clause3 e x la lb;
+        clause3 e x (Cnf.negate la) (Cnf.negate lb);
+        x
+      end
+  | Ite (_, c, t, el) ->
+      let lc = enc e c in
+      if lc = lit_true then enc e t
+      else if lc = lit_false then enc e el
+      else begin
+        let lt = enc e t in
+        let le = enc e el in
+        if lt < 2 && le < 2 then
+          if lt = le then lt else if lt = lit_true then lc else Cnf.negate lc
+        else begin
+          let lt = branch_lit e lt in
+          let le = branch_lit e le in
+          let x = fresh e in
+          clause3 e (Cnf.negate x) (Cnf.negate lc) lt;
+          clause3 e (Cnf.negate x) lc le;
+          clause3 e x (Cnf.negate lc) (Cnf.negate lt);
+          clause3 e x lc (Cnf.negate le);
+          x
+        end
+      end
+  | True | False | Var _ | Not _ -> enc e f
+
+(* n-ary conjunction ([neutral = lit_true]) or disjunction ([lit_false]).
+   The children's literals sit on the stack above [base], and the
+   clauses list them last to first. *)
+and enc_nary e ~neutral fs =
+  let base = e.top in
+  let folded = enc_children e neutral fs in
+  let n = e.top - base in
+  if folded >= 0 then begin
+    e.top <- base;
+    folded
+  end
+  else if n = 0 then neutral
+  else if n = 1 then begin
+    e.top <- base;
+    e.stack.(base)
+  end
+  else begin
+    let x = fresh e in
+    let out = e.out in
+    if neutral = lit_true then begin
+      (* x <-> /\ lits *)
+      for j = e.top - 1 downto base do
+        clause2 e (Cnf.negate x) e.stack.(j)
+      done;
+      Cnf.add_lit out x;
+      for j = e.top - 1 downto base do
+        Cnf.add_lit out (Cnf.negate e.stack.(j))
+      done
+    end
+    else begin
+      (* x <-> \/ lits *)
+      for j = e.top - 1 downto base do
+        clause2 e x (Cnf.negate e.stack.(j))
+      done;
+      Cnf.add_lit out (Cnf.negate x);
+      for j = e.top - 1 downto base do
+        Cnf.add_lit out e.stack.(j)
+      done
+    end;
+    Cnf.close_clause out;
+    e.top <- base;
+    x
+  end
+
+(* Pushes the children's literals, dropping neutral constants; stops at
+   the first other constant and returns it, else -1. *)
+and enc_children e neutral = function
+  | [] -> -1
+  | g :: rest ->
+      let l = enc e g in
+      if l >= 2 then begin
+        push e l;
+        enc_children e neutral rest
+      end
+      else if l <> neutral then l
+      else enc_children e neutral rest
+
+(* Each domain keeps its emptied builder between translations, so that
+   a translation writes into buffers the last one grew instead of
+   growing new ones, which would be major-heap garbage. A builder grown
+   past [kept] words (1 MiB) is not kept: a submitted spec's builder is
+   (the listings' commands grow it to 49K words), a policy sweep's
+   shared translation's is not (197K words at 2p2v/4st), so a domain
+   holds at most 1 MiB between translations. Nor is the builder of a
+   translation that raised kept. *)
+let kept = 1 lsl 17
+let spare : Cnf.builder option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let to_cnf ~num_primary f =
+  let r = Domain.DLS.get spare in
+  let out =
+    match !r with
+    | Some b ->
+        r := None;
+        Cnf.reset b ~num_vars:num_primary;
+        b
+    | None -> Cnf.builder ~num_vars:num_primary ()
   in
-  (* cache on the interned id: the upstream compilers memoize their
-     output, so shared subcircuits are the same node, and structural
-     keying would compare distinct DAG keys in exponential unfolded time *)
-  let cache : Cnf.lit Ids.t = Ids.create 1024 in
-  (* encode f, returning either a constant or a literal equivalent to f *)
-  let rec enc f : (bool, Cnf.lit) Either.t =
-    match f with
-    | True -> Either.Left true
-    | False -> Either.Left false
-    | Var (_, v) -> Either.Right (Cnf.pos v)
-    | Not (_, g) -> (
-        match enc g with
-        | Either.Left b -> Either.Left (not b)
-        | Either.Right l -> Either.Right (Cnf.negate l))
-    | _ -> (
-        match Ids.find_opt cache (id f) with
-        | Some l -> Either.Right l
-        | None ->
-            let l = enc_node f in
-            (match l with
-            | Either.Right lit -> Ids.replace cache (id f) lit
-            | Either.Left _ -> ());
-            l)
-  and enc_node f : (bool, Cnf.lit) Either.t =
-    match f with
-    | And (_, fs) -> enc_nary ~neutral:true fs
-    | Or (_, fs) -> (
-        (* x <-> (a | b | ...) encoded by dualizing And over negations *)
-        match enc_nary ~neutral:false fs with
-        | Either.Left b -> Either.Left b
-        | Either.Right l -> Either.Right l)
-    | Implies (_, a, b) -> enc (or2 (not_ a) b)
-    | Iff (_, a, b) -> (
-        match (enc a, enc b) with
-        | Either.Left ba, Either.Left bb -> Either.Left (ba = bb)
-        | Either.Left true, Either.Right l | Either.Right l, Either.Left true ->
-            Either.Right l
-        | Either.Left false, Either.Right l | Either.Right l, Either.Left false ->
-            Either.Right (Cnf.negate l)
-        | Either.Right la, Either.Right lb ->
-            let x = fresh () in
-            let xl = Cnf.pos x in
-            (* x -> (la <-> lb), !x -> (la <-> !lb) *)
-            add [ Cnf.negate xl; Cnf.negate la; lb ];
-            add [ Cnf.negate xl; la; Cnf.negate lb ];
-            add [ xl; la; lb ];
-            add [ xl; Cnf.negate la; Cnf.negate lb ];
-            Either.Right xl)
-    | Ite (_, c, t, e) -> (
-        match enc c with
-        | Either.Left true -> enc t
-        | Either.Left false -> enc e
-        | Either.Right lc -> (
-            match (enc t, enc e) with
-            | Either.Left bt, Either.Left be ->
-                if bt = be then Either.Left bt
-                else Either.Right (if bt then lc else Cnf.negate lc)
-            | et, ee ->
-                let lit_of = function
-                  | Either.Left true ->
-                      let v = fresh () in
-                      add [ Cnf.pos v ];
-                      Cnf.pos v
-                  | Either.Left false ->
-                      let v = fresh () in
-                      add [ Cnf.neg v ];
-                      Cnf.pos v
-                  | Either.Right l -> l
-                in
-                let lt = lit_of et and le = lit_of ee in
-                let x = fresh () in
-                let xl = Cnf.pos x in
-                add [ Cnf.negate xl; Cnf.negate lc; lt ];
-                add [ Cnf.negate xl; lc; le ];
-                add [ xl; Cnf.negate lc; Cnf.negate lt ];
-                add [ xl; lc; Cnf.negate le ];
-                Either.Right xl))
-    | True | False | Var _ | Not _ -> enc f
-  (* n-ary conjunction (neutral=true) or disjunction (neutral=false) *)
-  and enc_nary ~neutral fs =
-    let lits = ref [] in
-    let constant = ref None in
-    List.iter
-      (fun g ->
-        if !constant = None then
-          match enc g with
-          | Either.Left b -> if b <> neutral then constant := Some b
-          | Either.Right l -> lits := l :: !lits)
-      fs;
-    match !constant with
-    | Some b -> Either.Left b
-    | None -> (
-        match !lits with
-        | [] -> Either.Left neutral
-        | [ l ] -> Either.Right l
-        | lits ->
-            let x = fresh () in
-            let xl = Cnf.pos x in
-            if neutral then begin
-              (* x <-> /\ lits *)
-              List.iter (fun l -> add [ Cnf.negate xl; l ]) lits;
-              add (xl :: List.map Cnf.negate lits)
-            end
-            else begin
-              (* x <-> \/ lits *)
-              List.iter (fun l -> add [ xl; Cnf.negate l ]) lits;
-              add (Cnf.negate xl :: lits)
-            end;
-            Either.Right xl)
+  let e =
+    { out; num_primary; cache = Ids.create 1024; stack = Array.make 64 0; top = 0 }
   in
-  match enc f with
-  | Either.Left b ->
-      { problem = !problem; root = None; constant = Some b }
-  | Either.Right l ->
-      add [ l ];
-      { problem = !problem; root = Some l; constant = None }
+  let root = enc e f in
+  if root >= 2 then clause1 e root;
+  let problem = Cnf.freeze out in
+  if Cnf.words out <= kept then r := Some out;
+  if root >= 2 then { problem; root = Some root; constant = None }
+  else { problem; root = None; constant = Some (root = lit_true) }
 
 let solve ?num_primary f =
-  let { problem; constant; _ } = to_cnf ?num_primary f in
+  let num_primary = match num_primary with Some n -> n | None -> max_var f in
+  let { problem; constant; _ } = to_cnf ~num_primary f in
   match constant with
   | Some true -> Solver.Sat (Array.make (problem.num_vars + 1) false)
   | Some false -> Solver.Unsat

@@ -84,11 +84,13 @@ type cnf_result = {
       (** [Some b] when the whole formula simplified to constant [b]. *)
 }
 
-val to_cnf : ?num_primary:int -> t -> cnf_result
-(** [to_cnf ~num_primary f] Tseitin-translates [f]. Auxiliary variables
-    are allocated above [num_primary] (default: the max variable in [f]),
-    and the root literal is asserted as a unit clause, so the resulting
-    problem is satisfiable iff [f] is. *)
+val to_cnf : num_primary:int -> t -> cnf_result
+(** [to_cnf ~num_primary f] Tseitin-translates [f], whose variables
+    must lie in [1 .. num_primary]. Auxiliary variables are allocated
+    above [num_primary], and the root literal is asserted as a unit
+    clause, so the resulting problem is satisfiable iff [f] is. Raises
+    [Invalid_argument] on a variable outside that range. *)
 
 val solve : ?num_primary:int -> t -> Solver.result
-(** Convenience: translate and run the CDCL solver. *)
+(** Convenience: translate and run the CDCL solver. [num_primary]
+    defaults to the largest variable in [f]. *)

@@ -12,7 +12,7 @@ type outcome = {
 
 let random_problem rng ~k ~num_vars ~num_clauses =
   if k > num_vars then invalid_arg "Fuzz.random_problem: k > num_vars";
-  let problem = ref { Cnf.num_vars; clauses = [] } in
+  let b = Cnf.builder ~num_vars () in
   for _ = 1 to num_clauses do
     let rec draw acc n =
       if n = 0 then acc
@@ -25,9 +25,9 @@ let random_problem rng ~k ~num_vars ~num_clauses =
         (fun v -> if Netsim.Rng.bool rng then Cnf.pos v else Cnf.neg v)
         (draw [] k)
     in
-    problem := Cnf.add_clause !problem lits
+    Cnf.add_clause b lits
   done;
-  !problem
+  Cnf.freeze b
 
 let default_ratios = [ 1.5; 3.0; 4.26; 6.0 ]
 
@@ -119,8 +119,13 @@ let check_schedule problem ops =
         added := c :: !added;
         step (i + 1) rest
     | Solve_with assumptions :: rest -> (
-        let current () =
-          List.fold_left Cnf.add_clause problem (List.rev !added)
+        (* the clauses so far, then [units] as unit clauses *)
+        let current ?(units = []) () =
+          let b = Cnf.builder () in
+          Cnf.add_problem b problem;
+          List.iter (Cnf.add_clause b) (List.rev !added);
+          List.iter (fun l -> Cnf.add_clause b [ l ]) units;
+          Cnf.freeze b
         in
         (* a crash is a divergence too — shrink it like any mismatch *)
         match
@@ -134,12 +139,8 @@ let check_schedule problem ops =
         | Solver.Sat m, Solver.Sat _ ->
             (* models may legitimately differ; the warm one must satisfy
                the current clauses AND the assumptions *)
-            let assumed =
-              List.fold_left
-                (fun p l -> Cnf.add_clause p [ l ])
-                (current ()) assumptions
-            in
-            if Cnf.check_model m assumed.Cnf.clauses then step (i + 1) rest
+            if Cnf.check_model m (current ~units:assumptions ()) then
+              step (i + 1) rest
             else Some (i, "warm model violates current clauses/assumptions")
         | Solver.Unsat, Solver.Unsat ->
             (* the failed-assumption core must itself be unsatisfiable
@@ -148,12 +149,9 @@ let check_schedule problem ops =
             if not (List.for_all (fun l -> List.mem l assumptions) core)
             then Some (i, "failed_assumptions not a subset of assumptions")
             else
-              let with_core =
-                List.fold_left
-                  (fun p l -> Cnf.add_clause p [ l ])
-                  (current ()) core
-              in
-              if Solver.solve (Solver.of_problem with_core) <> Solver.Unsat
+              if
+                Solver.solve (Solver.of_problem (current ~units:core ()))
+                <> Solver.Unsat
               then Some (i, "failed_assumptions core is not unsatisfiable")
               else step (i + 1) rest
         | Solver.Sat _, Solver.Unsat ->

@@ -3,22 +3,23 @@
 
 let php ~pigeons ~holes =
   let var p h = ((p - 1) * holes) + h in
-  let problem = ref Cnf.empty in
+  let b = Cnf.builder () in
   (* every pigeon sits somewhere *)
   for p = 1 to pigeons do
-    let clause = List.init holes (fun h -> Cnf.pos (var p (h + 1))) in
-    problem := Cnf.add_clause !problem clause
+    for h = 1 to holes do
+      Cnf.add_lit b (Cnf.pos (var p h))
+    done;
+    Cnf.close_clause b
   done;
   (* no two pigeons share a hole *)
   for h = 1 to holes do
     for p1 = 1 to pigeons do
       for p2 = p1 + 1 to pigeons do
-        problem :=
-          Cnf.add_clause !problem [ Cnf.neg (var p1 h); Cnf.neg (var p2 h) ]
+        Cnf.add_clause b [ Cnf.neg (var p1 h); Cnf.neg (var p2 h) ]
       done
     done
   done;
-  !problem
+  Cnf.freeze b
 
 let pigeonhole n = php ~pigeons:(n + 1) ~holes:n
 let php_sat n = php ~pigeons:n ~holes:n
@@ -26,7 +27,7 @@ let php_sat n = php ~pigeons:n ~holes:n
 let random_ksat ~seed ~k ~num_vars ~num_clauses =
   if k > num_vars then invalid_arg "Gen.random_ksat: k > num_vars";
   let st = Random.State.make [| seed |] in
-  let problem = ref { Cnf.num_vars; clauses = [] } in
+  let b = Cnf.builder ~num_vars () in
   for _ = 1 to num_clauses do
     (* draw k distinct variables *)
     let rec draw acc =
@@ -41,20 +42,22 @@ let random_ksat ~seed ~k ~num_vars ~num_clauses =
         (fun v -> if Random.State.bool st then Cnf.pos v else Cnf.neg v)
         vars
     in
-    problem := Cnf.add_clause !problem lits
+    Cnf.add_clause b lits
   done;
-  !problem
+  Cnf.freeze b
 
 let graph_coloring ~seed ~nodes ~edge_prob ~colors =
   let st = Random.State.make [| seed |] in
   let var n c = ((n - 1) * colors) + c in
-  let problem = ref Cnf.empty in
+  let b = Cnf.builder () in
   for n = 1 to nodes do
-    problem :=
-      Cnf.add_clause !problem (List.init colors (fun c -> Cnf.pos (var n (c + 1))));
+    for c = 1 to colors do
+      Cnf.add_lit b (Cnf.pos (var n c))
+    done;
+    Cnf.close_clause b;
     for c1 = 1 to colors do
       for c2 = c1 + 1 to colors do
-        problem := Cnf.add_clause !problem [ Cnf.neg (var n c1); Cnf.neg (var n c2) ]
+        Cnf.add_clause b [ Cnf.neg (var n c1); Cnf.neg (var n c2) ]
       done
     done
   done;
@@ -62,8 +65,8 @@ let graph_coloring ~seed ~nodes ~edge_prob ~colors =
     for n2 = n1 + 1 to nodes do
       if Random.State.float st 1.0 < edge_prob then
         for c = 1 to colors do
-          problem := Cnf.add_clause !problem [ Cnf.neg (var n1 c); Cnf.neg (var n2 c) ]
+          Cnf.add_clause b [ Cnf.neg (var n1 c); Cnf.neg (var n2 c) ]
         done
     done
   done;
-  !problem
+  Cnf.freeze b

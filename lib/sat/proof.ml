@@ -53,27 +53,26 @@ let check_model (p : Cnf.problem) (m : Cnf.model) =
          (max 0 (Array.length m - 1))
          p.num_vars)
   else begin
-    let bad = ref None in
-    List.iteri
-      (fun i c ->
-        if !bad = None then begin
-          let satisfied =
-            Array.exists
-              (fun l ->
-                let v = Cnf.var_of l in
-                v < Array.length m
-                && if Cnf.is_pos l then m.(v) else not m.(v))
-              c
-          in
-          if not satisfied then bad := Some (i, c)
-        end)
-      (List.rev p.clauses);
-    match !bad with
-    | None -> Ok ()
-    | Some (i, c) ->
-        Error
-          (Format.asprintf "clause %d (%a) is falsified by the model" i
-             pp_clause c)
+    let satisfied l =
+      let v = Cnf.var_of l in
+      v < Array.length m && if Cnf.is_pos l then m.(v) else not m.(v)
+    in
+    let falsified i =
+      let j = ref (Cnf.clause_start p i) in
+      while !j < p.ends.(i) && not (satisfied p.lits.(!j)) do
+        incr j
+      done;
+      !j = p.ends.(i)
+    in
+    let n = Cnf.num_clauses p and i = ref 0 in
+    while !i < n && not (falsified !i) do
+      incr i
+    done;
+    if !i = n then Ok ()
+    else
+      Error
+        (Format.asprintf "clause %d (%a) is falsified by the model" !i
+           pp_clause (Cnf.clause p !i))
   end
 
 (* ---- DRUP refutation checking (reverse unit propagation) ----
@@ -118,12 +117,11 @@ let dedup_lits lits =
   end
 
 let check_refutation (p : Cnf.problem) (proof : step list) =
-  let originals = List.rev p.clauses in
   let max_var =
     let over_clause acc c =
       Array.fold_left (fun a l -> max a (Cnf.var_of l)) acc c
     in
-    let mv = List.fold_left over_clause p.num_vars originals in
+    let mv = over_clause p.num_vars p.lits in
     List.fold_left
       (fun acc s -> over_clause acc (match s with Add c | Delete c -> c))
       mv proof
@@ -131,7 +129,7 @@ let check_refutation (p : Cnf.problem) (proof : step list) =
   let n_adds =
     List.fold_left (fun n s -> match s with Add _ -> n + 1 | _ -> n) 0 proof
   in
-  let cap = max 1 (List.length originals + n_adds) in
+  let cap = max 1 (Cnf.num_clauses p + n_adds) in
   let dummy = { lits = [||]; active = false; w0 = 0; w1 = 0 } in
   let db = Array.make cap dummy in
   let n_db = ref 0 in
@@ -322,7 +320,9 @@ let check_refutation (p : Cnf.problem) (proof : step list) =
             dirty := true
         end
   in
-  List.iter add_db originals;
+  for i = 0 to Cnf.num_clauses p - 1 do
+    add_db (Cnf.clause p i)
+  done;
   repropagate ();
   let verdict = ref None in
   let step_no = ref 0 in

@@ -85,7 +85,12 @@ type t = {
   mutable ok : bool; (* false once root-level unsat *)
   (* certification *)
   mutable proof : Proof.trail option; (* DRUP trail, when logging is on *)
-  mutable originals : Cnf.clause list; (* pre-simplification clauses, reversed *)
+  (* with logging on, the clauses before simplification: the problem
+     [of_problem] loaded, then, once a clause is added one by one, a
+     builder holding those and every later one *)
+  mutable originals : Cnf.problem;
+  mutable added : Cnf.builder option;
+  mutable tmp : Cnf.lit array; (* the clause being loaded *)
   mutable last_certification : Proof.report option;
   (* failed-assumption core of the most recent Unsat-under-assumptions *)
   mutable conflict_core : Cnf.lit list;
@@ -136,7 +141,9 @@ let create_sized words =
     cla_inc = 1.0;
     ok = true;
     proof = None;
-    originals = [];
+    originals = Cnf.empty;
+    added = None;
+    tmp = Array.make 16 0;
     last_certification = None;
     conflict_core = [];
     n_decisions = 0;
@@ -165,7 +172,7 @@ let last_certification s = s.last_certification
 let original_problem s =
   if s.proof = None then
     invalid_arg "Solver.original_problem: proof logging is not enabled";
-  { Cnf.num_vars = s.nvars; clauses = s.originals }
+  match s.added with Some b -> Cnf.freeze b | None -> s.originals
 
 (* Record the derivation of the empty clause (root-level unsat). Only
    meaningful for assumption-free refutations; callers guard. *)
@@ -645,49 +652,113 @@ let record_learnt s =
     enqueue s data.(0) c
   end
 
-let add_array s (lits : Cnf.lit array) =
-  if s.ok then begin
-    s.n_clauses_added <- s.n_clauses_added + 1;
-    ensure_vars s (Array.fold_left (fun m l -> Int.max m (var_of l)) 0 lits);
-    if s.proof <> None then s.originals <- lits :: s.originals;
-    (* root-level simplification: merge duplicates, detect tautology —
-       once sorted, a literal and its negation sit side by side — and
-       drop false lits *)
-    let a = Array.copy lits in
-    Array.sort Int.compare a;
-    let n = ref 0 and tauto = ref false in
-    for j = 0 to Array.length a - 1 do
-      let l = a.(j) in
-      if !n = 0 || a.(!n - 1) <> l then begin
-        if (!n > 0 && a.(!n - 1) = negate l) || value_lit s l = l_true then
-          tauto := true;
-        a.(!n) <- l;
-        incr n
-      end
-    done;
-    if not !tauto then begin
-      let kept = ref 0 in
-      for j = 0 to !n - 1 do
-        if value_lit s a.(j) <> l_false then begin
-          a.(!kept) <- a.(j);
-          incr kept
-        end
-      done;
-      match !kept with
-      | 0 ->
-          s.ok <- false;
-          log_empty s
-      | 1 ->
-          enqueue s a.(0) (-1);
-          if propagate s >= 0 then begin
-            s.ok <- false;
-            log_empty s
-          end
-      | n -> push_int s.clauses (store_clause s a n ~learnt:false)
+(* Sorts [a.(0 .. n-1)] ascending without allocating: insertion sort
+   for the short clauses that make up nearly every problem, heap sort
+   for the rest. The literals are ints, so any sort leaves the same
+   array. *)
+let rec sift (a : int array) n i x =
+  let c = (2 * i) + 1 in
+  if c >= n then a.(i) <- x
+  else begin
+    let c = if c + 1 < n && a.(c + 1) > a.(c) then c + 1 else c in
+    if a.(c) > x then begin
+      a.(i) <- a.(c);
+      sift a n c x
     end
+    else a.(i) <- x
   end
 
-let add_clause s lits = add_array s (Array.of_list lits)
+let sort_lits (a : int array) n =
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    for i = (n / 2) - 1 downto 0 do
+      sift a n i a.(i)
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(last) in
+      a.(last) <- a.(0);
+      sift a last 0 x
+    done
+  end
+
+let ensure_tmp s n =
+  if n > Array.length s.tmp then s.tmp <- Array.make (max n (2 * Array.length s.tmp)) 0
+
+(* Adds the clause in [s.tmp.(0 .. n-1)], whose variables exist, with
+   root-level simplification: merge duplicates, detect a tautology —
+   once sorted, a literal and its negation sit side by side — or a
+   literal already true, and drop false literals. What is left ends the
+   instance when empty, is enqueued and propagated at once when a unit,
+   and is stored otherwise, sorted, watching its first two literals. *)
+let add_tmp s n =
+  s.n_clauses_added <- s.n_clauses_added + 1;
+  let a = s.tmp in
+  sort_lits a n;
+  let m = ref 0 and tauto = ref false in
+  for j = 0 to n - 1 do
+    let l = a.(j) in
+    if !m = 0 || a.(!m - 1) <> l then begin
+      if (!m > 0 && a.(!m - 1) = negate l) || value_lit s l = l_true then
+        tauto := true;
+      a.(!m) <- l;
+      incr m
+    end
+  done;
+  if not !tauto then begin
+    let kept = ref 0 in
+    for j = 0 to !m - 1 do
+      if value_lit s a.(j) <> l_false then begin
+        a.(!kept) <- a.(j);
+        incr kept
+      end
+    done;
+    match !kept with
+    | 0 ->
+        s.ok <- false;
+        log_empty s
+    | 1 ->
+        enqueue s a.(0) (-1);
+        if propagate s >= 0 then begin
+          s.ok <- false;
+          log_empty s
+        end
+    | n -> push_int s.clauses (store_clause s a n ~learnt:false)
+  end
+
+let max_var lits = List.fold_left (fun m l -> Int.max m (var_of l)) 0 lits
+
+let add_clause s lits =
+  List.iter
+    (fun l -> if l < 2 then invalid_arg "Solver.add_clause: a literal over variable 0")
+    lits;
+  if s.ok then begin
+    ensure_vars s (max_var lits);
+    if s.proof <> None then begin
+      let b =
+        match s.added with
+        | Some b -> b
+        | None ->
+            let b = Cnf.builder () in
+            Cnf.add_problem b s.originals;
+            s.added <- Some b;
+            b
+      in
+      Cnf.add_clause b lits
+    end;
+    let n = List.length lits in
+    ensure_tmp s n;
+    List.iteri (fun i l -> s.tmp.(i) <- l) lits;
+    add_tmp s n
+  end
 
 (* [Array.sort]'s ternary heap sort, restated for the learnt vector
    ordered by activity so that it stores ints only: the same
@@ -830,8 +901,6 @@ let luby i =
   in
   let sz, seq = expand 1 0 in
   reduce i sz seq
-
-let max_var lits = List.fold_left (fun m l -> Int.max m (var_of l)) 0 lits
 
 let solve_core ~assumptions ~budget ~stop s =
   s.conflict_core <- [];
@@ -1025,10 +1094,10 @@ let solve_assuming_certified ~assumptions s =
     | Decided r -> r
     | Unknown _ -> assert false (* unlimited budgets never expire *)
   in
-  let p = original_problem s in
-  let assumed =
-    List.fold_left (fun p l -> Cnf.add_clause p [ l ]) p assumptions
-  in
+  let assumed = Cnf.builder () in
+  Cnf.add_problem assumed (original_problem s);
+  List.iter (fun l -> Cnf.add_clause assumed [ l ]) assumptions;
+  let assumed = Cnf.freeze assumed in
   let cert =
     match r with
     | Sat m -> Proof.Model m
@@ -1039,16 +1108,33 @@ let solve_assuming_certified ~assumptions s =
   | Error msg -> raise (Proof.Certification_failed msg));
   r
 
-(* Segment 0 is sized to the problem's clauses; once they are loaded it
-   is sealed, so that every later clause goes into a later segment. *)
+(* Segment 0 is sized to the problem's clauses, with no room spared for
+   the ones simplification drops; once they are loaded it is sealed, so
+   that every later clause goes into a later segment. Each clause is
+   copied into [s.tmp] and loaded there as [add_clause] loads one, in
+   order, so the store, the trail and the DRUP trail are what adding
+   the clauses one by one would give. *)
 let of_problem ?(proof = false) (p : Cnf.problem) =
-  let words =
-    List.fold_left (fun w c -> w + Array.length c + hdr_words) 0 p.clauses
-  in
-  let s = create_sized words in
-  if proof then enable_proof s;
+  let n = Cnf.num_clauses p in
+  let s = create_sized (Array.length p.lits + (hdr_words * n)) in
+  if proof then begin
+    enable_proof s;
+    s.originals <- p
+  end;
   ensure_vars s p.num_vars;
-  List.iter (add_array s) (List.rev p.clauses);
+  let lits = p.lits and ends = p.ends in
+  let i = ref 0 in
+  while s.ok && !i < n do
+    let start = if !i = 0 then 0 else ends.(!i - 1) in
+    let len = ends.(!i) - start in
+    ensure_tmp s len;
+    let tmp = s.tmp in
+    for j = 0 to len - 1 do
+      tmp.(j) <- lits.(start + j)
+    done;
+    add_tmp s len;
+    incr i
+  done;
   s.fill <- Array.length s.segs.(0);
   s
 

@@ -49,7 +49,8 @@ val num_vars : t -> int
 val add_clause : t -> Cnf.lit list -> unit
 (** Adds a clause over existing variables (unknown variables are allocated
     automatically). Tautologies are dropped; duplicate literals merged.
-    Adding the empty clause marks the instance unsatisfiable. *)
+    Adding the empty clause marks the instance unsatisfiable. Raises
+    [Invalid_argument] on a literal over variable 0, adding nothing. *)
 
 val solve : ?assumptions:Cnf.lit list -> ?certify:bool -> t -> result
 (** Decides the instance. With [assumptions], decides satisfiability under
@@ -138,8 +139,11 @@ val last_certification : t -> Proof.report option
 (** Report of the most recent successful [~certify:true] solve. *)
 
 val of_problem : ?proof:bool -> Cnf.problem -> t
-(** Loads a {!Cnf.problem} into a fresh solver. [~proof:true] (default
-    false) enables proof logging before loading. *)
+(** Loads a {!Cnf.problem} into a fresh solver, as {!add_clause} would
+    add its clauses one by one in order (after {!ensure_vars} of its
+    [num_vars]), but without allocating per clause. [~proof:true]
+    (default false) enables proof logging before loading, and the
+    problem itself is then the start of {!original_problem}. *)
 
 val solve_problem : ?certify:bool -> Cnf.problem -> result
 (** One-shot convenience wrapper; [~certify] as in {!solve}. *)

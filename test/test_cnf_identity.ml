@@ -69,8 +69,9 @@ let listing_path =
   let rel = Filename.concat "examples" (Filename.concat "models" "paper_listings.als") in
   List.find_opt Sys.file_exists [ rel; Filename.concat Filename.parent_dir_name rel ]
 
-(* each command translated exactly as [Elaborate.run_file] translates it *)
-let listing_commands () =
+(* each command's compiled scope and goal, translated below exactly as
+   [Elaborate.run_file] translates it *)
+let listing_goals () =
   let open Alloylite in
   let path =
     match listing_path with
@@ -95,8 +96,13 @@ let listing_commands () =
         match cmd with
         | Elaborate.Check (_, _, s) | Elaborate.Run (_, _, _, s) -> s
       in
-      (Elaborate.command_label cmd, Compile.translation (Compile.prepare model scope) goal))
+      (Elaborate.command_label cmd, (Compile.prepare model scope, goal)))
     commands
+
+let listing_commands () =
+  List.map
+    (fun (label, (c, goal)) -> (label, Alloylite.Compile.translation c goal))
+    (listing_goals ())
 
 let check_pin pin (tr : Relalg.Translate.translation) =
   let cnf = tr.Relalg.Translate.cnf in

@@ -44,8 +44,7 @@ let sat_engines_agree ~policy_idx ~states ~values =
       | Sat.Solver.Decided (Sat.Solver.Sat m1), Sat.Solver.Decided (Sat.Solver.Sat m2)
         ->
           (* both witnesses must actually satisfy the shared CNF *)
-          Sat.Cnf.check_model m1 p.Sat.Cnf.clauses
-          && Sat.Cnf.check_model m2 p.Sat.Cnf.clauses
+          Sat.Cnf.check_model m1 p && Sat.Cnf.check_model m2 p
       | Sat.Solver.Decided Sat.Solver.Unsat, Sat.Solver.Decided Sat.Solver.Unsat
         -> true
       | _ -> false)

@@ -7,6 +7,12 @@ let check_int = Alcotest.(check int)
 
 (* ---- Cnf ---- *)
 
+(* the problem of these clauses, in order *)
+let problem_of ?num_vars clauses =
+  let b = Sat.Cnf.builder ?num_vars () in
+  List.iter (Sat.Cnf.add_clause b) clauses;
+  Sat.Cnf.freeze b
+
 let test_literal_encoding () =
   check_int "var_of pos" 7 (Sat.Cnf.var_of (Sat.Cnf.pos 7));
   check_int "var_of neg" 7 (Sat.Cnf.var_of (Sat.Cnf.neg 7));
@@ -23,38 +29,75 @@ let test_lit_of_int_zero () =
       ignore (Sat.Cnf.lit_of_int 0))
 
 let test_problem_building () =
-  let p = Sat.Cnf.empty in
-  let p = Sat.Cnf.add_clause p [ Sat.Cnf.pos 1; Sat.Cnf.neg 3 ] in
-  let p = Sat.Cnf.add_clause p [ Sat.Cnf.pos 2 ] in
+  let pos = Sat.Cnf.pos and neg = Sat.Cnf.neg in
+  let b = Sat.Cnf.builder () in
+  Sat.Cnf.add_clause b [ pos 1; neg 3 ];
+  Sat.Cnf.add_lit b (pos 2);
+  Sat.Cnf.close_clause b;
+  let p = Sat.Cnf.freeze b in
   check_int "num_vars grows" 3 p.Sat.Cnf.num_vars;
   check_int "clause count" 2 (Sat.Cnf.num_clauses p);
-  let p, v = Sat.Cnf.fresh_var p in
+  check "clauses in insertion order" true
+    (Sat.Cnf.clause p 0 = [| pos 1; neg 3 |] && Sat.Cnf.clause p 1 = [| pos 2 |]);
+  let v = Sat.Cnf.fresh_var b in
   check_int "fresh var" 4 v;
-  check_int "fresh var bumps count" 4 p.Sat.Cnf.num_vars
+  check_int "fresh var bumps count" 4 (Sat.Cnf.freeze b).Sat.Cnf.num_vars;
+  check "an earlier freeze is unchanged" true (p.Sat.Cnf.num_vars = 3);
+  Sat.Cnf.add_lit b (pos 1);
+  Alcotest.check_raises "an open clause is not frozen"
+    (Invalid_argument "Cnf.freeze: a clause is still open") (fun () ->
+      ignore (Sat.Cnf.freeze b))
+
+(* Variable 0 does not exist. A literal over it used to be accepted by
+   the CNF and by the solver, which enqueued the unit [[pos 0]] without
+   storing it and answered Sat with a model that falsifies it. *)
+let test_variable_zero_rejected () =
+  let pos = Sat.Cnf.pos and neg = Sat.Cnf.neg in
+  let b = Sat.Cnf.builder () in
+  Sat.Cnf.add_clause b [ pos 1 ];
+  Alcotest.check_raises "builder: add_lit"
+    (Invalid_argument "Cnf: a literal over variable 0") (fun () ->
+      Sat.Cnf.add_lit b (pos 0));
+  Alcotest.check_raises "builder: add_clause"
+    (Invalid_argument "Cnf: a literal over variable 0") (fun () ->
+      Sat.Cnf.add_clause b [ pos 2; neg 0 ]);
+  let p = Sat.Cnf.freeze b in
+  check "add_clause appended nothing" true
+    (p.Sat.Cnf.lits = [| pos 1 |] && Sat.Cnf.num_clauses p = 1);
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_clause s [ neg 1 ];
+  Alcotest.check_raises "solver: add_clause"
+    (Invalid_argument "Solver.add_clause: a literal over variable 0")
+    (fun () -> Sat.Solver.add_clause s [ pos 0 ]);
+  check_int "the solver added nothing" 1
+    (Sat.Solver.stats s).Sat.Solver.clauses_added;
+  match Sat.Solver.solve s with
+  | Sat.Solver.Sat m -> check "the model still satisfies !1" false m.(1)
+  | Sat.Solver.Unsat -> Alcotest.fail "!1 alone is satisfiable"
 
 let test_check_model () =
-  let clauses = [ [| Sat.Cnf.pos 1; Sat.Cnf.neg 2 |]; [| Sat.Cnf.pos 2 |] ] in
+  let clauses =
+    problem_of [ [ Sat.Cnf.pos 1; Sat.Cnf.neg 2 ]; [ Sat.Cnf.pos 2 ] ]
+  in
   check "satisfying model accepted" true
     (Sat.Cnf.check_model [| false; true; true |] clauses);
   check "falsifying model rejected" false
     (Sat.Cnf.check_model [| false; false; true |] clauses)
 
-(* the loop behind check_model, shared with the solver's model check *)
+(* the loop behind check_model *)
 let test_check_model_loops () =
+  let pos = Sat.Cnf.pos and neg = Sat.Cnf.neg in
   let m = [| false; true; false; true |] in
-  let c1 = [| Sat.Cnf.neg 1; Sat.Cnf.pos 3 |] in
-  let c2 = [| Sat.Cnf.neg 2; Sat.Cnf.neg 3 |] in
-  check "a satisfied set" true (Sat.Cnf.check_model m [ c1; c2 ]);
-  check "satisfies: true literal last" true
-    (Sat.Cnf.satisfies m [| Sat.Cnf.pos 2; Sat.Cnf.pos 3 |]);
-  let falsified = [| Sat.Cnf.neg 3; Sat.Cnf.pos 2 |] in
-  check "a falsified clause" false (Sat.Cnf.satisfies m falsified);
-  check "a falsified clause fails the set" false
-    (Sat.Cnf.check_model m [ c1; falsified; c2 ]);
-  check "the empty clause is never satisfied" false (Sat.Cnf.satisfies m [||]);
-  check "the empty clause fails the set" false
-    (Sat.Cnf.check_model m [ c1; [||] ]);
-  check "the empty set holds" true (Sat.Cnf.check_model m [])
+  let holds cs = Sat.Cnf.check_model m (problem_of cs) in
+  let c1 = [ neg 1; pos 3 ] and c2 = [ neg 2; neg 3 ] in
+  check "a satisfied set" true (holds [ c1; c2 ]);
+  check "true literal last" true (holds [ [ pos 2; pos 3 ] ]);
+  let falsified = [ neg 3; pos 2 ] in
+  check "a falsified clause" false (holds [ falsified ]);
+  check "a falsified clause fails the set" false (holds [ c1; falsified; c2 ]);
+  check "the empty clause is never satisfied" false (holds [ [] ]);
+  check "the empty clause fails the set" false (holds [ c1; [] ]);
+  check "the empty set holds" true (holds [])
 
 (* ---- Vec ---- *)
 
@@ -192,6 +235,26 @@ let test_tseitin_model_evaluates_true () =
         if not (Sat.Formula.eval env f) then
           Alcotest.failf "model does not satisfy %a" Sat.Formula.pp f
   done
+
+(* [to_cnf ~num_primary] checks each variable as it meets it, instead
+   of folding the circuit for the largest one first. *)
+let test_tseitin_variable_range () =
+  let open Sat.Formula in
+  let f = and2 (var 1) (var 3) in
+  Alcotest.check_raises "above num_primary"
+    (Invalid_argument "Formula.to_cnf: variable 3 outside 1..2") (fun () ->
+      ignore (to_cnf ~num_primary:2 f));
+  Alcotest.check_raises "variable 0"
+    (Invalid_argument "Formula.to_cnf: variable 0 outside 1..2") (fun () ->
+      ignore (to_cnf ~num_primary:2 (or2 (var 0) (var 1))));
+  (* a failed translation leaves the next one whole *)
+  let r = to_cnf ~num_primary:3 f in
+  check_int "auxiliaries above num_primary" 4 r.problem.Sat.Cnf.num_vars;
+  check_int "three clauses and the root unit" 4
+    (Sat.Cnf.num_clauses r.problem);
+  match solve f with
+  | Sat.Solver.Sat m -> check "without num_primary" true (m.(1) && m.(3))
+  | Sat.Solver.Unsat -> Alcotest.fail "1 & 3 is satisfiable"
 
 (* Formulas built in two spawned domains, then combined and solved in
    this one. Each domain interns into its own tables, so the three share
@@ -337,7 +400,7 @@ let qcheck_luby_like_restart_progress =
     (fun seed ->
       let p = Sat.Gen.random_ksat ~seed ~k:3 ~num_vars:30 ~num_clauses:60 in
       match Sat.Solver.solve_problem p with
-      | Sat.Solver.Sat m -> Sat.Cnf.check_model m p.Sat.Cnf.clauses
+      | Sat.Solver.Sat m -> Sat.Cnf.check_model m p
       | Sat.Solver.Unsat -> false (* ratio 2.0 is essentially always sat *))
 
 (* ---- Proof logging + independent certification ---- *)
@@ -429,7 +492,7 @@ let test_duplicate_literals_in_originals () =
      watcher visit and the clause silently failed to propagate. *)
   let pos = Sat.Cnf.pos and neg = Sat.Cnf.neg in
   let p =
-    List.fold_left Sat.Cnf.add_clause Sat.Cnf.empty
+    problem_of
       [
         [ pos 1; pos 1; pos 2; pos 3 ];
         [ neg 2 ];
@@ -491,7 +554,9 @@ let test_dimacs_edge_cases () =
   check_int "vars from header" 4 p.Sat.Cnf.num_vars;
   check_int "clauses from body" 3 (Sat.Cnf.num_clauses p);
   check "empty clause parsed" true
-    (List.exists (fun c -> Array.length c = 0) p.Sat.Cnf.clauses);
+    (List.exists
+       (fun i -> Sat.Cnf.clause p i = [||])
+       (List.init (Sat.Cnf.num_clauses p) Fun.id));
   check "empty clause makes it unsat" true
     (Sat.Solver.solve_problem p = Sat.Solver.Unsat)
 
@@ -503,7 +568,8 @@ let qcheck_dimacs_roundtrip =
       let p' = Sat.Dimacs.parse_string (Sat.Dimacs.to_string p) in
       let p'' = Sat.Dimacs.parse_string (Sat.Dimacs.to_string p') in
       p'.Sat.Cnf.num_vars = p.Sat.Cnf.num_vars
-      && p'.Sat.Cnf.clauses = p.Sat.Cnf.clauses
+      && p'.Sat.Cnf.lits = p.Sat.Cnf.lits
+      && p'.Sat.Cnf.ends = p.Sat.Cnf.ends
       && p'' = p')
 
 (* ---- differential fuzzing with certified verdicts ---- *)
@@ -632,9 +698,10 @@ let test_failed_assumptions () =
     (List.length (Sat.Solver.failed_assumptions s))
 
 let test_solve_assuming_certified () =
-  let p = { Sat.Cnf.num_vars = 4; clauses = [] } in
-  let p = Sat.Cnf.add_clause p [ Sat.Cnf.neg 1; Sat.Cnf.pos 2 ] in
-  let p = Sat.Cnf.add_clause p [ Sat.Cnf.neg 2; Sat.Cnf.pos 3 ] in
+  let p =
+    problem_of ~num_vars:4
+      [ [ Sat.Cnf.neg 1; Sat.Cnf.pos 2 ]; [ Sat.Cnf.neg 2; Sat.Cnf.pos 3 ] ]
+  in
   let s = Sat.Solver.of_problem ~proof:true p in
   (* one warm session: an unsat cell, then a sat cell, then reuse *)
   (match
@@ -838,6 +905,70 @@ let test_reuse_schedules_compact () =
         Alcotest.failf "seed %d: the schedule never compacted" seed)
     [ 1; 2 ]
 
+(* The loader's two paths: [of_problem] loading a whole problem, and a
+   fresh solver fed its clauses one by one through [add_clause] (its
+   variables made first, as [of_problem] makes them). They must search
+   alike: same verdict and model, same counters, same DRUP trail. The
+   problems are [Fuzz] problems with what root-level simplification
+   must handle mixed in: duplicate literals, tautologies, units and, in
+   one instance of four, the empty clause. *)
+let messy_problem seed =
+  let rng = Netsim.Rng.create seed in
+  let num_vars = Netsim.Rng.int_in rng 6 16 in
+  let base =
+    Sat.Fuzz.random_problem rng ~k:(Netsim.Rng.pick rng [ 2; 3 ]) ~num_vars
+      ~num_clauses:(num_vars * Netsim.Rng.pick rng [ 2; 3; 4 ])
+  in
+  let lit () =
+    let v = 1 + Netsim.Rng.int rng num_vars in
+    if Netsim.Rng.bool rng then Sat.Cnf.pos v else Sat.Cnf.neg v
+  in
+  let n = Sat.Cnf.num_clauses base in
+  let empty_at = if Netsim.Rng.int rng 4 = 0 then Netsim.Rng.int rng n else -1 in
+  let b = Sat.Cnf.builder ~num_vars () in
+  for i = 0 to n - 1 do
+    if i = empty_at then Sat.Cnf.close_clause b;
+    let c = Array.to_list (Sat.Cnf.clause base i) in
+    match Netsim.Rng.int rng 10 with
+    | 0 -> Sat.Cnf.add_clause b (c @ [ List.hd c ])
+    | 1 ->
+        let l = lit () in
+        Sat.Cnf.add_clause b ((l :: c) @ [ Sat.Cnf.negate l ])
+    | 2 ->
+        Sat.Cnf.add_clause b [ lit () ];
+        Sat.Cnf.add_clause b c
+    | _ -> Sat.Cnf.add_clause b c
+  done;
+  Sat.Cnf.freeze b
+
+let loads_alike ~proof p =
+  let loaded = Sat.Solver.of_problem ~proof p in
+  let fed = Sat.Solver.create () in
+  if proof then Sat.Solver.enable_proof fed;
+  Sat.Solver.ensure_vars fed p.Sat.Cnf.num_vars;
+  for i = 0 to Sat.Cnf.num_clauses p - 1 do
+    Sat.Solver.add_clause fed (Array.to_list (Sat.Cnf.clause p i))
+  done;
+  let r1 = Sat.Solver.solve loaded in
+  let r2 = Sat.Solver.solve fed in
+  let counters s =
+    let st = Sat.Solver.stats s in
+    Sat.Solver.
+      [ st.decisions; st.propagations; st.conflicts; st.restarts;
+        st.learnt_literals; st.clauses_added; st.max_vars ]
+  in
+  r1 = r2
+  && counters loaded = counters fed
+  && Sat.Solver.proof_steps loaded = Sat.Solver.proof_steps fed
+
+let qcheck_loader_differential =
+  QCheck.Test.make ~count:150
+    ~name:"of_problem = add_clause one by one, with and without proofs"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let p = messy_problem seed in
+      loads_alike ~proof:false p && loads_alike ~proof:true p)
+
 let qcheck_solve_bounded_agrees =
   QCheck.Test.make ~count:30
     ~name:"generous solve_bounded verdict agrees with solve"
@@ -858,6 +989,8 @@ let suite =
     Alcotest.test_case "literal encoding" `Quick test_literal_encoding;
     Alcotest.test_case "zero literal rejected" `Quick test_lit_of_int_zero;
     Alcotest.test_case "problem building" `Quick test_problem_building;
+    Alcotest.test_case "variable-0 literals rejected" `Quick
+      test_variable_zero_rejected;
     Alcotest.test_case "check_model" `Quick test_check_model;
     Alcotest.test_case "check_model loops: falsified, empty, satisfied" `Quick
       test_check_model_loops;
@@ -871,6 +1004,8 @@ let suite =
     Alcotest.test_case "formula simplification" `Quick test_formula_simplification;
     Alcotest.test_case "tseitin equisatisfiable" `Quick test_tseitin_equisatisfiable;
     Alcotest.test_case "tseitin models evaluate true" `Quick test_tseitin_model_evaluates_true;
+    Alcotest.test_case "tseitin checks the variable range" `Quick
+      test_tseitin_variable_range;
     Alcotest.test_case "formulas interned in two domains, solved in a third"
       `Quick test_cross_domain_interning;
     Alcotest.test_case "at_most_one / exactly_one" `Quick test_at_most_one;
@@ -909,6 +1044,7 @@ let suite =
     Alcotest.test_case "reuse schedules that compact = cold oracle" `Quick
       test_reuse_schedules_compact;
     QCheck_alcotest.to_alcotest qcheck_solve_bounded_agrees;
+    QCheck_alcotest.to_alcotest qcheck_loader_differential;
     QCheck_alcotest.to_alcotest qcheck_cdcl_vs_dpll;
     QCheck_alcotest.to_alcotest qcheck_luby_like_restart_progress;
     QCheck_alcotest.to_alcotest qcheck_dimacs_roundtrip;

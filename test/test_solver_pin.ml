@@ -12,7 +12,9 @@
 
    The allocation gate at the end holds the other half of that rework:
    a verdict on the 2p2v/4st shared translation, cold or warm,
-   allocates almost nothing. *)
+   allocates almost nothing. A second gate holds the CNF's way from
+   Tseitin into a session to a few allocations per problem, not
+   several per clause. *)
 
 module S = Sat.Solver
 
@@ -346,6 +348,65 @@ let test_verdict_allocation () =
       cells
   done
 
+(* ---- the load allocation gate ---- *)
+
+(* Words allocated by the calling domain while [f] runs: its minor
+   words plus the words it allocated straight into the major heap
+   (arrays too big for the minor heap), which [Gc.counters] counts as
+   major words that were not promoted. (The minor count of
+   [Gc.counters] can miss words, [Gc.minor_words] does not.) *)
+let direct_major () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let alloc_words f =
+  let minor0 = Gc.minor_words () and major0 = direct_major () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and major1 = direct_major () in
+  (r, minor1 -. minor0 +. (major1 -. major0))
+
+(* Translating to CNF and loading the CNF into a session allocate
+   little beyond what they keep: the problem's one exact-size copy, and
+   the session's clause store, watch lists and per-variable arrays.
+   Before the CNF was one flat buffer, each clause was allocated several
+   times on its way to the store: a record, a list cell and an array in
+   Tseitin, then a list cell, an array copy and a sort's closures in the
+   loader. Measured then, in words: 357K for the Tseitin step of the
+   listings' uniqueID translation, 560K for opening its session, and
+   2.56M for opening a session on the 2p2v/4st shared translation; with
+   the flat buffer, 69K (once the domain's builder has grown), 232K and
+   938K. *)
+let test_load_allocation () =
+  let c, goal =
+    List.assoc "check uniqueID" (Test_cnf_identity.listing_goals ())
+  in
+  let circuit, num_primary =
+    Relalg.Translate.circuit c.Alloylite.Compile.bounds
+      (Relalg.Ast.and_ [ c.Alloylite.Compile.facts; goal ])
+  in
+  (* the first translation on a domain grows the builder it keeps *)
+  ignore (Sat.Formula.to_cnf ~num_primary circuit);
+  let _, tseitin =
+    alloc_words (fun () -> Sat.Formula.to_cnf ~num_primary circuit)
+  in
+  let listing = Alloylite.Compile.translation c goal in
+  let _, listing_session =
+    alloc_words (fun () -> Relalg.Translate.session listing)
+  in
+  let shared = (Lazy.force shared).Core.Mca_model.shared_translation in
+  let _, shared_session =
+    alloc_words (fun () -> Relalg.Translate.session shared)
+  in
+  List.iter
+    (fun (what, words, gate) ->
+      if words >= gate then
+        Alcotest.failf "%s allocated %.0f words (gate %.0f)" what words gate)
+    [
+      ("the Tseitin step of uniqueID", tseitin, 100_000.0);
+      ("opening uniqueID's session", listing_session, 300_000.0);
+      ("opening a 2p2v/4st session", shared_session, 1_200_000.0);
+    ]
+
 (* The compaction pin above is only a pin of the store's compaction if
    its session compacts, several times. *)
 let test_compaction_pin_compacts () =
@@ -365,4 +426,7 @@ let suite =
         test_verdict_allocation;
       Alcotest.test_case "the 3sat-200 session compacts its clause store"
         `Quick test_compaction_pin_compacts;
+      Alcotest.test_case
+        "Tseitin and session loads allocate < 100K, 300K and 1.2M words" `Quick
+        test_load_allocation;
     ]
