@@ -231,13 +231,13 @@ let certification_table () =
   let row name problem =
     let solver = Sat.Solver.of_problem ~proof:true problem in
     let t0 = Sys.time () in
-    let result = Sat.Solver.solve ~certify:true solver in
+    let result = Sat.Solver.solve solver in
+    let report = Sat.Solver.certify solver ~assumptions:[] result in
     let total = Sys.time () -. t0 in
     let verdict =
       match result with Sat.Solver.Sat _ -> "SAT" | Sat.Solver.Unsat -> "UNSAT"
     in
-    print_row ~none:"(no certificate)" name verdict total
-      (Sat.Solver.last_certification solver)
+    print_row ~none:"(no certificate)" name verdict total (Some report)
   in
   row "pigeonhole-6-into-5" (Sat.Gen.pigeonhole 5);
   row "pigeonhole-7-into-6" (Sat.Gen.pigeonhole 6);
@@ -252,14 +252,19 @@ let certification_table () =
         Core.Mca_model.honest_submodular Core.Mca_model.paper_scope
     in
     let t0 = Sys.time () in
-    let { Relalg.Translate.outcome; certification } =
-      Core.Mca_model.check_consensus_certified m
+    let session =
+      Relalg.Translate.session ~certify:true (Core.Mca_model.translation m)
     in
+    let outcome =
+      Relalg.Translate.solve_cell ~budget:Netsim.Budget.unlimited session []
+    in
+    let certification = Relalg.Translate.certify session in
     let total = Sys.time () -. t0 in
     let verdict =
       match outcome with
-      | Alloylite.Compile.Unsat -> "UNSAT"
-      | Alloylite.Compile.Sat _ -> "SAT"
+      | Relalg.Translate.Decided Relalg.Translate.Unsat -> "UNSAT"
+      | Relalg.Translate.Decided (Relalg.Translate.Sat _) -> "SAT"
+      | Relalg.Translate.Unknown _ -> assert false (* unlimited budget *)
     in
     print_row ~none:"(constant-folded, no SAT call)" "mca-consensus-3p2v"
       verdict total certification
@@ -548,14 +553,14 @@ let run_scaling_sweep () =
      session: the DRUP certificate must cover the assumed
      (selector-fixed) problem and pass the checker *)
   let shared = Core.Mca_model.build_shared Core.Mca_model.Efficient scope_2p2v in
-  let cert =
-    Core.Mca_model.check_consensus_incremental_certified
-      (Core.Mca_model.incremental_session ~certify:true shared)
-      Core.Mca_model.honest_submodular
+  let session = Core.Mca_model.incremental_session ~certify:true shared in
+  let outcome =
+    Core.Mca_model.check_consensus_incremental ~budget:Netsim.Budget.unlimited
+      session Core.Mca_model.honest_submodular
   in
-  (match (cert.Relalg.Translate.outcome, cert.Relalg.Translate.certification)
-   with
-  | Alloylite.Compile.Unsat, Some r when r.Sat.Proof.kind = `Refutation -> ()
+  (match (outcome, Core.Mca_model.certify session) with
+  | Relalg.Translate.Decided Alloylite.Compile.Unsat, Some r
+    when r.Sat.Proof.kind = `Refutation -> ()
   | _ -> failwith "E15: shared-translation DRUP check failed");
   Format.printf "  shared translation certified (DRUP, assumed selectors): true@.";
   { scope = String.concat ", " (List.map (fun (t, _, _) -> t) measured_scopes);
@@ -670,33 +675,37 @@ let run_incremental_matrix () =
   let certified_session =
     Core.Mca_model.incremental_session ~certify:true shared_3p2v
   in
+  let certified session p =
+    let outcome =
+      Core.Mca_model.check_consensus_incremental
+        ~budget:Netsim.Budget.unlimited session p
+    in
+    (outcome, Core.Mca_model.certify session)
+  in
   let cert_ok =
     List.for_all
       (fun (_, p) ->
-        let warm =
-          Core.Mca_model.check_consensus_incremental_certified
-            certified_session p
-        in
-        let fresh =
-          Core.Mca_model.check_consensus_incremental_certified
+        let warm, warm_cert = certified certified_session p in
+        let fresh, _ =
+          certified
             (Core.Mca_model.incremental_session ~certify:true shared_3p2v)
             p
         in
         let verdict_agrees =
-          match
-            (warm.Relalg.Translate.outcome, fresh.Relalg.Translate.outcome)
-          with
-          | Relalg.Translate.Unsat, Relalg.Translate.Unsat -> true
-          | Relalg.Translate.Sat _, Relalg.Translate.Sat _ -> true
+          match (warm, fresh) with
+          | Relalg.Translate.Decided Relalg.Translate.Unsat,
+            Relalg.Translate.Decided Relalg.Translate.Unsat -> true
+          | Relalg.Translate.Decided (Relalg.Translate.Sat _),
+            Relalg.Translate.Decided (Relalg.Translate.Sat _) -> true
           | _ -> false
         in
         let certificate_checks =
-          match
-            (warm.Relalg.Translate.outcome, warm.Relalg.Translate.certification)
-          with
-          | Relalg.Translate.Unsat, Some r -> r.Sat.Proof.kind = `Refutation
-          | Relalg.Translate.Sat _, Some r -> r.Sat.Proof.kind = `Model
-          | _, None -> false
+          match (warm, warm_cert) with
+          | Relalg.Translate.Decided Relalg.Translate.Unsat, Some r ->
+              r.Sat.Proof.kind = `Refutation
+          | Relalg.Translate.Decided (Relalg.Translate.Sat _), Some r ->
+              r.Sat.Proof.kind = `Model
+          | _ -> false
         in
         verdict_agrees && certificate_checks)
       policies
@@ -1134,7 +1143,7 @@ let bench_tests () =
         Core.Mca_model.honest_submodular Core.Mca_model.small_scope
     in
     Test.make ~name:"e5/translate-efficient-2p2v"
-      (Staged.stage (fun () -> ignore (Core.Mca_model.translation_stats m)))
+      (Staged.stage (fun () -> ignore (Core.Mca_model.translation m)))
   in
   let consensus_attack_sat =
     Test.make ~name:"e3/sat-check-attack-counterexample"

@@ -20,7 +20,8 @@
    --certify (sat backend) re-validates the verdict with the
    independent Sat.Proof checker: a HOLDS answer must come with an
    accepted DRUP refutation, a VIOLATED answer with a model that
-   satisfies every translated clause. *)
+   satisfies every translated clause. With --timeout too, an UNKNOWN
+   carries no certificate, and a decided verdict is certified. *)
 
 open Cmdliner
 
@@ -162,26 +163,21 @@ let run backend encoding symmetry certify non_submodular release_outbid
         | "buffered" -> Core.Mca_model.Buffered
         | _ -> Core.Mca_model.Efficient
       in
-      if certify && timeout <> None then
-        failwith "--certify cannot be combined with --timeout (the bounded \
-                  SAT path produces no certificate)";
       let m = Core.Mca_model.build enc mpolicy scope in
       Format.printf "model: %s@." (Core.Mca_model.describe m);
-      let outcome =
-        if certify then begin
-          let { Relalg.Translate.outcome; certification } =
-            Core.Mca_model.check_consensus_certified ~symmetry m
-          in
-          (match certification with
+      let session =
+        Relalg.Translate.session ~certify (Core.Mca_model.translation ~symmetry m)
+      in
+      let outcome = Relalg.Translate.solve_cell ~budget session [] in
+      (match outcome with
+      | Relalg.Translate.Decided _ when certify -> (
+          match Relalg.Translate.certify session with
           | Some report ->
               Format.printf "certificate: %a@." Sat.Proof.pp_report report
           | None ->
               Format.printf
-                "certificate: trivial (formula constant-folded, no SAT call)@.");
-          Relalg.Translate.Decided outcome
-        end
-        else Core.Mca_model.check_consensus_bounded ~symmetry ~budget m
-      in
+                "certificate: trivial (formula constant-folded, no SAT call)@.")
+      | _ -> ());
       (match outcome with
       | Relalg.Translate.Decided Relalg.Translate.Unsat ->
           Format.printf "consensus assertion HOLDS within scope@.";
@@ -332,8 +328,8 @@ let term =
     Arg.(value & flag
          & info [ "certify" ]
              ~doc:"independently certify the SAT-backend verdict (DRUP proof \
-                   check for HOLDS, strict model check for VIOLATED); not \
-                   compatible with --timeout")
+                   check for HOLDS, strict model check for VIOLATED); with \
+                   --timeout, an UNKNOWN carries no certificate")
   in
   let drop =
     Arg.(value & opt float 0.0

@@ -31,23 +31,24 @@ let solve_file path use_dpll show_stats certify drup_out =
           let solver = Sat.Solver.of_problem ~proof:log_proof problem in
           let words0 = Gc.minor_words () in
           let gcs0 = (Gc.quick_stat ()).Gc.minor_collections in
-          let r =
-            try Sat.Solver.solve ~certify solver
-            with Sat.Proof.Certification_failed msg ->
-              Printf.eprintf "error: certificate REJECTED: %s\n" msg;
-              exit 3
-          in
+          let r = Sat.Solver.solve solver in
           let alloc =
             ( Gc.minor_words () -. words0,
               (Gc.quick_stat ()).Gc.minor_collections - gcs0 )
+          in
+          let certification =
+            if not certify then None
+            else
+              try Some (Sat.Solver.certify solver ~assumptions:[] r)
+              with Sat.Proof.Certification_failed msg ->
+                Printf.eprintf "error: certificate REJECTED: %s\n" msg;
+                exit 3
           in
           (match drup_out with
           | Some file ->
               Sat.Dimacs.write_drup_file file (Sat.Solver.proof_steps solver)
           | None -> ());
-          ( r,
-            Some (Sat.Solver.stats solver, alloc),
-            Sat.Solver.last_certification solver )
+          (r, Some (Sat.Solver.stats solver, alloc), certification)
         end
       in
       Sat.Dimacs.print_result Format.std_formatter result;

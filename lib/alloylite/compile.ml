@@ -267,15 +267,12 @@ let translation ?symmetry c f =
 (* Every command is [translation] plus a throwaway session: opened for
    one solve, then dropped. The unbudgeted commands cannot come back
    [Unknown]. *)
-let decide tr =
-  match
-    Translate.solve_cell ~budget:Netsim.Budget.unlimited (Translate.session tr)
-      []
-  with
+let decide sn =
+  match Translate.solve_cell ~budget:Netsim.Budget.unlimited sn [] with
   | Translate.Decided o -> o
   | Translate.Unknown _ -> assert false (* unlimited budgets never expire *)
 
-let run_formula ?symmetry c f = decide (translation ?symmetry c f)
+let run_formula ?symmetry c f = decide (Translate.session (translation ?symmetry c f))
 
 let run_pred ?symmetry c name =
   match Model.find_pred c.model name with
@@ -287,17 +284,12 @@ let run_pred ?symmetry c name =
 let check ?symmetry c name =
   match Model.find_assert c.model name with
   | None -> invalid_arg (Printf.sprintf "Compile.check: unknown assertion %s" name)
-  | Some f -> decide (translation ?symmetry c (Ast.not_ f))
-
-let check_formula_bounded ?symmetry ?stop ~budget c f =
-  Translate.solve_cell ?stop ~budget
-    (Translate.session (translation ?symmetry c (Ast.not_ f)))
-    []
+  | Some f -> decide (Translate.session (translation ?symmetry c (Ast.not_ f)))
 
 let check_formula_certified ?symmetry c f =
-  Translate.solve_cell_certified
-    (Translate.session ~certify:true (translation ?symmetry c (Ast.not_ f)))
-    []
+  let sn = Translate.session ~certify:true (translation ?symmetry c (Ast.not_ f)) in
+  let outcome = decide sn in
+  { Translate.outcome; certification = Translate.certify sn }
 
 let enumerate ?symmetry ?limit c f =
   Translate.enumerate ?symmetry ?limit c.bounds (Ast.and_ [ c.facts; f ])

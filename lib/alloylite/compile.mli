@@ -57,19 +57,13 @@ val check : ?symmetry:bool -> t -> string -> outcome
     (see {!Relalg.Translate.translate}). Raises [Invalid_argument] on an
     unknown assertion. *)
 
-val check_formula_bounded :
-  ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> t ->
-  Relalg.Ast.formula -> Relalg.Translate.bounded_outcome
-(** Searches for a counterexample to the formula under a budget:
-    returns [Unknown reason] instead of hanging once the
-    {!Netsim.Budget} expires, or within one conflict of the cooperative
-    [stop] hook flipping to [true]. *)
-
 val check_formula_certified :
   ?symmetry:bool -> t -> Relalg.Ast.formula -> Relalg.Translate.certified_outcome
-(** Certified counterexample search: the verdict carries the
-    {!Sat.Proof} certification report (DRUP refutation for [Unsat],
-    strict model check for [Sat]). *)
+(** Certified counterexample search: one solve on a [~certify:true]
+    session, then {!Relalg.Translate.certify} of its verdict (DRUP
+    refutation for [Unsat], strict model check for [Sat]). Raises
+    {!Sat.Proof.Certification_failed} when the certificate is
+    rejected. *)
 
 val enumerate : ?symmetry:bool -> ?limit:int -> t -> Relalg.Ast.formula -> Relalg.Instance.t list
 (** Up to [limit] distinct instances satisfying facts plus the formula —

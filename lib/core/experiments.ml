@@ -552,7 +552,7 @@ let encoding_comparison ?(solve_naive = false) ppf =
         List.map
           (fun (encoding, enc, symmetry) ->
             let m = Mca_model.build enc Mca_model.honest_submodular scope in
-            let st = Mca_model.translation_stats m in
+            let st = Relalg.Translate.translation_stats (Mca_model.translation m) in
             let solve_seconds =
               (* the buffered and naive encodings mirror the paper's slow
                  full model: report their translation size, solve only on

@@ -738,11 +738,15 @@ type shared = {
   shared_encoding : encoding;
   shared_scope : scope_spec;
   shared_target : int;
+  shared_model : t;
   shared_translation : Relalg.Translate.translation;
   sel_submod : Sat.Cnf.var;
   sel_release : Sat.Cnf.var;
   sel_attack : Sat.Cnf.var;
 }
+
+let translation ?symmetry t =
+  Compile.translation ?symmetry t.compiled (not_ t.consensus_pred)
 
 let build_shared ?(symmetry = true) ?(target = 2) encoding scope =
   let generic =
@@ -750,9 +754,7 @@ let build_shared ?(symmetry = true) ?(target = 2) encoding scope =
       { submodular = true; release_outbid = false; rebid_attack = false; target }
       scope
   in
-  let tr =
-    Compile.translation ~symmetry generic.compiled (not_ generic.consensus_pred)
-  in
+  let tr = translation ~symmetry generic in
   let sel name =
     match Relalg.Translate.selector_var tr name with
     | Some v -> v
@@ -767,6 +769,7 @@ let build_shared ?(symmetry = true) ?(target = 2) encoding scope =
     shared_encoding = encoding;
     shared_scope = scope;
     shared_target = target;
+    shared_model = generic;
     shared_translation = tr;
     sel_submod = sel "cfg_submod";
     sel_release = sel "cfg_release";
@@ -798,9 +801,7 @@ let check_consensus_incremental ?stop ~budget sn policy =
   Relalg.Translate.solve_cell ?stop ~budget sn.inner
     (shared_assumptions sn.shared policy)
 
-let check_consensus_incremental_certified sn policy =
-  Relalg.Translate.solve_cell_certified sn.inner
-    (shared_assumptions sn.shared policy)
+let certify sn = Relalg.Translate.certify sn.inner
 
 let session_solver_stats sn = Relalg.Translate.session_stats sn.inner
 
@@ -833,21 +834,7 @@ let domain_session sh =
 
 let check_consensus ?symmetry t = Compile.check ?symmetry t.compiled "consensus"
 
-let check_consensus_bounded ?symmetry ?stop ~budget t =
-  Compile.check_formula_bounded ?symmetry ?stop ~budget t.compiled
-    t.consensus_pred
-
-let check_consensus_certified ?symmetry t =
-  Compile.check_formula_certified ?symmetry t.compiled t.consensus_pred
-
 let run_instance t = Compile.run_formula t.compiled tt
-
-let translation_stats t =
-  Relalg.Translate.translation_stats
-    (Compile.translation t.compiled (not_ t.consensus_pred))
-
-let consensus_cnf t =
-  (Compile.translation t.compiled (not_ t.consensus_pred)).Relalg.Translate.cnf
 
 let describe t =
   Printf.sprintf "%s encoding, %s%s%s, T=%d, scope %dp/%dv/%d states"

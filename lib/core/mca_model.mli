@@ -83,11 +83,23 @@ type shared = {
   shared_encoding : encoding;
   shared_scope : scope_spec;
   shared_target : int;
+  shared_model : t;
+      (** the policy-generic model, selectors in place of the policy:
+          [shared_translation] is its {!translation} *)
   shared_translation : Relalg.Translate.translation;
   sel_submod : Sat.Cnf.var;
   sel_release : Sat.Cnf.var;
   sel_attack : Sat.Cnf.var;
 }
+
+val translation : ?symmetry:bool -> t -> Relalg.Translate.translation
+(** The [check consensus] query (facts ∧ ¬consensus) as one
+    translation: the input of a per-policy session, of the E5 size
+    measurements ({!Relalg.Translate.translation_stats}), and of the
+    cross-engine differential harness, which feeds its CNF to both
+    DPLL and CDCL ([constant = Some false] or an unsatisfiable
+    [problem] means consensus holds in scope). [symmetry] as in
+    {!check_consensus}. *)
 
 val build_shared :
   ?symmetry:bool -> ?target:int -> encoding -> scope_spec -> shared
@@ -113,7 +125,7 @@ type session
 
 val incremental_session : ?certify:bool -> shared -> session
 (** Opens a session. [~certify:true] (default false) enables DRUP proof
-    logging so {!check_consensus_incremental_certified} is available. *)
+    logging, so that {!certify} can check each verdict. *)
 
 val check_consensus_incremental :
   ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> session -> policy ->
@@ -124,13 +136,12 @@ val check_consensus_incremental :
     session stays reusable and a retry resumes warm. Raises
     [Invalid_argument] on a target mismatch like {!shared_assumptions}. *)
 
-val check_consensus_incremental_certified :
-  session -> policy -> Relalg.Translate.certified_outcome
-(** Certified variant. It never asserts the selector literals as
-    clauses — that would poison a warm solver for every later cell —
-    yet the certificate covers the assumed problem (see
-    {!Sat.Solver.solve_assuming_certified}). Requires [~certify:true]
-    at session open. *)
+val certify : session -> Sat.Proof.report option
+(** Certifies the verdict the last {!check_consensus_incremental} on a
+    [~certify:true] session decided, under that cell's selector
+    assumptions, which are never asserted as clauses (see
+    {!Relalg.Translate.certify}, whose exceptions it raises). [None]
+    when the circuit constant-folded away. *)
 
 val session_solver_stats : session -> Sat.Solver.stats option
 (** Lifetime counters of the session solver ([None] when the circuit
@@ -150,34 +161,8 @@ val check_consensus : ?symmetry:bool -> t -> Alloylite.Compile.outcome
     [symmetry] (default false) adds Kodkod-style symmetry-breaking
     predicates — the ablation of experiment E5b. *)
 
-val check_consensus_bounded :
-  ?symmetry:bool -> ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> t ->
-  Relalg.Translate.bounded_outcome
-(** Like {!check_consensus}, but gives up with [Unknown reason] once the
-    {!Netsim.Budget} (wall-clock deadline and/or conflict cap) expires —
-    the SAT backend's graceful-degradation path — or within one conflict
-    of the cooperative [stop] hook flipping to [true] (the supervised
-    sweep's stall-cancellation path). *)
-
-val check_consensus_certified :
-  ?symmetry:bool -> t -> Relalg.Translate.certified_outcome
-(** Like {!check_consensus}, but the verdict is independently certified:
-    an [Unsat] ("consensus holds in scope" — the paper's Result-1
-    positive rows) carries a DRUP refutation accepted by the
-    {!Sat.Proof} checker, and a [Sat] counterexample carries a
-    model re-validated against every CNF clause. *)
-
 val run_instance : t -> Alloylite.Compile.outcome
 (** [run {}]: any instance of the model (sanity: the facts are
     satisfiable, so [check] verdicts are not vacuous). *)
-
-val translation_stats : t -> Relalg.Translate.stats
-(** Size of the [check consensus] SAT translation (experiment E5). *)
-
-val consensus_cnf : t -> Sat.Formula.cnf_result
-(** The raw CNF of the [check consensus] query (facts ∧ ¬consensus) —
-    the common input the cross-engine differential harness feeds to
-    both DPLL and CDCL: [constant = Some false] or an unsatisfiable
-    [problem] means consensus holds in scope. *)
 
 val describe : t -> string

@@ -3,7 +3,6 @@ module F = Sat.Formula
 type translation = {
   cnf : F.cnf_result;
   num_primary : int;
-  circuit_size : int;
   bounds : Bounds.t;
   alloc : (string * (Tuple.t * Sat.Cnf.var option) list) list;
 }
@@ -371,7 +370,7 @@ let circuit ?symmetry bounds formula =
 let translate ?symmetry bounds formula =
   let circuit, num_primary, alloc = compile ?symmetry bounds formula in
   let cnf = F.to_cnf ~num_primary circuit in
-  { cnf; num_primary; circuit_size = F.size circuit; bounds; alloc }
+  { cnf; num_primary; bounds; alloc }
 
 type outcome = Sat of Instance.t | Unsat
 
@@ -417,16 +416,22 @@ type certified_outcome = {
    single call and dropped, it is a cold solve; kept per worker, it is
    warm — learnt clauses and VSIDS state carry across cells, and the
    cells of the policy matrix differ only in selector assumptions, so
-   most learnt clauses transfer. The certified path never [add_clause]s
-   assumption units into the solver (that would poison it for every
-   later cell); it relies on [Sat.Solver.solve_assuming_certified],
-   which certifies against the assumed problem without mutating the
-   clause set. *)
+   most learnt clauses transfer. A certifying session also remembers
+   the assumptions and the answer of its last solve, for [certify] to
+   check; the assumptions never become clauses of the solver (that
+   would poison it for every later cell). *)
 type engine =
   | Folded of bool  (* the circuit constant-folded: nothing to solve *)
   | Solver of Sat.Solver.t
 
-type session = { tr : translation; engine : engine; certify : bool }
+type session = {
+  tr : translation;
+  engine : engine;
+  certify : bool;
+  mutable last : (Sat.Cnf.lit list * Sat.Solver.result) option;
+      (* a certifying session's last decided answer; [None] after an
+         [Unknown] *)
+}
 
 let session ?(certify = false) tr =
   let engine =
@@ -434,39 +439,34 @@ let session ?(certify = false) tr =
     | Some b -> Folded b
     | None -> Solver (Sat.Solver.of_problem ~proof:certify tr.cnf.F.problem)
   in
-  { tr; engine; certify }
-
-(* Both solve paths decide a constant-folded circuit here, without a
-   SAT call. *)
-let folded_outcome tr assumptions = function
-  | false -> Unsat
-  | true -> Sat (instance_of_model tr (trivial_model tr assumptions))
-
-let outcome_of_result tr = function
-  | Sat.Solver.Unsat -> Unsat
-  | Sat.Solver.Sat model ->
-      (* model may be longer than primary vars (Tseitin auxiliaries) *)
-      Sat (instance_of_model tr model)
+  { tr; engine; certify; last = None }
 
 let solve_cell ?stop ~budget sn assumptions =
   let tr = sn.tr in
   match sn.engine with
-  | Folded b -> Decided (folded_outcome tr assumptions b)
+  | Folded false -> Decided Unsat
+  | Folded true -> Decided (Sat (instance_of_model tr (trivial_model tr assumptions)))
   | Solver solver -> (
       match Sat.Solver.solve_bounded ?stop ~assumptions ~budget solver with
-      | Sat.Solver.Unknown { reason; _ } -> Unknown reason
-      | Sat.Solver.Decided r -> Decided (outcome_of_result tr r))
+      | Sat.Solver.Unknown { reason; _ } ->
+          if sn.certify then sn.last <- None;
+          Unknown reason
+      | Sat.Solver.Decided r -> (
+          if sn.certify then sn.last <- Some (assumptions, r);
+          match r with
+          | Sat.Solver.Unsat -> Decided Unsat
+          | Sat.Solver.Sat model ->
+              (* model may be longer than primary vars (Tseitin auxiliaries) *)
+              Decided (Sat (instance_of_model tr model))))
 
-let solve_cell_certified sn assumptions =
+let certify sn =
   if not sn.certify then
-    invalid_arg "Translate.solve_cell_certified: session not opened with ~certify:true";
-  let tr = sn.tr in
-  match sn.engine with
-  | Folded b -> { outcome = folded_outcome tr assumptions b; certification = None }
-  | Solver solver ->
-      let r = Sat.Solver.solve_assuming_certified ~assumptions solver in
-      { outcome = outcome_of_result tr r;
-        certification = Sat.Solver.last_certification solver }
+    invalid_arg "Translate.certify: session not opened with ~certify:true";
+  match (sn.engine, sn.last) with
+  | Folded _, _ -> None
+  | Solver solver, Some (assumptions, r) ->
+      Some (Sat.Solver.certify solver ~assumptions r)
+  | Solver _, None -> invalid_arg "Translate.certify: no decided verdict to certify"
 
 let session_stats sn =
   match sn.engine with
@@ -522,16 +522,11 @@ let selector_var tr rel =
       | _ -> None)
   | None -> None
 
-type stats = { vars : int; clauses : int; primary : int; circuit : int }
+type stats = { vars : int; clauses : int; primary : int }
 
 let translation_stats tr =
   {
     vars = tr.cnf.problem.num_vars;
     clauses = Sat.Cnf.num_clauses tr.cnf.problem;
     primary = tr.num_primary;
-    circuit = tr.circuit_size;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "primary=%d vars=%d clauses=%d circuit=%d" s.primary
-    s.vars s.clauses s.circuit

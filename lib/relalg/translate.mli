@@ -10,7 +10,6 @@
 type translation = {
   cnf : Sat.Formula.cnf_result;
   num_primary : int;  (** primary (relational) variables *)
-  circuit_size : int;  (** connective count of the boolean circuit *)
   bounds : Bounds.t;
   alloc : (string * (Tuple.t * Sat.Cnf.var option) list) list;
       (** per relation: upper-bound tuple → its primary variable, or
@@ -42,7 +41,7 @@ type outcome = Sat of Instance.t | Unsat
 type bounded_outcome = Decided of outcome | Unknown of string
 
 (** An outcome paired with its certification evidence: the DRUP/model
-    report from {!Sat.Proof}, or [None] when the formula constant-folded
+    report of {!certify}, or [None] when the formula constant-folded
     and no SAT call was made (the verdict is then trivially right). *)
 type certified_outcome = {
   outcome : outcome;
@@ -65,8 +64,10 @@ type session
 
 val session : ?certify:bool -> translation -> session
 (** Opens a session over [tr]. [~certify:true] (default false) enables
-    DRUP proof logging on the session solver so {!solve_cell_certified}
-    is available; logging has a small per-clause cost. *)
+    DRUP proof logging on the session solver, and the session then
+    remembers the assumptions and the answer of its last {!solve_cell}
+    for {!certify}; logging has a small per-clause cost. A session
+    that does not certify records nothing. *)
 
 val solve_cell :
   ?stop:(unit -> bool) ->
@@ -80,18 +81,18 @@ val solve_cell :
     between calls: they are pseudo-decisions, undone by the root-level
     backtrack that starts every solve. *)
 
-val solve_cell_certified : session -> Sat.Cnf.lit list -> certified_outcome
-(** Certified solve under the given assumptions: a [Sat] model is
-    re-checked against every clause of the assumed problem, and an
-    [Unsat] answer must come with a DRUP refutation accepted by
-    {!Sat.Proof.check_refutation}. The assumptions are never asserted
-    as clauses — that would poison the session for every later cell —
-    yet the certificate covers exactly the assumed problem (see
-    {!Sat.Solver.solve_assuming_certified}). May follow a
-    {!solve_cell} on the same session, which then certifies the verdict
-    that call found. Raises [Invalid_argument] unless the session was
-    opened with [~certify:true], and {!Sat.Proof.Certification_failed}
-    if a certificate is rejected. *)
+val certify : session -> Sat.Proof.report option
+(** Checks the verdict the last {!solve_cell} on a [~certify:true]
+    session decided, under exactly its assumptions, with
+    {!Sat.Solver.certify}: no search, and the session goes on as before.
+    [None] for a constant-folded circuit (no SAT call was made, the
+    verdict is trivially right). The verdict comes first and the check
+    is this separate call, so a caller can still report a verdict whose
+    certificate was rejected. Raises [Invalid_argument] when the
+    session was not opened with [~certify:true], or when its last solve
+    came back [Unknown] or there was none; raises
+    {!Sat.Proof.Certification_failed} when the certificate is
+    rejected. *)
 
 val session_stats : session -> Sat.Solver.stats option
 (** Counters of the session solver ([None] when the circuit
@@ -113,10 +114,8 @@ val enumerate : ?symmetry:bool -> ?limit:int -> Bounds.t -> Ast.formula -> Insta
 
 val instance_of_model : translation -> Sat.Cnf.model -> Instance.t
 
-type stats = { vars : int; clauses : int; primary : int; circuit : int }
+type stats = { vars : int; clauses : int; primary : int }
 
 val translation_stats : translation -> stats
 (** Size of the generated SAT problem — the measurements behind the
     paper's 259K-vs-190K clause comparison (experiment E5). *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -110,27 +110,3 @@ let pp_value ppf = function
   | Unknown -> Format.pp_print_string ppf "unknown"
 
 type model = bool array
-
-let lit_is_true m l =
-  let b = m.(var_of l) in
-  if is_pos l then b else not b
-
-(* Loops, so that checking a model against a whole problem allocates
-   nothing. *)
-let check_model m p =
-  let lits = p.lits and ends = p.ends in
-  let n = Array.length ends in
-  let i = ref 0 and j = ref 0 in
-  while
-    !i < n
-    &&
-    let stop = ends.(!i) in
-    while !j < stop && not (lit_is_true m lits.(!j)) do
-      incr j
-    done;
-    !j < stop
-  do
-    j := ends.(!i);
-    incr i
-  done;
-  !i = n

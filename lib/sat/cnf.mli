@@ -118,10 +118,3 @@ val pp_value : Format.formatter -> value -> unit
 
 (** A satisfying assignment, indexed by variable (entry 0 unused). *)
 type model = bool array
-
-val lit_is_true : model -> lit -> bool
-(** [lit_is_true m l] evaluates literal [l] under model [m]. *)
-
-val check_model : model -> problem -> bool
-(** [check_model m p] verifies every clause of [p] has a true literal
-    (never the empty clause). It allocates nothing. *)

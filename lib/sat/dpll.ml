@@ -1,4 +1,3 @@
-exception Out_of_budget
 exception Stopped of string * int (* reason, decisions so far *)
 
 (* Assignment: Cnf.value array, var-indexed. *)
@@ -46,8 +45,8 @@ let pick_unassigned assigns n =
   let rec loop v = if v > n then None else if assigns.(v) = Cnf.Unknown then Some v else loop (v + 1) in
   loop 1
 
-let solve_internal ?(stop = fun () -> false) ?(wall = Netsim.Budget.unlimited)
-    budget (p : Cnf.problem) =
+let solve_internal ?(stop = fun () -> false) ?(budget = Netsim.Budget.unlimited)
+    (p : Cnf.problem) =
   let assigns = Array.make (p.num_vars + 1) Cnf.Unknown in
   let decisions = ref 0 in
   let rec search () =
@@ -58,13 +57,10 @@ let solve_internal ?(stop = fun () -> false) ?(wall = Netsim.Budget.unlimited)
         | None -> true
         | Some v ->
             incr decisions;
-            (match budget with
-            | Some b when !decisions > b -> raise Out_of_budget
-            | _ -> ());
-            (* cancellation and wall budget polled per decision, the
+            (* cancellation and the budget polled per decision, the
                DPLL analogue of the CDCL conflict-boundary poll *)
             if stop () then raise (Stopped ("cancelled", !decisions));
-            (match Netsim.Budget.check ~steps:!decisions ~conflicts:0 ~propagations:0 wall with
+            (match Netsim.Budget.check ~steps:!decisions ~conflicts:0 ~propagations:0 budget with
             | Netsim.Budget.Expired reason ->
                 raise (Stopped (reason, !decisions))
             | Netsim.Budget.Within -> ());
@@ -86,20 +82,15 @@ let solve_internal ?(stop = fun () -> false) ?(wall = Netsim.Budget.unlimited)
     for v = 1 to p.num_vars do
       m.(v) <- assigns.(v) = Cnf.True
     done;
-    assert (Cnf.check_model m p);
+    assert (Proof.check_model p ~units:[] m = Ok ());
     Solver.Sat m
   end
   else Solver.Unsat
 
-let solve p = solve_internal None p
-
-let solve_with_limit ~max_decisions p =
-  match solve_internal (Some max_decisions) p with
-  | r -> Some r
-  | exception Out_of_budget -> None
+let solve p = solve_internal p
 
 let solve_bounded ?stop ~budget p =
-  match solve_internal ?stop ~wall:budget None p with
+  match solve_internal ?stop ~budget p with
   | r -> Solver.Decided r
   | exception Stopped (reason, decisions) ->
       Solver.Unknown { reason; conflicts = decisions; propagations = 0 }

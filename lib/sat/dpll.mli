@@ -8,10 +8,6 @@
 val solve : Cnf.problem -> Solver.result
 (** Decides the problem by depth-first search. *)
 
-val solve_with_limit : max_decisions:int -> Cnf.problem -> Solver.result option
-(** Same, but gives up (returns [None]) after [max_decisions] branching
-    steps. *)
-
 val solve_bounded :
   ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t ->

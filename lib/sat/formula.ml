@@ -13,7 +13,7 @@ type t =
    Structurally equal formulas built through the smart constructors are
    physically equal, and every non-constant node carries the id it was
    given when first interned. This keeps every DAG traversal (Tseitin
-   caching, size, max_var) linear: it keys on the id, where structural
+   caching, size) linear: it keys on the id, where structural
    comparison or hashing of big shared circuits would unfold them in
    exponential time. A node's intern key is built from its children's
    ids, so interning is O(arity) per construction, and a node is
@@ -226,9 +226,6 @@ type cnf_result = {
   root : Cnf.lit option;
   constant : bool option;
 }
-
-let max_var f =
-  fold_dag (fun best -> function Var (_, v) -> max best v | _ -> best) 0 f
 
 (* ---- Tseitin translation, with structural sharing ----
 
@@ -446,11 +443,3 @@ let to_cnf ~num_primary f =
   if Cnf.words out <= kept then r := Some out;
   if root >= 2 then { problem; root = Some root; constant = None }
   else { problem; root = None; constant = Some (root = lit_true) }
-
-let solve ?num_primary f =
-  let num_primary = match num_primary with Some n -> n | None -> max_var f in
-  let { problem; constant; _ } = to_cnf ~num_primary f in
-  match constant with
-  | Some true -> Solver.Sat (Array.make (problem.num_vars + 1) false)
-  | Some false -> Solver.Unsat
-  | None -> Solver.solve_problem problem

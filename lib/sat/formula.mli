@@ -90,7 +90,3 @@ val to_cnf : num_primary:int -> t -> cnf_result
     above [num_primary], and the root literal is asserted as a unit
     clause, so the resulting problem is satisfiable iff [f] is. Raises
     [Invalid_argument] on a variable outside that range. *)
-
-val solve : ?num_primary:int -> t -> Solver.result
-(** Convenience: translate and run the CDCL solver. [num_primary]
-    defaults to the largest variable in [f]. *)

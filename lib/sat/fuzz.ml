@@ -54,16 +54,14 @@ let run ?(ks = [ 2; 3 ]) ?(min_vars = 8) ?(max_vars = 20)
         { index; detail; dimacs = Dimacs.to_string p } :: !failures
     in
     let solver = Solver.of_problem ~proof:true p in
-    match Solver.solve ~certify:true solver with
+    let cdcl = Solver.solve solver in
+    match Solver.certify solver ~assumptions:[] cdcl with
     | exception Proof.Certification_failed msg ->
         fail (Printf.sprintf "certification failed: %s" msg)
-    | cdcl -> (
-        (match Solver.last_certification solver with
-        | Some r ->
-            proof_additions := !proof_additions + r.Proof.additions;
-            proof_deletions := !proof_deletions + r.Proof.deletions;
-            certification_time := !certification_time +. r.Proof.check_time
-        | None -> fail "certified solve produced no report");
+    | r -> (
+        proof_additions := !proof_additions + r.Proof.additions;
+        proof_deletions := !proof_deletions + r.Proof.deletions;
+        certification_time := !certification_time +. r.Proof.check_time;
         let dpll = Dpll.solve p in
         match (cdcl, dpll) with
         | Solver.Sat _, Solver.Sat _ -> incr sat_instances
@@ -139,7 +137,7 @@ let check_schedule problem ops =
         | Solver.Sat m, Solver.Sat _ ->
             (* models may legitimately differ; the warm one must satisfy
                the current clauses AND the assumptions *)
-            if Cnf.check_model m (current ~units:assumptions ()) then
+            if Proof.check_model (current ()) ~units:assumptions m = Ok () then
               step (i + 1) rest
             else Some (i, "warm model violates current clauses/assumptions")
         | Solver.Unsat, Solver.Unsat ->

@@ -3,8 +3,9 @@
     Generates seeded random k-CNF instances across a spread of
     clause/variable ratios (straddling the k=3 phase transition at
     ~4.26), then runs every instance through both the CDCL solver
-    ({!Solver}, with [~certify:true]) and the DPLL reference oracle
-    ({!Dpll}), recording any disagreement or certification failure.
+    ({!Solver}, each verdict checked by {!Solver.certify}) and the DPLL
+    reference oracle ({!Dpll}), recording any disagreement or
+    certification failure.
     Seeding goes through {!Netsim.Rng}, the library-wide splittable
     PRNG, so a run is reproducible from a single integer. *)
 

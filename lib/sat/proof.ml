@@ -46,7 +46,7 @@ let pp_step ppf = function
 
 (* ---- strict model certification ---- *)
 
-let check_model (p : Cnf.problem) (m : Cnf.model) =
+let check_model (p : Cnf.problem) ~units (m : Cnf.model) =
   if Array.length m < p.num_vars + 1 then
     Error
       (Printf.sprintf "model covers %d variables but the problem has %d"
@@ -68,11 +68,15 @@ let check_model (p : Cnf.problem) (m : Cnf.model) =
     while !i < n && not (falsified !i) do
       incr i
     done;
-    if !i = n then Ok ()
-    else
+    if !i < n then
       Error
         (Format.asprintf "clause %d (%a) is falsified by the model" !i
            pp_clause (Cnf.clause p !i))
+    else
+      match List.find_opt (fun l -> not (satisfied l)) units with
+      | None -> Ok ()
+      | Some l ->
+          Error (Format.asprintf "unit %a is falsified by the model" Cnf.pp_lit l)
   end
 
 (* ---- DRUP refutation checking (reverse unit propagation) ----
@@ -116,20 +120,20 @@ let dedup_lits lits =
     if !kept = n then lits else Array.of_list (List.rev !out)
   end
 
-let check_refutation (p : Cnf.problem) (proof : step list) =
-  let max_var =
-    let over_clause acc c =
-      Array.fold_left (fun a l -> max a (Cnf.var_of l)) acc c
-    in
-    let mv = over_clause p.num_vars p.lits in
+(* Checks [proof] against [p] plus one unit clause per literal of
+   [units]; on success, the trail's addition and deletion counts. *)
+let refute (p : Cnf.problem) ~units (proof : step list) =
+  let over_clause acc c = Array.fold_left (fun a l -> max a (Cnf.var_of l)) acc c in
+  (* one pass over the trail: its largest variable, and its counts *)
+  let max_var, n_adds, n_dels =
     List.fold_left
-      (fun acc s -> over_clause acc (match s with Add c | Delete c -> c))
-      mv proof
+      (fun (mv, a, d) -> function
+        | Add c -> (over_clause mv c, a + 1, d)
+        | Delete c -> (over_clause mv c, a, d + 1))
+      (over_clause (over_clause p.num_vars p.lits) (Array.of_list units), 0, 0)
+      proof
   in
-  let n_adds =
-    List.fold_left (fun n s -> match s with Add _ -> n + 1 | _ -> n) 0 proof
-  in
-  let cap = max 1 (Cnf.num_clauses p + n_adds) in
+  let cap = max 1 (Cnf.num_clauses p + List.length units + n_adds) in
   let dummy = { lits = [||]; active = false; w0 = 0; w1 = 0 } in
   let db = Array.make cap dummy in
   let n_db = ref 0 in
@@ -323,6 +327,7 @@ let check_refutation (p : Cnf.problem) (proof : step list) =
   for i = 0 to Cnf.num_clauses p - 1 do
     add_db (Cnf.clause p i)
   done;
+  List.iter (fun l -> add_db [| l |]) units;
   repropagate ();
   let verdict = ref None in
   let step_no = ref 0 in
@@ -349,8 +354,10 @@ let check_refutation (p : Cnf.problem) (proof : step list) =
     )
     proof;
   match !verdict with
-  | Some r -> r
+  | Some r -> Result.map (fun () -> (n_adds, n_dels)) r
   | None -> Error "proof ends without deriving the empty clause"
+
+let check_refutation p ~units proof = Result.map ignore (refute p ~units proof)
 
 (* ---- certification entry point ---- *)
 
@@ -363,31 +370,14 @@ type report = {
   check_time : float;
 }
 
-let certify p cert =
+let certify p ~units cert =
   let t0 = Sys.time () in
+  let report kind (additions, deletions) =
+    { kind; additions; deletions; check_time = Sys.time () -. t0 }
+  in
   match cert with
-  | Model m -> (
-      match check_model p m with
-      | Ok () ->
-          Ok
-            {
-              kind = `Model;
-              additions = 0;
-              deletions = 0;
-              check_time = Sys.time () -. t0;
-            }
-      | Error e -> Error e)
-  | Refutation steps -> (
-      let additions, deletions =
-        List.fold_left
-          (fun (a, d) -> function Add _ -> (a + 1, d) | Delete _ -> (a, d + 1))
-          (0, 0) steps
-      in
-      match check_refutation p steps with
-      | Ok () ->
-          Ok
-            { kind = `Refutation; additions; deletions; check_time = Sys.time () -. t0 }
-      | Error e -> Error e)
+  | Model m -> Result.map (fun () -> report `Model (0, 0)) (check_model p ~units m)
+  | Refutation steps -> Result.map (report `Refutation) (refute p ~units steps)
 
 let pp_report ppf r =
   match r.kind with

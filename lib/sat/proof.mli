@@ -23,9 +23,8 @@ type step = Add of Cnf.lit array | Delete of Cnf.lit array
 type trail
 
 exception Certification_failed of string
-(** Raised by certifying entry points ({!Solver.solve} with
-    [~certify:true]) when a verdict's certificate is rejected — i.e. a
-    solver bug was caught in the act. *)
+(** Raised by {!Solver.certify} when a verdict's certificate is
+    rejected — i.e. a solver bug was caught in the act. *)
 
 val create : unit -> trail
 
@@ -41,19 +40,28 @@ val steps : trail -> step list
 val num_additions : trail -> int
 val num_deletions : trail -> int
 
-val check_model : Cnf.problem -> Cnf.model -> (unit, string) result
-(** [check_model p m] is the strict [Sat] certifier: every clause of [p]
-    must contain a literal true under [m], and [m] must cover every
-    variable. The error message names the first falsified clause. *)
+(** The checkers below take the problem and, as a required argument
+    next to it, [units]: literals that hold as unit clauses on top of
+    the problem — the assumptions a verdict was found under ([[]] for
+    none). They are checked as if appended to [p], without a copy of
+    it. *)
 
-val check_refutation : Cnf.problem -> step list -> (unit, string) result
-(** [check_refutation p steps] validates a DRUP refutation: each added
-    clause must be derivable by reverse unit propagation from the
-    original clauses plus the previously added (and not yet deleted)
-    ones, and the trail must derive the empty clause. Steps after the
-    empty clause are ignored. Deletions of clauses not present are
-    ignored, as in standard DRUP checkers (they can only make checking
-    harder, never unsound). *)
+val check_model :
+  Cnf.problem -> units:Cnf.lit list -> Cnf.model -> (unit, string) result
+(** [check_model p ~units m] is the strict [Sat] certifier: every clause
+    of [p] and every literal of [units] must be true under [m], and [m]
+    must cover every variable of [p]. The error message names the first
+    falsified clause or unit. *)
+
+val check_refutation :
+  Cnf.problem -> units:Cnf.lit list -> step list -> (unit, string) result
+(** [check_refutation p ~units steps] validates a DRUP refutation of [p]
+    plus [units]: each added clause must be derivable by reverse unit
+    propagation from those clauses plus the previously added (and not
+    yet deleted) ones, and the trail must derive the empty clause.
+    Steps after the empty clause are ignored. Deletions of clauses not
+    present are ignored, as in standard DRUP checkers (they can only
+    make checking harder, never unsound). *)
 
 (** What a verdict is certified by: a satisfying assignment or a DRUP
     refutation trail. *)
@@ -68,8 +76,11 @@ type report = {
   check_time : float;  (** seconds spent in the independent checker *)
 }
 
-val certify : Cnf.problem -> certificate -> (report, string) result
-(** Runs the appropriate checker and times it. *)
+val certify :
+  Cnf.problem -> units:Cnf.lit list -> certificate -> (report, string) result
+(** Runs the appropriate checker against [p] plus [units] and times it.
+    A refutation's [additions] and [deletions] count every step of the
+    trail, those after the empty clause included. *)
 
 val pp_step : Format.formatter -> step -> unit
 val pp_report : Format.formatter -> report -> unit

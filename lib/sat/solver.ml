@@ -91,7 +91,6 @@ type t = {
   mutable originals : Cnf.problem;
   mutable added : Cnf.builder option;
   mutable tmp : Cnf.lit array; (* the clause being loaded *)
-  mutable last_certification : Proof.report option;
   (* failed-assumption core of the most recent Unsat-under-assumptions *)
   mutable conflict_core : Cnf.lit list;
   (* statistics *)
@@ -144,7 +143,6 @@ let create_sized words =
     originals = Cnf.empty;
     added = None;
     tmp = Array.make 16 0;
-    last_certification = None;
     conflict_core = [];
     n_decisions = 0;
     n_propagations = 0;
@@ -167,7 +165,6 @@ let enable_proof s =
 
 let proof_enabled s = s.proof <> None
 let proof_steps s = match s.proof with Some t -> Proof.steps t | None -> []
-let last_certification s = s.last_certification
 
 let original_problem s =
   if s.proof = None then
@@ -1036,77 +1033,44 @@ let solve_bounded ?(assumptions = []) ?(stop = never_stop) ~budget s =
 
 let failed_assumptions s = s.conflict_core
 
-let solve ?(assumptions = []) ?(certify = false) s =
-  if certify && assumptions <> [] then
-    invalid_arg "Solver.solve: ~certify does not support assumptions";
-  if certify && s.proof = None then
-    invalid_arg
-      "Solver.solve: ~certify requires proof logging (enable_proof or \
-       of_problem ~proof:true)";
-  let r =
-    match
-      solve_core ~assumptions ~budget:Netsim.Budget.unlimited ~stop:never_stop s
-    with
-    | Decided r -> r
-    | Unknown _ -> assert false (* unlimited budgets never expire *)
-  in
-  if certify then begin
-    let p = original_problem s in
-    let cert =
-      match r with
-      | Sat m -> Proof.Model m
-      | Unsat -> Proof.Refutation (proof_steps s)
-    in
-    match Proof.certify p cert with
-    | Ok report -> s.last_certification <- Some report
-    | Error msg -> raise (Proof.Certification_failed msg)
-  end;
-  r
+let solve ?(assumptions = []) s =
+  match
+    solve_core ~assumptions ~budget:Netsim.Budget.unlimited ~stop:never_stop s
+  with
+  | Decided r -> r
+  | Unknown _ -> assert false (* unlimited budgets never expire *)
 
-(* Certified solve under assumptions, for warm (session) solvers.
-
-   [solve ~certify] rejects assumptions because a DRUP trail under
-   assumptions does not refute the clause set alone. Here the assumed
-   problem — original clauses plus one unit clause per assumption — is
-   what gets certified, and the session trail needs no rewriting: every
+(* Certifies a verdict [solve] or [solve_bounded] returned under
+   [assumptions], against the original clauses plus one unit per
+   assumption — axioms of the checker only: the solver's clause set is
+   never touched, so the session stays reusable under other
+   assumptions. A [Sat] model was extracted with the assumptions on the
+   trail, so it must satisfy those units too. An [Unsat] is checked
+   with the DRUP trail logged so far, which needs no rewriting: every
    clause the solver learns is derived by resolution from the clause
-   database only (assumption pseudo-decisions have no reason clause, so
-   they surface as negated literals *inside* learnt clauses, never as
+   database alone (assumption pseudo-decisions have no reason clause,
+   so they surface as negated literals inside learnt clauses, never as
    premises), hence each logged Add is RUP against the originals plus
-   earlier Adds, with or without the assumption units. An Unsat-under-
-   assumptions verdict ends in a conflict reached by unit propagation
-   from root facts and the assumption units, so the per-cell trail
-   slice is closed by appending one empty-clause Add, which is RUP once
-   the assumption units are axioms. A Sat verdict is certified as a
-   model of the assumed problem (assumptions were on the trail when the
-   model was extracted). The solver is NOT mutated beyond the normal
-   warm-solve effects: no unit clauses are added, so the session stays
-   reusable under different assumptions. *)
-let solve_assuming_certified ~assumptions s =
-  if s.proof = None then
-    invalid_arg
-      "Solver.solve_assuming_certified: requires proof logging \
-       (enable_proof or of_problem ~proof:true)";
-  let r =
-    match
-      solve_core ~assumptions ~budget:Netsim.Budget.unlimited ~stop:never_stop s
-    with
-    | Decided r -> r
-    | Unknown _ -> assert false (* unlimited budgets never expire *)
-  in
-  let assumed = Cnf.builder () in
-  Cnf.add_problem assumed (original_problem s);
-  List.iter (fun l -> Cnf.add_clause assumed [ l ]) assumptions;
-  let assumed = Cnf.freeze assumed in
-  let cert =
-    match r with
-    | Sat m -> Proof.Model m
-    | Unsat -> Proof.Refutation (proof_steps s @ [ Proof.Add [||] ])
-  in
-  (match Proof.certify assumed cert with
-  | Ok report -> s.last_certification <- Some report
-  | Error msg -> raise (Proof.Certification_failed msg));
-  r
+   earlier Adds, with or without the units. Without assumptions the
+   refutation is complete already: an assumption-free Unsat always ends
+   in a level-0 conflict, which [log_empty] logged. Under assumptions
+   the verdict ends in a conflict reached by unit propagation from the
+   root facts and the assumption units, so one empty-clause Add closes
+   the trail, RUP once the units are axioms. Nothing is searched and
+   nothing is logged: the trail stays as the solver left it. *)
+let certify s ~assumptions r =
+  match s.proof with
+  | None -> invalid_arg "Solver.certify: proof logging is not enabled"
+  | Some t -> (
+      let cert =
+        match r with
+        | Sat m -> Proof.Model m
+        | Unsat when assumptions = [] -> Proof.Refutation (Proof.steps t)
+        | Unsat -> Proof.Refutation (Proof.steps t @ [ Proof.Add [||] ])
+      in
+      match Proof.certify (original_problem s) ~units:assumptions cert with
+      | Ok report -> report
+      | Error msg -> raise (Proof.Certification_failed msg))
 
 (* Segment 0 is sized to the problem's clauses, with no room spared for
    the ones simplification drops; once they are loaded it is sealed, so
@@ -1138,8 +1102,7 @@ let of_problem ?(proof = false) (p : Cnf.problem) =
   s.fill <- Array.length s.segs.(0);
   s
 
-let solve_problem ?(certify = false) p =
-  solve ~certify (of_problem ~proof:certify p)
+let solve_problem p = solve (of_problem p)
 
 let stats s =
   {

@@ -52,7 +52,7 @@ val add_clause : t -> Cnf.lit list -> unit
     Adding the empty clause marks the instance unsatisfiable. Raises
     [Invalid_argument] on a literal over variable 0, adding nothing. *)
 
-val solve : ?assumptions:Cnf.lit list -> ?certify:bool -> t -> result
+val solve : ?assumptions:Cnf.lit list -> t -> result
 (** Decides the instance. With [assumptions], decides satisfiability under
     the given temporary unit hypotheses; the solver can be reused with
     different assumptions afterwards: every solve starts from a
@@ -61,16 +61,8 @@ val solve : ?assumptions:Cnf.lit list -> ?certify:bool -> t -> result
     mention assumptions as negated literals, so they are consequences
     of the clause set alone — stay valid for the next call whatever its
     assumptions are. This is the warm-session contract the incremental
-    policy-matrix sweep is built on.
-
-    With [~certify:true] (default false) the verdict is independently
-    certified before being returned: a [Sat] model is re-checked against
-    every original clause by {!Proof.check_model}, and an [Unsat] answer
-    must come with a DRUP trail accepted by {!Proof.check_refutation}.
-    Requires proof logging ({!enable_proof} or [of_problem ~proof:true])
-    and no assumptions; raises [Invalid_argument] otherwise, and
-    {!Proof.Certification_failed} if a certificate is rejected (i.e. a
-    solver bug was caught). *)
+    policy-matrix sweep is built on. A verdict is certified afterwards,
+    by {!certify}. *)
 
 val solve_bounded :
   ?assumptions:Cnf.lit list ->
@@ -82,8 +74,8 @@ val solve_bounded :
     (checked against this call's conflict/propagation counts and the
     wall clock). On [Unknown] the solver backtracks to the root level
     and stays reusable — learnt clauses are kept, so a retry with a
-    larger budget resumes warm. Certification is not supported on the
-    bounded path.
+    larger budget resumes warm. A decided verdict is certified
+    afterwards, by {!certify}, as one from {!solve} is.
 
     [stop] is the cooperative-cancellation hook: it is polled together
     with the budget at {e every} conflict/decision boundary — not merely
@@ -101,20 +93,21 @@ val failed_assumptions : t -> Cnf.lit list
     unsatisfiable), and [[]] after any [Sat] or [Unknown] answer. The
     core is reset by every solve call. *)
 
-val solve_assuming_certified : assumptions:Cnf.lit list -> t -> result
-(** Certified solve under assumptions, for warm session solvers. The
-    certificate covers the {e assumed problem} — {!original_problem}
-    extended with one unit clause per assumption: a [Sat] model is
-    checked against all of it, and an [Unsat] answer is certified by
-    the session's DRUP trail closed with one empty-clause addition
-    (sound because learnt clauses never use assumptions as premises,
-    and the final conflict is a unit-propagation consequence of the
-    assumption units). The solver itself is {e not} mutated beyond a
-    normal warm solve — in particular the assumptions are never added
-    as clauses, so the session stays reusable under different
-    assumptions. Requires proof logging; raises [Invalid_argument]
-    otherwise and {!Proof.Certification_failed} if the certificate is
-    rejected. *)
+val certify : t -> assumptions:Cnf.lit list -> result -> Proof.report
+(** [certify s ~assumptions r] checks the verdict [r] that {!solve} or
+    {!solve_bounded} returned on [s] under [assumptions], with the
+    independent checker of {!Proof} and no search: a [Sat] model must
+    satisfy every clause of {!original_problem} and every assumption; an
+    [Unsat] must be refuted by the DRUP trail logged so far, against
+    {!original_problem} plus one unit clause per assumption. Under
+    assumptions the trail is closed with one empty-clause step for the
+    check (the final conflict is a unit-propagation consequence of the
+    assumption units); without, it already ends in the empty clause.
+    The assumptions are never added to the solver, and nothing is
+    logged, so the solver goes on as if [certify] had not run. Raises
+    [Invalid_argument] when proof logging is off, and
+    {!Proof.Certification_failed} when the certificate is rejected (a
+    solver bug was caught). *)
 
 val enable_proof : t -> unit
 (** Turns on DRUP proof logging and original-clause capture. Must be
@@ -135,9 +128,6 @@ val original_problem : t -> Cnf.problem
     simplification — the CNF that certificates are checked against.
     Raises [Invalid_argument] when proof logging is off. *)
 
-val last_certification : t -> Proof.report option
-(** Report of the most recent successful [~certify:true] solve. *)
-
 val of_problem : ?proof:bool -> Cnf.problem -> t
 (** Loads a {!Cnf.problem} into a fresh solver, as {!add_clause} would
     add its clauses one by one in order (after {!ensure_vars} of its
@@ -145,8 +135,8 @@ val of_problem : ?proof:bool -> Cnf.problem -> t
     (default false) enables proof logging before loading, and the
     problem itself is then the start of {!original_problem}. *)
 
-val solve_problem : ?certify:bool -> Cnf.problem -> result
-(** One-shot convenience wrapper; [~certify] as in {!solve}. *)
+val solve_problem : Cnf.problem -> result
+(** One-shot convenience wrapper: {!solve} on [of_problem p]. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

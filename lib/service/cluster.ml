@@ -362,16 +362,20 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
     let _, _, mpolicy, tag, scope = slot.s_task in
     let target = min mpolicy.M.target scope.M.vnodes in
     match
+      (* a throwaway certified session: opened for this cell, solved
+         once, its verdict checked, dropped *)
       let sh = shared_for tag scope target in
-      (* a throwaway certified session: opened for this cell, dropped *)
-      M.check_consensus_incremental_certified
-        (M.incremental_session ~certify:true sh)
-        { mpolicy with M.target }
+      let sn = M.incremental_session ~certify:true sh in
+      let v =
+        M.check_consensus_incremental ~budget:Netsim.Budget.unlimited sn
+          { mpolicy with M.target }
+      in
+      ignore (M.certify sn);
+      v
     with
-    | { Relalg.Translate.outcome = Relalg.Translate.Unsat; _ } -> Some E.Holds
-    | { Relalg.Translate.outcome = Relalg.Translate.Sat _; _ } ->
-        Some E.Violated
-    | exception _ -> None
+    | Relalg.Translate.Decided Relalg.Translate.Unsat -> Some E.Holds
+    | Relalg.Translate.Decided (Relalg.Translate.Sat _) -> Some E.Violated
+    | Relalg.Translate.Unknown _ | (exception _) -> None
   in
 
   (* ---- accepting a cell (first result wins) ---- *)

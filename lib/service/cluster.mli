@@ -28,9 +28,9 @@
       per-cell atomic CAS and the loser is discarded.
     - {b certified relocation}: a decided SAT verdict produced by any
       worker other than the cell's ring owner is re-derived locally on
-      a throwaway certified session
-      ({!Core.Mca_model.check_consensus_incremental_certified}) —
-      DRUP-checked — before the coordinator accepts it; on a mismatch
+      a throwaway certified session, and that verdict is checked
+      ({!Core.Mca_model.certify}: DRUP refutation or model) before the
+      coordinator accepts it; on a mismatch
       the locally certified answer wins and the event is counted.
     - {b journal-backed handoff}: with [cl_journal] every dispatch is
       recorded as a [disp] intent record and every decided cell as a

@@ -127,9 +127,9 @@ let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
     | Elaborate.Run (_, name, f, _) -> Relalg.Ast.not_ (run_goal model name f)
   in
   let started = Unix.gettimeofday () in
-  (* one translation, one session: decided under the deadline, then —
-     when asked — certified on the same solver, which re-derives the
-     verdict it just found with proof checking on *)
+  (* one translation, one session, one solve under the deadline; when
+     asked, the verdict that solve found is then checked, and a
+     rejected certificate leaves the verdict standing *)
   let session =
     Relalg.Translate.session ~certify
       (Compile.translation compiled (Relalg.Ast.not_ goal))
@@ -157,9 +157,9 @@ let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
     | Relalg.Translate.Unknown _ -> false
     | Relalg.Translate.Decided _ when not certify -> false
     | Relalg.Translate.Decided _ -> (
-        match Relalg.Translate.solve_cell_certified session [] with
-        | { Relalg.Translate.certification = Some _; _ } -> true
-        | { Relalg.Translate.certification = None; _ } -> false
+        match Relalg.Translate.certify session with
+        | Some _ -> true
+        | None -> false
         | exception Sat.Proof.Certification_failed _ -> false)
   in
   Ok

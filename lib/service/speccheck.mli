@@ -35,10 +35,11 @@ val analyze :
   deadline:float -> string -> (result, Alloylite.Diag.t) Result.t
 (** [analyze ~deadline spec] runs the full pipeline on raw spec text.
     [cmd] names the check/run command to execute (default: the file's
-    first); [certify] asks for a DRUP-checked verdict, derived on the
-    same {!Relalg.Translate.session} as the budgeted solve (so the spec
-    is translated once) and skipped when that solve came back
-    [Unknown]; [deadline] is an absolute
+    first); [certify] asks for a DRUP-checked verdict: the verdict the
+    budgeted solve found is checked by {!Relalg.Translate.certify} on
+    the same session, with no second solve, and not at all when that
+    solve came back [Unknown]; a rejected certificate keeps the verdict
+    with [certified = false]; [deadline] is an absolute
     [Unix.gettimeofday]-clock instant bounding the solve; [stop] is
     polled between solver conflicts for cooperative cancellation. *)
 

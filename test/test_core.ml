@@ -103,14 +103,13 @@ let test_nonsubmod_release_counterexample () =
       Alcotest.fail "non-submodular + release must refute consensus"
 
 let test_translation_stats_shape () =
-  let eff =
-    Core.Mca_model.translation_stats
-      (Core.Mca_model.build Core.Mca_model.Efficient Core.Mca_model.honest_submodular tiny_scope)
+  let stats encoding =
+    Relalg.Translate.translation_stats
+      (Core.Mca_model.translation
+         (Core.Mca_model.build encoding Core.Mca_model.honest_submodular tiny_scope))
   in
-  let naive =
-    Core.Mca_model.translation_stats
-      (Core.Mca_model.build Core.Mca_model.Naive Core.Mca_model.honest_submodular tiny_scope)
-  in
+  let eff = stats Core.Mca_model.Efficient in
+  let naive = stats Core.Mca_model.Naive in
   check "both generate clauses" true
     (eff.Relalg.Translate.clauses > 0 && naive.Relalg.Translate.clauses > 0);
   (* the paper's efficiency claim: the value/bidVector encoding is
@@ -159,6 +158,104 @@ let test_symmetry_preserves_verdicts () =
       ( "attack",
         { Core.Mca_model.honest_submodular with Core.Mca_model.rebid_attack = true } ) ]
 
+(* ---- certification: one solve, then a check of its verdict ---- *)
+
+(* the two-pnode scope whose "submod" cell holds and whose
+   "submod+release" cell is violated (the differential suite's) *)
+let scope_2p2v =
+  { Core.Mca_model.small_scope with Core.Mca_model.states = 4; values = 5 }
+
+let policy label = List.assoc label Core.Mca_model.paper_policies
+
+(* the listing check [label] on a fresh certifying session, solved *)
+let listing_session label =
+  let c, goal = List.assoc label (Test_cnf_identity.listing_goals ()) in
+  let tr = Alloylite.Compile.translation c goal in
+  let sn = Relalg.Translate.session ~certify:true tr in
+  (tr, sn, Relalg.Translate.solve_cell ~budget:Netsim.Budget.unlimited sn [])
+
+let search_counters what = function
+  | Some st ->
+      (st.Sat.Solver.decisions, st.Sat.Solver.conflicts, st.Sat.Solver.propagations)
+  | None -> Alcotest.failf "%s: the circuit constant-folded" what
+
+(* [certify] answers a certificate of [kind], and the solver's
+   decisions, conflicts and propagations stay as they were *)
+let certified_without_search what ~stats ~certify kind =
+  let before = search_counters what (stats ()) in
+  (match certify () with
+  | Some r -> check (what ^ ": certificate kind") true (r.Sat.Proof.kind = kind)
+  | None -> Alcotest.failf "%s: no certificate" what);
+  Alcotest.(check (triple int int int))
+    (what ^ ": no decision, conflict or propagation")
+    before
+    (search_counters what (stats ()))
+
+let test_certify_runs_no_search () =
+  (* without assumptions: a refuted check and a counterexample *)
+  List.iter
+    (fun (label, kind) ->
+      let _, sn, _ = listing_session label in
+      certified_without_search label
+        ~stats:(fun () -> Relalg.Translate.session_stats sn)
+        ~certify:(fun () -> Relalg.Translate.certify sn)
+        kind)
+    [ ("check uniqueID", `Refutation); ("check everyoneBids", `Model) ];
+  (* under selector assumptions, on one warm session *)
+  let sh = Core.Mca_model.build_shared Core.Mca_model.Efficient scope_2p2v in
+  let sn = Core.Mca_model.incremental_session ~certify:true sh in
+  List.iter
+    (fun (label, kind) ->
+      ignore
+        (Core.Mca_model.check_consensus_incremental
+           ~budget:Netsim.Budget.unlimited sn (policy label));
+      certified_without_search label
+        ~stats:(fun () -> Core.Mca_model.session_solver_stats sn)
+        ~certify:(fun () -> Core.Mca_model.certify sn)
+        kind)
+    [ ("submod", `Refutation); ("submod+release", `Model) ]
+
+(* a decided cell, then a conflict-capped one, then that one decided *)
+let test_budgeted_certified_verdict () =
+  let sh = Core.Mca_model.build_shared Core.Mca_model.Efficient scope_2p2v in
+  let sn = Core.Mca_model.incremental_session ~certify:true sh in
+  let solve budget label =
+    Core.Mca_model.check_consensus_incremental ~budget sn (policy label)
+  in
+  let certified what kind =
+    match Core.Mca_model.certify sn with
+    | Some r -> check what true (r.Sat.Proof.kind = kind)
+    | None -> Alcotest.failf "%s: no certificate" what
+  in
+  ignore (solve Netsim.Budget.unlimited "submod+release");
+  certified "a decided verdict is certified" `Model;
+  (match solve (Netsim.Budget.create ~conflicts:5 ()) "submod" with
+  | Relalg.Translate.Unknown _ -> ()
+  | Relalg.Translate.Decided _ -> Alcotest.fail "five conflicts decided the submod cell");
+  Alcotest.check_raises "an Unknown carries no certificate, not the last one"
+    (Invalid_argument "Translate.certify: no decided verdict to certify")
+    (fun () -> ignore (Core.Mca_model.certify sn));
+  (match solve Netsim.Budget.unlimited "submod" with
+  | Relalg.Translate.Decided Relalg.Translate.Unsat -> ()
+  | _ -> Alcotest.fail "the submod cell holds");
+  certified "the cell decided after its Unknown is certified" `Refutation
+
+(* The verdict is returned first and checked by a separate call, so a
+   rejected certificate cannot take it back. Here the problem a
+   counterexample is checked against is negated literal by literal
+   after the solve (the session's solver checks against that very
+   buffer), so the root unit is false under the model. *)
+let test_rejected_certificate_keeps_verdict () =
+  let tr, sn, verdict = listing_session "check everyoneBids" in
+  let lits = tr.Relalg.Translate.cnf.Sat.Formula.problem.Sat.Cnf.lits in
+  Array.iteri (fun i l -> lits.(i) <- Sat.Cnf.negate l) lits;
+  (match Relalg.Translate.certify sn with
+  | exception Sat.Proof.Certification_failed _ -> ()
+  | _ -> Alcotest.fail "a model of another problem was certified");
+  match verdict with
+  | Relalg.Translate.Decided (Relalg.Translate.Sat _) -> ()
+  | _ -> Alcotest.fail "everyoneBids has a counterexample"
+
 let test_describe () =
   let m = Core.Mca_model.build Core.Mca_model.Efficient Core.Mca_model.honest_submodular tiny_scope in
   let d = Core.Mca_model.describe m in
@@ -179,4 +276,9 @@ let suite =
     Alcotest.test_case "buffered attack counterexample" `Slow test_buffered_attack_counterexample;
     Alcotest.test_case "symmetry preserves verdicts" `Slow test_symmetry_preserves_verdicts;
     Alcotest.test_case "describe" `Quick test_describe;
+    Alcotest.test_case "certifying runs no search" `Quick test_certify_runs_no_search;
+    Alcotest.test_case "budgeted certified verdict" `Quick
+      test_budgeted_certified_verdict;
+    Alcotest.test_case "a rejected certificate keeps its verdict" `Quick
+      test_rejected_certificate_keeps_verdict;
   ]

@@ -25,7 +25,7 @@ let sat_engines_agree ~policy_idx ~states ~values =
     Core.Mca_model.build Core.Mca_model.Efficient (model_policy policy_idx)
       (scope ~states ~values)
   in
-  let cnf = Core.Mca_model.consensus_cnf m in
+  let cnf = (Core.Mca_model.translation m).Relalg.Translate.cnf in
   match cnf.Sat.Formula.constant with
   | Some _ -> true (* both engines would see the same folded constant *)
   | None -> (
@@ -44,7 +44,8 @@ let sat_engines_agree ~policy_idx ~states ~values =
       | Sat.Solver.Decided (Sat.Solver.Sat m1), Sat.Solver.Decided (Sat.Solver.Sat m2)
         ->
           (* both witnesses must actually satisfy the shared CNF *)
-          Sat.Cnf.check_model m1 p && Sat.Cnf.check_model m2 p
+          Sat.Proof.check_model p ~units:[] m1 = Ok ()
+          && Sat.Proof.check_model p ~units:[] m2 = Ok ()
       | Sat.Solver.Decided Sat.Solver.Unsat, Sat.Solver.Decided Sat.Solver.Unsat
         -> true
       | _ -> false)
@@ -211,9 +212,9 @@ let shared_matches_per_cell test_scope =
       in
       let budget () = Netsim.Budget.create ~wall_s:300.0 () in
       let per_cell =
-        Core.Mca_model.check_consensus_bounded ~symmetry:true
-          ~budget:(budget ())
-          (Core.Mca_model.build Core.Mca_model.Efficient mp test_scope)
+        Relalg.Translate.Decided
+          (Core.Mca_model.check_consensus ~symmetry:true
+             (Core.Mca_model.build Core.Mca_model.Efficient mp test_scope))
       in
       let cold_v =
         Core.Mca_model.check_consensus_incremental ~budget:(budget ())
@@ -230,36 +231,21 @@ let shared_matches_per_cell test_scope =
       if verdict_name per_cell <> verdict_name incr_v then
         Alcotest.failf "%s: per-cell says %s, incremental session says %s"
           label (verdict_name per_cell) (verdict_name incr_v);
-      let cert =
-        Core.Mca_model.check_consensus_incremental_certified
-          (Core.Mca_model.incremental_session ~certify:true shared)
-          mp
+      (* one solve, then a check of its verdict *)
+      let certified what session =
+        let v =
+          Core.Mca_model.check_consensus_incremental ~budget:(budget ())
+            session mp
+        in
+        if verdict_name v <> verdict_name per_cell then
+          Alcotest.failf "%s: certified %s verdict (%s) disagrees" label what
+            (verdict_name v);
+        match Core.Mca_model.certify session with
+        | Some _ -> ()
+        | None -> Alcotest.failf "%s: %s verdict came back uncertified" label what
       in
-      if
-        verdict_name (Relalg.Translate.Decided cert.Relalg.Translate.outcome)
-        <> verdict_name per_cell
-      then
-        Alcotest.failf "%s: certified throwaway verdict (%s) disagrees" label
-          (verdict_name (Relalg.Translate.Decided cert.Relalg.Translate.outcome));
-      (match cert.Relalg.Translate.certification with
-      | Some _ -> ()
-      | None ->
-          Alcotest.failf "%s: throwaway verdict came back uncertified" label);
-      let icert =
-        Core.Mca_model.check_consensus_incremental_certified certified_session
-          mp
-      in
-      if
-        verdict_name (Relalg.Translate.Decided icert.Relalg.Translate.outcome)
-        <> verdict_name per_cell
-      then
-        Alcotest.failf "%s: certified incremental verdict (%s) disagrees" label
-          (verdict_name
-             (Relalg.Translate.Decided icert.Relalg.Translate.outcome));
-      match icert.Relalg.Translate.certification with
-      | Some _ -> ()
-      | None ->
-          Alcotest.failf "%s: incremental verdict came back uncertified" label)
+      certified "throwaway" (Core.Mca_model.incremental_session ~certify:true shared);
+      certified "incremental" certified_session)
     Core.Mca_model.paper_policies
 
 let test_shared_translation_2p2v () =

@@ -75,20 +75,27 @@ let test_variable_zero_rejected () =
   | Sat.Solver.Sat m -> check "the model still satisfies !1" false m.(1)
   | Sat.Solver.Unsat -> Alcotest.fail "!1 alone is satisfiable"
 
+(* [m] satisfies [p] and [units] by the strict model certifier *)
+let satisfies ?(units = []) p m = Sat.Proof.check_model p ~units m = Ok ()
+
 let test_check_model () =
   let clauses =
     problem_of [ [ Sat.Cnf.pos 1; Sat.Cnf.neg 2 ]; [ Sat.Cnf.pos 2 ] ]
   in
   check "satisfying model accepted" true
-    (Sat.Cnf.check_model [| false; true; true |] clauses);
+    (satisfies clauses [| false; true; true |]);
   check "falsifying model rejected" false
-    (Sat.Cnf.check_model [| false; false; true |] clauses)
+    (satisfies clauses [| false; false; true |]);
+  check "a true unit holds" true
+    (satisfies ~units:[ Sat.Cnf.pos 1 ] clauses [| false; true; true |]);
+  check "a false unit fails" false
+    (satisfies ~units:[ Sat.Cnf.neg 2 ] clauses [| false; true; true |])
 
 (* the loop behind check_model *)
 let test_check_model_loops () =
   let pos = Sat.Cnf.pos and neg = Sat.Cnf.neg in
   let m = [| false; true; false; true |] in
-  let holds cs = Sat.Cnf.check_model m (problem_of cs) in
+  let holds cs = satisfies (problem_of cs) m in
   let c1 = [ neg 1; pos 3 ] and c2 = [ neg 2; neg 3 ] in
   check "a satisfied set" true (holds [ c1; c2 ]);
   check "true literal last" true (holds [ [ pos 2; pos 3 ] ]);
@@ -209,13 +216,23 @@ let brute_force_sat f max_var =
   in
   go (Array.make (max_var + 1) false) 1
 
+(* [f] decided through its Tseitin CNF and the CDCL solver; a formula
+   that folds to a constant is decided by the fold, true with the
+   all-false model *)
+let solve_formula ~num_primary f =
+  let { Sat.Formula.problem; constant; _ } = Sat.Formula.to_cnf ~num_primary f in
+  match constant with
+  | Some true -> Sat.Solver.Sat (Array.make (problem.Sat.Cnf.num_vars + 1) false)
+  | Some false -> Sat.Solver.Unsat
+  | None -> Sat.Solver.solve_problem problem
+
 let test_tseitin_equisatisfiable () =
   let rng = Netsim.Rng.create 2025 in
   for _ = 1 to 200 do
     let f = random_formula rng 5 3 in
     let expected = brute_force_sat f 5 in
     let got =
-      match Sat.Formula.solve ~num_primary:5 f with
+      match solve_formula ~num_primary:5 f with
       | Sat.Solver.Sat _ -> true
       | Sat.Solver.Unsat -> false
     in
@@ -228,7 +245,7 @@ let test_tseitin_model_evaluates_true () =
   let rng = Netsim.Rng.create 77 in
   for _ = 1 to 200 do
     let f = random_formula rng 6 3 in
-    match Sat.Formula.solve ~num_primary:6 f with
+    match solve_formula ~num_primary:6 f with
     | Sat.Solver.Unsat -> ()
     | Sat.Solver.Sat m ->
         let env v = v < Array.length m && m.(v) in
@@ -252,8 +269,8 @@ let test_tseitin_variable_range () =
   check_int "auxiliaries above num_primary" 4 r.problem.Sat.Cnf.num_vars;
   check_int "three clauses and the root unit" 4
     (Sat.Cnf.num_clauses r.problem);
-  match solve f with
-  | Sat.Solver.Sat m -> check "without num_primary" true (m.(1) && m.(3))
+  match Sat.Solver.solve_problem r.problem with
+  | Sat.Solver.Sat m -> check "the translation solves" true (m.(1) && m.(3))
   | Sat.Solver.Unsat -> Alcotest.fail "1 & 3 is satisfiable"
 
 (* Formulas built in two spawned domains, then combined and solved in
@@ -279,7 +296,7 @@ let test_cross_domain_interning () =
         | 2 -> iff a b
         | _ -> ite (var 1) a b
       in
-      match solve ~num_primary:5 f with
+      match solve_formula ~num_primary:5 f with
       | Sat.Solver.Sat m ->
           if not (eval (fun v -> m.(v)) f) then
             Alcotest.failf "model does not satisfy cross-domain %a" pp f
@@ -292,9 +309,10 @@ let test_at_most_one () =
   let open Sat.Formula in
   let vars = [ var 1; var 2; var 3 ] in
   let f = and_ [ at_most_one vars; var 1; var 2 ] in
-  check "two true violates at_most_one" true (solve f = Sat.Solver.Unsat);
+  check "two true violates at_most_one" true
+    (solve_formula ~num_primary:3 f = Sat.Solver.Unsat);
   let g = and_ [ exactly_one vars; not_ (var 1); not_ (var 3) ] in
-  (match solve g with
+  (match solve_formula ~num_primary:3 g with
   | Sat.Solver.Sat m -> check "middle var forced" true m.(2)
   | Sat.Solver.Unsat -> Alcotest.fail "exactly_one should be satisfiable")
 
@@ -380,7 +398,9 @@ let test_stats_reported () =
 let test_dpll_budget () =
   let p = Sat.Gen.pigeonhole 7 in
   check "budget exhausts" true
-    (Sat.Dpll.solve_with_limit ~max_decisions:5 p = None)
+    (match Sat.Dpll.solve_bounded ~budget:(Netsim.Budget.create ~steps:5 ()) p with
+    | Sat.Solver.Unknown _ -> true
+    | Sat.Solver.Decided _ -> false)
 
 (* qcheck: random instances keep CDCL/DPLL agreement *)
 let qcheck_cdcl_vs_dpll =
@@ -400,7 +420,7 @@ let qcheck_luby_like_restart_progress =
     (fun seed ->
       let p = Sat.Gen.random_ksat ~seed ~k:3 ~num_vars:30 ~num_clauses:60 in
       match Sat.Solver.solve_problem p with
-      | Sat.Solver.Sat m -> Sat.Cnf.check_model m p
+      | Sat.Solver.Sat m -> satisfies p m
       | Sat.Solver.Unsat -> false (* ratio 2.0 is essentially always sat *))
 
 (* ---- Proof logging + independent certification ---- *)
@@ -412,40 +432,34 @@ let refutation_of problem =
   | Sat.Solver.Sat _ -> Alcotest.fail "expected an unsat instance");
   Sat.Solver.proof_steps s
 
+(* an assumption-free solve on a proof-logging solver, then its verdict
+   certified *)
+let solve_certified problem =
+  let s = Sat.Solver.of_problem ~proof:true problem in
+  let r = Sat.Solver.solve s in
+  (s, r, Sat.Solver.certify s ~assumptions:[] r)
+
 let test_certified_unsat_refutation () =
-  let s = Sat.Solver.of_problem ~proof:true (Sat.Gen.pigeonhole 5) in
-  (match Sat.Solver.solve ~certify:true s with
-  | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat _ -> Alcotest.fail "php5 must be unsat");
-  match Sat.Solver.last_certification s with
-  | Some r ->
-      check "refutation kind" true (r.Sat.Proof.kind = `Refutation);
-      check "proof has additions" true (r.Sat.Proof.additions > 0)
-  | None -> Alcotest.fail "certification report missing"
+  let _, r, c = solve_certified (Sat.Gen.pigeonhole 5) in
+  check "php5 is unsat" true (r = Sat.Solver.Unsat);
+  check "refutation kind" true (c.Sat.Proof.kind = `Refutation);
+  check "proof has additions" true (c.Sat.Proof.additions > 0)
 
 let test_certified_sat_model () =
-  let s = Sat.Solver.of_problem ~proof:true (Sat.Gen.php_sat 5) in
-  (match Sat.Solver.solve ~certify:true s with
-  | Sat.Solver.Sat _ -> ()
-  | Sat.Solver.Unsat -> Alcotest.fail "php_sat5 must be sat");
-  match Sat.Solver.last_certification s with
-  | Some r -> check "model kind" true (r.Sat.Proof.kind = `Model)
-  | None -> Alcotest.fail "certification report missing"
+  let _, r, c = solve_certified (Sat.Gen.php_sat 5) in
+  check "php_sat5 is sat" true (r <> Sat.Solver.Unsat);
+  check "model kind" true (c.Sat.Proof.kind = `Model)
 
 let test_certified_with_deletions () =
   (* big enough to trigger reduce_db, so the Delete path is exercised *)
-  let s = Sat.Solver.of_problem ~proof:true (Sat.Gen.pigeonhole 6) in
-  (match Sat.Solver.solve ~certify:true s with
-  | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat _ -> Alcotest.fail "php6 must be unsat");
-  match Sat.Solver.last_certification s with
-  | Some r -> check "substantial proof" true (r.Sat.Proof.additions > 100)
-  | None -> Alcotest.fail "certification report missing"
+  let _, r, c = solve_certified (Sat.Gen.pigeonhole 6) in
+  check "php6 is unsat" true (r = Sat.Solver.Unsat);
+  check "substantial proof" true (c.Sat.Proof.additions > 100)
 
 let test_corrupted_proof_rejected () =
   let problem = Sat.Gen.pigeonhole 4 in
   let steps = refutation_of problem in
-  (match Sat.Proof.check_refutation problem steps with
+  (match Sat.Proof.check_refutation problem ~units:[] steps with
   | Ok () -> ()
   | Error e -> Alcotest.failf "honest proof rejected: %s" e);
   (* dropping the empty clause leaves the refutation unfinished *)
@@ -454,14 +468,14 @@ let test_corrupted_proof_rejected () =
       (function Sat.Proof.Add [||] -> false | _ -> true)
       steps
   in
-  (match Sat.Proof.check_refutation problem truncated with
+  (match Sat.Proof.check_refutation problem ~units:[] truncated with
   | Error msg ->
       check "unfinished proof diagnosed" true
         (msg = "proof ends without deriving the empty clause")
   | Ok () -> Alcotest.fail "truncated proof must be rejected");
   (* injecting a clause with no RUP derivation is caught at its step *)
   let bogus = Sat.Proof.Add [| Sat.Cnf.pos 1 |] in
-  match Sat.Proof.check_refutation problem (bogus :: steps) with
+  match Sat.Proof.check_refutation problem ~units:[] (bogus :: steps) with
   | Error msg ->
       check "non-RUP step located" true (String.sub msg 0 7 = "step 1:")
   | Ok () -> Alcotest.fail "non-RUP step must be rejected"
@@ -473,15 +487,15 @@ let test_corrupted_model_rejected () =
     | Sat.Solver.Sat m -> m
     | Sat.Solver.Unsat -> Alcotest.fail "php_sat4 must be sat"
   in
-  (match Sat.Proof.check_model problem m with
+  (match Sat.Proof.check_model problem ~units:[] m with
   | Ok () -> ()
   | Error e -> Alcotest.failf "honest model rejected: %s" e);
   (* flipping every assignment violates some at-most-one constraint *)
-  (match Sat.Proof.check_model problem (Array.map not m) with
+  (match Sat.Proof.check_model problem ~units:[] (Array.map not m) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "corrupted model accepted");
   (* a model that does not cover all variables is rejected outright *)
-  match Sat.Proof.check_model problem [| false; true |] with
+  match Sat.Proof.check_model problem ~units:[] [| false; true |] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "truncated model accepted"
 
@@ -501,9 +515,9 @@ let test_duplicate_literals_in_originals () =
         [ neg 1; neg 4 ];
       ]
   in
-  match Sat.Solver.solve_problem ~certify:true p with
-  | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat _ -> Alcotest.fail "duplicate-literal instance is unsat"
+  let _, r, c = solve_certified p in
+  check "duplicate-literal instance is unsat" true (r = Sat.Solver.Unsat);
+  check "and refuted" true (c.Sat.Proof.kind = `Refutation)
 
 let test_certify_guards () =
   let s = Sat.Solver.create () in
@@ -511,18 +525,24 @@ let test_certify_guards () =
   Alcotest.check_raises "proof logging must precede clauses"
     (Invalid_argument "Solver.enable_proof: clauses were already added")
     (fun () -> Sat.Solver.enable_proof s);
+  let r = Sat.Solver.solve s in
   Alcotest.check_raises "certify needs proof logging"
-    (Invalid_argument
-       "Solver.solve: ~certify requires proof logging (enable_proof or \
-        of_problem ~proof:true)")
-    (fun () -> ignore (Sat.Solver.solve ~certify:true s));
+    (Invalid_argument "Solver.certify: proof logging is not enabled")
+    (fun () -> ignore (Sat.Solver.certify s ~assumptions:[] r));
+  (* a verdict checked under other assumptions than it was found under
+     is rejected, not searched again *)
   let s' = Sat.Solver.create () in
   Sat.Solver.enable_proof s';
   Sat.Solver.add_clause s' [ Sat.Cnf.pos 1; Sat.Cnf.pos 2 ];
-  Alcotest.check_raises "certify excludes assumptions"
-    (Invalid_argument "Solver.solve: ~certify does not support assumptions")
-    (fun () ->
-      ignore (Sat.Solver.solve ~assumptions:[ Sat.Cnf.pos 1 ] ~certify:true s'))
+  let r' = Sat.Solver.solve ~assumptions:[ Sat.Cnf.neg 1 ] s' in
+  (match
+     Sat.Solver.certify s' ~assumptions:[ Sat.Cnf.pos 1; Sat.Cnf.neg 2 ] r'
+   with
+  | exception Sat.Proof.Certification_failed _ -> ()
+  | _ -> Alcotest.fail "a model of other assumptions was certified");
+  match Sat.Solver.certify s' ~assumptions:[ Sat.Cnf.pos 1 ] Sat.Solver.Unsat with
+  | exception Sat.Proof.Certification_failed _ -> ()
+  | _ -> Alcotest.fail "a satisfiable cell was certified unsat"
 
 (* ---- DRUP text format ---- *)
 
@@ -697,42 +717,36 @@ let test_failed_assumptions () =
   check_int "core cleared on Sat" 0
     (List.length (Sat.Solver.failed_assumptions s))
 
-let test_solve_assuming_certified () =
+let test_certified_under_assumptions () =
   let p =
     problem_of ~num_vars:4
       [ [ Sat.Cnf.neg 1; Sat.Cnf.pos 2 ]; [ Sat.Cnf.neg 2; Sat.Cnf.pos 3 ] ]
   in
   let s = Sat.Solver.of_problem ~proof:true p in
+  let certified assumptions =
+    let r = Sat.Solver.solve ~assumptions s in
+    (r, Sat.Solver.certify s ~assumptions r)
+  in
   (* one warm session: an unsat cell, then a sat cell, then reuse *)
-  (match
-     Sat.Solver.solve_assuming_certified
-       ~assumptions:[ Sat.Cnf.pos 1; Sat.Cnf.neg 3 ] s
-   with
-  | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat _ -> Alcotest.fail "1 & !3 contradicts the implications");
-  (match Sat.Solver.last_certification s with
-  | Some r -> check "assumed refutation certified" true (r.Sat.Proof.kind = `Refutation)
-  | None -> Alcotest.fail "missing refutation report");
-  (match
-     Sat.Solver.solve_assuming_certified ~assumptions:[ Sat.Cnf.pos 1 ] s
-   with
-  | Sat.Solver.Sat m ->
-      check "model obeys the implication chain" true (m.(2) && m.(3))
-  | Sat.Solver.Unsat -> Alcotest.fail "1 alone is satisfiable");
-  (match Sat.Solver.last_certification s with
-  | Some r -> check "assumed model certified" true (r.Sat.Proof.kind = `Model)
-  | None -> Alcotest.fail "missing model report");
+  (match certified [ Sat.Cnf.pos 1; Sat.Cnf.neg 3 ] with
+  | Sat.Solver.Unsat, c ->
+      check "assumed refutation certified" true (c.Sat.Proof.kind = `Refutation)
+  | Sat.Solver.Sat _, _ -> Alcotest.fail "1 & !3 contradicts the implications");
+  (match certified [ Sat.Cnf.pos 1 ] with
+  | Sat.Solver.Sat m, c ->
+      check "model obeys the implication chain" true (m.(2) && m.(3));
+      check "assumed model certified" true (c.Sat.Proof.kind = `Model)
+  | Sat.Solver.Unsat, _ -> Alcotest.fail "1 alone is satisfiable");
   (* the certification never added the assumptions as clauses: the
      opposite cell still answers its own verdict on the same solver *)
   (match Sat.Solver.solve ~assumptions:[ Sat.Cnf.neg 1; Sat.Cnf.neg 3 ] s with
   | Sat.Solver.Sat _ -> ()
   | Sat.Solver.Unsat ->
       Alcotest.fail "!1 & !3 satisfiable — certification poisoned the solver");
-  (* certify after a bounded solve on the same proof-logging solver —
-     the one-shot certified path: the second call must repeat the
-     verdict with a checked certificate. php-5-into-4 is refuted at the
-     root, so the solver is dead and its trail already ends in the
-     empty clause; php 4-into-4 is satisfiable. *)
+  (* certify after a bounded solve on the same proof-logging solver,
+     dead or alive. php-5-into-4 is refuted at the root, so the solver
+     is dead and its trail already ends in the empty clause, which is
+     all the check needs; php 4-into-4 is satisfiable. *)
   List.iter
     (fun (name, problem, want_sat) ->
       let s = Sat.Solver.of_problem ~proof:true problem in
@@ -748,22 +762,13 @@ let test_solve_assuming_certified () =
           (match List.rev (Sat.Solver.proof_steps s) with
           | Sat.Proof.Add [||] :: _ -> true
           | _ -> false);
-      let certified = Sat.Solver.solve_assuming_certified ~assumptions:[] s in
-      check (name ^ ": same verdict once certified") want_sat (is_sat certified);
-      match Sat.Solver.last_certification s with
-      | Some r ->
-          check (name ^ ": certificate kind") true
-            (r.Sat.Proof.kind = if want_sat then `Model else `Refutation)
-      | None -> Alcotest.failf "%s: no certificate" name)
+      let c = Sat.Solver.certify s ~assumptions:[] bounded in
+      check (name ^ ": certificate kind") true
+        (c.Sat.Proof.kind = if want_sat then `Model else `Refutation))
     [
       ("root-unsat php 5/4", Sat.Gen.pigeonhole 4, false);
       ("sat php 4/4", Sat.Gen.php_sat 4, true);
-    ];
-  (* guard: requires proof logging *)
-  let bare = Sat.Solver.of_problem p in
-  match Sat.Solver.solve_assuming_certified ~assumptions:[] bare with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "must require proof logging"
+    ]
 
 let test_assumption_over_fresh_var () =
   let s = Sat.Solver.create () in
@@ -847,25 +852,21 @@ let test_clause_longer_than_segment () =
    accepted by the independent checker. *)
 let test_certified_across_compaction () =
   let p = Sat.Gen.random_ksat ~seed:3 ~k:3 ~num_vars:120 ~num_clauses:520 in
-  let s = Sat.Solver.of_problem ~proof:true p in
-  (match Sat.Solver.solve ~certify:true s with
-  | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat _ -> Alcotest.fail "3sat-120 is unsat");
+  let s, r, c = solve_certified p in
+  check "3sat-120 is unsat" true (r = Sat.Solver.Unsat);
   check "compacted mid-proof" true (compactions s > 0);
-  (match Sat.Solver.last_certification s with
-  | Some r -> check "deletions in the proof" true (r.Sat.Proof.deletions > 0)
-  | None -> Alcotest.fail "certification report missing");
+  check "deletions in the proof" true (c.Sat.Proof.deletions > 0);
   let session = Sat.Solver.of_problem ~proof:true compacting_base in
   let verdicts =
     List.map
       (fun assumptions ->
         let before = compactions session in
-        let r = Sat.Solver.solve_assuming_certified ~assumptions session in
-        (r, before, Sat.Solver.last_certification session))
+        let r = Sat.Solver.solve ~assumptions session in
+        (r, before, Sat.Solver.certify session ~assumptions r))
       (compacting_sets 3)
   in
   match List.rev verdicts with
-  | (Sat.Solver.Unsat, before, Some r) :: _ ->
+  | (Sat.Solver.Unsat, before, r) :: _ ->
       check "the session compacted before its refutation" true (before > 0);
       check "refutation with deletions" true
         (r.Sat.Proof.kind = `Refutation && r.Sat.Proof.deletions > 0)
@@ -1035,7 +1036,8 @@ let suite =
     Alcotest.test_case "reuse fuzz: warm solver = cold oracle" `Quick test_reuse_fuzz;
     Alcotest.test_case "warm retry beats cold solve" `Quick test_warm_retry_fewer_conflicts;
     Alcotest.test_case "failed_assumptions core" `Quick test_failed_assumptions;
-    Alcotest.test_case "certified solve under assumptions" `Quick test_solve_assuming_certified;
+    Alcotest.test_case "certified solve under assumptions" `Quick
+      test_certified_under_assumptions;
     Alcotest.test_case "assumption over a fresh variable" `Quick test_assumption_over_fresh_var;
     Alcotest.test_case "a clause longer than a store segment" `Quick
       test_clause_longer_than_segment;

@@ -911,6 +911,24 @@ let test_speccheck_pipeline () =
          run {} for 2 but 4 Int\n",
         Service.Wire.Spec_instance );
     ];
+  (* a certified submit whose deadline has passed: the one solve comes
+     back UNKNOWN (a counterexample takes decisions, and the budget is
+     polled before each), and an UNKNOWN carries no certificate *)
+  (match
+     Service.Speccheck.analyze ~certify:true ~cmd:"everyoneBids"
+       ~deadline:(Unix.gettimeofday () -. 1.0)
+       (paper_spec
+       ^ "assert everyoneBids { all p: pnode | some p.initBids }\n\
+          check everyoneBids for 3 but 4 Int\n")
+   with
+  | Ok r ->
+      check "past deadline: unknown" true
+        (match r.Service.Speccheck.verdict with
+        | Service.Wire.Spec_unknown _ -> true
+        | _ -> false);
+      check "past deadline: uncertified" false r.Service.Speccheck.certified
+  | Result.Error d ->
+      Alcotest.failf "certify past deadline: %s" (Alloylite.Diag.to_string d));
   (* unknown command: typed error listing what the spec defines *)
   (match
      Service.Speccheck.analyze ~cmd:"ghost" ~deadline:(far_deadline ())

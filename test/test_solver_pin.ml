@@ -1,8 +1,10 @@
 (* Search pins for the CDCL solver. Every solve below is fingerprinted
    by its verdict, the solver's lifetime counters (decisions, conflicts,
    propagations, restarts, learnt literals) and a digest of the model or
-   of the failed-assumption core; certified solves add the DRUP trail
-   length and the certificate. The expected lists were recorded from the
+   of the failed-assumption core; certified verdicts add the DRUP trail
+   length and the certificate. (The certified groups were recorded when
+   certification was part of the solve call, and [certify] keeps every
+   one of their fingerprints.) The expected lists were recorded from the
    solver before its hot path was reworked for allocation and inlining,
    and the 3sat-200 list from the solver before its clause store, when
    clauses were records: any change to the search itself — a decision,
@@ -42,16 +44,13 @@ let bounded s = function
       Printf.sprintf "unknown(%s) call c=%d p=%d %s" reason conflicts
         propagations (counters s)
 
-let certificate s =
-  match S.last_certification s with
-  | None -> "uncertified"
-  | Some r ->
-      Printf.sprintf "%s +%d -%d drup=%d"
-        (match r.Sat.Proof.kind with
-        | `Model -> "model"
-        | `Refutation -> "refutation")
-        r.Sat.Proof.additions r.Sat.Proof.deletions
-        (List.length (S.proof_steps s))
+(* [r] certified on [s] under [assumptions] *)
+let certificate s ~assumptions r =
+  let c = S.certify s ~assumptions r in
+  Printf.sprintf "%s +%d -%d drup=%d"
+    (match c.Sat.Proof.kind with `Model -> "model" | `Refutation -> "refutation")
+    c.Sat.Proof.additions c.Sat.Proof.deletions
+    (List.length (S.proof_steps s))
 
 (* ---- the instances ---- *)
 
@@ -105,22 +104,25 @@ let fp_certified () =
   List.map
     (fun (name, p) ->
       let s = S.of_problem ~proof:true p in
-      let r = S.solve ~certify:true s in
-      Printf.sprintf "%s %s %s" name (verdict s r) (certificate s))
+      let r = S.solve s in
+      let c = certificate s ~assumptions:[] r in
+      Printf.sprintf "%s %s %s" name (verdict s r) c)
     instances
 
+(* Both verdicts print the counters and core as they stand after the
+   second solve. *)
 let fp_assuming_certified () =
   List.map
     (fun (name, p) ->
       let s = S.of_problem ~proof:true p in
       let a = assumptions_for p in
-      let r1 = S.solve_assuming_certified ~assumptions:a s in
-      let c1 = certificate s in
+      let r1 = S.solve ~assumptions:a s in
+      let c1 = certificate s ~assumptions:a r1 in
       (* the same session again, under the opposite first assumption *)
       let a2 = Sat.Cnf.neg 1 :: List.tl a in
-      let r2 = S.solve_assuming_certified ~assumptions:a2 s in
-      Printf.sprintf "%s %s %s / %s %s" name (verdict s r1) c1 (verdict s r2)
-        (certificate s))
+      let r2 = S.solve ~assumptions:a2 s in
+      let c2 = certificate s ~assumptions:a2 r2 in
+      Printf.sprintf "%s %s %s / %s %s" name (verdict s r1) c1 (verdict s r2) c2)
     instances
 
 (* The 2p2v/4st shared translation of the served check-sat workload:
@@ -183,8 +185,8 @@ let groups =
   [
     ("solve", fp_solve);
     ("solve_bounded with a conflict cap", fp_bounded);
-    ("solve ~certify", fp_certified);
-    ("solve_assuming_certified", fp_assuming_certified);
+    ("solve, then certify", fp_certified);
+    ("solve under assumptions, then certify", fp_assuming_certified);
     ("2p2v/4st shared translation, one session", fp_shared);
     ("3sat-200 under twelve assumption sets, one session", fp_compaction);
   ]
@@ -219,7 +221,7 @@ let expected =
         "3sat-150 unknown(conflict cap 40) call c=40 p=1115 d=68 c=40 p=1115 r=0 l=431 / sat d=3285 c=2633 p=81837 r=14 l=25139 m=6f439d47d1e6";
         "3sat-120 unknown(conflict cap 40) call c=40 p=1150 d=64 c=40 p=1150 r=0 l=389 / unsat d=2603 c=2109 p=57693 r=13 l=16909 core=d41d8cd98f00";
       ] );
-    ( "solve ~certify",
+    ( "solve, then certify",
       [
         "3sat-1 sat d=82 c=61 p=1004 r=0 l=296 m=4a5e8261bf73 model +0 -0 drup=61";
         "3sat-2 sat d=96 c=63 p=1005 r=0 l=324 m=8131fcd67af2 model +0 -0 drup=63";
@@ -232,7 +234,7 @@ let expected =
         "3sat-150 sat d=1337 c=1067 p=33489 r=6 l=10682 m=56f72de167bf model +0 -0 drup=1560";
         "3sat-120 unsat d=3049 c=2567 p=69656 r=14 l=21405 core=d41d8cd98f00 refutation +2567 -1643 drup=4210";
       ] );
-    ( "solve_assuming_certified",
+    ( "solve under assumptions, then certify",
       [
         "3sat-1 unsat d=54 c=40 p=805 r=0 l=227 core=d41d8cd98f00 refutation +33 -0 drup=32 / sat d=54 c=40 p=805 r=0 l=227 m=c577c8271da1 model +0 -0 drup=39";
         "3sat-2 unsat d=36 c=18 p=270 r=0 l=81 core=d41d8cd98f00 refutation +15 -0 drup=14 / sat d=36 c=18 p=270 r=0 l=81 m=39c8440c538d model +0 -0 drup=17";
