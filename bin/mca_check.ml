@@ -106,7 +106,7 @@ let run_sweep jobs seed agents items states timeout journal resume
   in
   (* Atomic.set is async-signal-safe; everything else (journal flush,
      partial report) happens on the normal path once workers notice the
-     flag through their ?stop hook. *)
+     flag through the hook of their cell's budget. *)
   Parallel.Supervise.on_drain_signals Parallel.Supervise.request_drain;
   let report =
     Core.Experiments.run_sweep ~jobs ~seed ~budget:(budget_of_timeout timeout)
@@ -241,12 +241,12 @@ let run backend encoding symmetry certify non_submodular release_outbid
         end
       end
       else begin
-        let t0 = Unix.gettimeofday () in
+        let t0 = Netsim.Clock.now () in
         let verdict =
           Checker.Explore.run ~max_states:1_000_000 ~max_drops ~max_dups
             ~budget cfg
         in
-        let secs = Unix.gettimeofday () -. t0 in
+        let secs = Netsim.Clock.now () -. t0 in
         Format.printf "explicit-state: %a@." Checker.Explore.pp_verdict verdict;
         let states =
           match verdict with

@@ -133,7 +133,7 @@ end
    the graph additionally branches on Drop/Duplicate transitions, so a
    [Converges] answer decides drop/duplicate tolerance for the scope. *)
 let run ?(max_states = 200_000) ?(max_drops = 0) ?(max_dups = 0)
-    ?(budget = Netsim.Budget.unlimited) ?(stop = fun () -> false) cfg =
+    ?(budget = Netsim.Budget.unlimited) cfg =
   let exception Found of verdict in
   let visited = Visited.take () in
   let states = ref 0 in
@@ -153,13 +153,11 @@ let run ?(max_states = 200_000) ?(max_drops = 0) ?(max_dups = 0)
                   states = !states;
                   reason = Printf.sprintf "state cap %d" max_states;
                 }));
-      (* the budget and the cancellation hook are both polled per
-         expanded state, mirroring the solver's conflict-boundary poll *)
-      let status =
-        if stop () then Netsim.Budget.Expired "cancelled"
-        else Netsim.Budget.check ~steps:!states ~conflicts:0 ~propagations:0 budget
-      in
-      (match status with
+      (* the budget, with its cancellation hook, is polled per expanded
+         state, mirroring the solver's conflict-boundary poll *)
+      (match
+         Netsim.Budget.check ~steps:!states ~conflicts:0 ~propagations:0 budget
+       with
       | Netsim.Budget.Expired reason ->
           raise (Found (Unknown { states = !states; reason }))
       | Netsim.Budget.Within -> ());

@@ -36,13 +36,12 @@ type verdict =
 
 val run :
   ?max_states:int -> ?max_drops:int -> ?max_dups:int ->
-  ?budget:Netsim.Budget.t -> ?stop:(unit -> bool) ->
-  Mca.Protocol.config -> verdict
+  ?budget:Netsim.Budget.t -> Mca.Protocol.config -> verdict
 (** Default budget: 200_000 states, no wall-clock deadline, no
-    adversary (the paper's reliable network). [stop] is the cooperative
-    cancellation hook of the parallel drivers, polled per expanded
-    state; when it flips to [true] the search answers
-    [Unknown {reason = "cancelled"; _}]. *)
+    adversary (the paper's reliable network). The budget is polled per
+    expanded state, its step cap against the states explored so far;
+    when its cancellation hook fires (a drained sweep, a request past
+    its deadline) the search answers [Unknown {reason = "cancelled"; _}]. *)
 
 val replay :
   ?max_drops:int -> ?max_dups:int -> Mca.Protocol.config ->

@@ -132,25 +132,30 @@ let cell_config ~seed ~policy_label ~scope_tag (p : Mca.Policy.t)
       ~base_utilities ~policy:p
   end
 
-let run_cell ?stop ~shared ?(incremental = false) ~budget ~seed
+let verdict_of_explore = function
+  | Checker.Explore.Converges _ -> Holds
+  | Checker.Explore.Unknown { reason; _ } -> Undecided reason
+  | Checker.Explore.Nonconvergence _ | Checker.Explore.Bad_terminal _ ->
+      Violated
+
+let verdict_of_sat = function
+  | Relalg.Translate.Decided Relalg.Translate.Unsat -> Holds
+  | Relalg.Translate.Decided (Relalg.Translate.Sat _) -> Violated
+  | Relalg.Translate.Unknown reason -> Undecided reason
+
+let run_cell ~shared ?(incremental = false) ~budget ~seed
     ((policy_label, p, mp, scope_tag, scope) :
       string * Mca.Policy.t * Mca_model.policy * string * Mca_model.scope_spec) =
   if shared.Mca_model.shared_scope <> scope then
     invalid_arg "Experiments.run_cell: shared translation of another scope";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Netsim.Clock.now () in
   let cfg = cell_config ~seed ~policy_label ~scope_tag p scope in
   let sim_ok =
     match Mca.Protocol.run_sync ~max_rounds:200 ~budget cfg with
     | Mca.Protocol.Converged _ -> true
     | _ -> false
   in
-  let exhaustive =
-    match Checker.Explore.run ?stop ~budget cfg with
-    | Checker.Explore.Converges _ -> Holds
-    | Checker.Explore.Unknown { reason; _ } -> Undecided reason
-    | Checker.Explore.Nonconvergence _ | Checker.Explore.Bad_terminal _ ->
-        Violated
-  in
+  let exhaustive = verdict_of_explore (Checker.Explore.run ~budget cfg) in
   let mp = { mp with Mca_model.target = min mp.Mca_model.target scope.Mca_model.vnodes } in
   let sat_verdict =
     (* the scope's shared translation under this cell's selector
@@ -161,10 +166,7 @@ let run_cell ?stop ~shared ?(incremental = false) ~budget ~seed
       if incremental then Mca_model.domain_session shared
       else Mca_model.incremental_session shared
     in
-    match Mca_model.check_consensus_incremental ?stop ~budget session mp with
-    | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Holds
-    | Relalg.Translate.Decided (Alloylite.Compile.Sat _) -> Violated
-    | Relalg.Translate.Unknown reason -> Undecided reason
+    verdict_of_sat (Mca_model.check_consensus_incremental ~budget session mp)
   in
   {
     policy_label;
@@ -172,7 +174,7 @@ let run_cell ?stop ~shared ?(incremental = false) ~budget ~seed
     sat_verdict;
     sim_ok;
     exhaustive;
-    cell_seconds = Unix.gettimeofday () -. t0;
+    cell_seconds = Netsim.Clock.now () -. t0;
     origin = Computed;
   }
 
@@ -297,7 +299,7 @@ let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
     ?scopes ?journal ?(resume = false) ?journal_flush_every
     ?journal_flush_interval_s ?supervision () =
   let tasks = sweep_tasks ?scopes () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Netsim.Clock.now () in
   let loaded =
     match (resume, journal) with
     | true, None -> invalid_arg "run_sweep: ~resume requires ~journal"
@@ -351,8 +353,8 @@ let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
                 (tag, min mp.Mca_model.target scope.Mca_model.vnodes)
             in
             let cell =
-              run_cell ~stop ~shared ~incremental:true
-                ~budget:(Netsim.Budget.restarted budget) ~seed task
+              run_cell ~shared ~incremental:true
+                ~budget:(Netsim.Budget.restarted ~stop budget) ~seed task
             in
             (* journal at the record boundary — but never an attempt the
                supervisor is about to discard (stalled or drained): a
@@ -388,7 +390,7 @@ let run_sweep ?(jobs = 1) ?(seed = 1) ?(budget = Netsim.Budget.unlimited)
     sweep_jobs = jobs;
     sweep_seed = seed;
     cells;
-    sweep_wall = Unix.gettimeofday () -. t0;
+    sweep_wall = Netsim.Clock.now () -. t0;
     sweep_resumed = Hashtbl.length loaded;
     sweep_partial = List.exists (fun c -> c.origin = Skipped) cells;
   }
@@ -563,9 +565,9 @@ let encoding_comparison ?(solve_naive = false) ppf =
                 | Mca_model.Buffered | Mca_model.Naive -> solve_naive
               in
               if solve_this then begin
-                let t0 = Unix.gettimeofday () in
+                let t0 = Netsim.Clock.now () in
                 ignore (Mca_model.check_consensus ~symmetry m);
-                Some (Unix.gettimeofday () -. t0)
+                Some (Netsim.Clock.now () -. t0)
               end
               else None
             in

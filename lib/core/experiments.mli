@@ -93,9 +93,11 @@ val run_sweep :
   unit ->
   sweep_report
 (** Runs the matrix with at most [jobs] (default 1) worker domains;
-    [jobs = 1] runs inline with no domain spawned. Each cell gets
-    [Netsim.Budget.restarted budget], so a global [--timeout] bounds
-    every cell individually. Same [seed], same task list ⇒ identical
+    [jobs = 1] runs inline with no domain spawned. Each cell attempt
+    gets [Netsim.Budget.restarted ~stop budget], with the attempt's
+    supervision hook as [stop], so a global [--timeout] bounds every
+    cell individually and a drained or stalled attempt is cancelled
+    through the same budget. Same [seed], same task list ⇒ identical
     verdicts for any [jobs] (see {!render_sweep}).
 
     Shared translation: before any worker starts, the relational model
@@ -144,7 +146,6 @@ val cell_config :
     service so a cell means the same problem everywhere. *)
 
 val run_cell :
-  ?stop:(unit -> bool) ->
   shared:Mca_model.shared ->
   ?incremental:bool ->
   budget:Netsim.Budget.t ->
@@ -157,9 +158,21 @@ val run_cell :
     translation for the cell's effective target — under the cell's
     selector assumptions: on the calling domain's warm session with
     [~incremental:true], on a throwaway session opened for this cell
-    alone with [~incremental:false] (the default). Raises
-    [Invalid_argument] when [shared] was built for another scope or
-    target. *)
+    alone with [~incremental:false] (the default). The budget's
+    cancellation hook stops all three backends: a cancelled verdict
+    column reads [Undecided "cancelled"], a cancelled simulation
+    [sim_ok = false]. Raises [Invalid_argument] when [shared] was built
+    for another scope or target. *)
+
+val verdict_of_explore : Checker.Explore.verdict -> sweep_verdict
+(** The exhaustive column of an explicit-state verdict: [Converges] is
+    [Holds], an oscillation or a conflicting terminal is [Violated],
+    [Unknown] is [Undecided] with its reason. *)
+
+val verdict_of_sat : Relalg.Translate.bounded_outcome -> sweep_verdict
+(** The SAT column of a consensus check: no counterexample ([Unsat]) is
+    [Holds], a counterexample is [Violated], [Unknown] is [Undecided]
+    with its reason. *)
 
 val verdict_to_wire : sweep_verdict -> string
 val verdict_of_wire : string -> sweep_verdict option

@@ -797,8 +797,8 @@ type session = { shared : shared; inner : Relalg.Translate.session }
 let incremental_session ?certify sh =
   { shared = sh; inner = Relalg.Translate.session ?certify sh.shared_translation }
 
-let check_consensus_incremental ?stop ~budget sn policy =
-  Relalg.Translate.solve_cell ?stop ~budget sn.inner
+let check_consensus_incremental ~budget sn policy =
+  Relalg.Translate.solve_cell ~budget sn.inner
     (shared_assumptions sn.shared policy)
 
 let certify sn = Relalg.Translate.certify sn.inner

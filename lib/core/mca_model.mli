@@ -128,7 +128,7 @@ val incremental_session : ?certify:bool -> shared -> session
     logging, so that {!certify} can check each verdict. *)
 
 val check_consensus_incremental :
-  ?stop:(unit -> bool) -> budget:Netsim.Budget.t -> session -> policy ->
+  budget:Netsim.Budget.t -> session -> policy ->
   Relalg.Translate.bounded_outcome
 (** Checks one policy cell: the shared CNF under the policy's selector
     assumptions. Same verdict as checking [build encoding policy scope]

@@ -30,10 +30,6 @@ let last t = match t.rev_snaps with [] -> None | s :: _ -> Some s
 let record_fault t e = t.rev_faults <- e :: t.rev_faults
 let fault_events t = List.rev t.rev_faults
 
-let faults_at t step =
-  List.filter (fun (e : Netsim.Faults.event) -> e.Netsim.Faults.time = step)
-    (fault_events t)
-
 let add_view_fp buf view =
   Array.iter
     (fun (e : Types.entry) ->

@@ -33,9 +33,6 @@ val record_fault : t -> Netsim.Faults.event -> unit
 val fault_events : t -> Netsim.Faults.event list
 (** In chronological order. *)
 
-val faults_at : t -> int -> Netsim.Faults.event list
-(** Fault events stamped with the given scheduler step. *)
-
 val fingerprint : Agent.t array -> string
 (** Canonical digest of the agents' joint state (views, bundles,
     lost-sets — timestamps excluded, they grow monotonically). Equal

@@ -1,12 +1,16 @@
 type t = {
   wall_s : float option;
+  deadline : int;  (* the Clock.now_ns instant the wall cap expires *)
   steps : int option;
   conflicts : int option;
   propagations : int option;
-  started : float;
+  stop : unit -> bool;
 }
 
-let create ?wall_s ?steps ?conflicts ?propagations () =
+let never () = false
+let arm = function Some w -> Clock.after w | None -> max_int
+
+let create ?wall_s ?steps ?conflicts ?propagations ?(stop = never) () =
   (match wall_s with
   | Some w when w < 0.0 -> invalid_arg "Budget.create: negative wall_s"
   | _ -> ());
@@ -17,46 +21,29 @@ let create ?wall_s ?steps ?conflicts ?propagations () =
   nonneg "steps" steps;
   nonneg "conflicts" conflicts;
   nonneg "propagations" propagations;
-  { wall_s; steps; conflicts; propagations; started = Unix.gettimeofday () }
+  { wall_s; deadline = arm wall_s; steps; conflicts; propagations; stop }
 
 let unlimited =
-  { wall_s = None; steps = None; conflicts = None; propagations = None;
-    started = 0.0 }
+  { wall_s = None; deadline = max_int; steps = None; conflicts = None;
+    propagations = None; stop = never }
 
-let is_unlimited t =
-  t.wall_s = None && t.steps = None && t.conflicts = None
-  && t.propagations = None
-
-let until ~deadline =
-  let now = Unix.gettimeofday () in
-  {
-    wall_s = Some (Float.max 0.0 (deadline -. now));
-    steps = None;
-    conflicts = None;
-    propagations = None;
-    started = now;
-  }
-
-let restarted t = { t with started = Unix.gettimeofday () }
-let elapsed t = Unix.gettimeofday () -. t.started
-
-let intersect a b =
-  (* tightest of each cap; the wall caps are compared as remaining time
-     from now, so the result can be restarted like any fresh budget *)
-  let now = Unix.gettimeofday () in
-  let remaining t = Option.map (fun w -> w -. (now -. t.started)) t.wall_s in
-  let omin f x y =
-    match (x, y) with
-    | None, z | z, None -> z
-    | Some x, Some y -> Some (f x y)
+let restarted ?stop t =
+  let stop =
+    match stop with
+    | None -> t.stop
+    | Some s when t.stop == never -> s
+    | Some s -> fun () -> t.stop () || s ()
   in
-  {
-    wall_s = omin min (remaining a) (remaining b);
-    steps = omin min a.steps b.steps;
-    conflicts = omin min a.conflicts b.conflicts;
-    propagations = omin min a.propagations b.propagations;
-    started = now;
-  }
+  { t with deadline = arm t.wall_s; stop }
+
+let share t frac =
+  match t.wall_s with
+  | None -> t
+  | Some _ ->
+      let now = Clock.now_ns () in
+      let remaining = Int.max 0 (t.deadline - now) in
+      let ns = Float.to_int (Float.of_int remaining *. frac) in
+      { t with wall_s = Some (Float.of_int ns *. 1e-9); deadline = now + ns }
 
 type status = Within | Expired of string
 
@@ -66,30 +53,18 @@ let check ~steps ~conflicts ~propagations t =
     | Some c when used >= c -> Some (Printf.sprintf "%s cap %d" label c)
     | _ -> None
   in
-  match over t.steps steps "step" with
-  | Some r -> Expired r
-  | None -> (
-      match over t.conflicts conflicts "conflict" with
-      | Some r -> Expired r
-      | None -> (
-          match over t.propagations propagations "propagation" with
-          | Some r -> Expired r
-          | None -> (
-              match t.wall_s with
-              | Some w when elapsed t >= w ->
-                  Expired (Printf.sprintf "deadline %.3gs" w)
-              | _ -> Within)))
-
-let pp ppf t =
-  let parts =
-    List.filter_map Fun.id
-      [
-        Option.map (Printf.sprintf "wall=%.3gs") t.wall_s;
-        Option.map (Printf.sprintf "steps=%d") t.steps;
-        Option.map (Printf.sprintf "conflicts=%d") t.conflicts;
-        Option.map (Printf.sprintf "propagations=%d") t.propagations;
-      ]
-  in
-  match parts with
-  | [] -> Format.pp_print_string ppf "unlimited"
-  | ps -> Format.pp_print_string ppf (String.concat " " ps)
+  if t.stop () then Expired "cancelled"
+  else
+    match over t.steps steps "step" with
+    | Some r -> Expired r
+    | None -> (
+        match over t.conflicts conflicts "conflict" with
+        | Some r -> Expired r
+        | None -> (
+            match over t.propagations propagations "propagation" with
+            | Some r -> Expired r
+            | None -> (
+                match t.wall_s with
+                | Some w when Clock.now_ns () >= t.deadline ->
+                    Expired (Printf.sprintf "deadline %.3gs" w)
+                | _ -> Within)))

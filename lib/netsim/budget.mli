@@ -1,52 +1,47 @@
-(** Graceful-degradation budgets shared by every verification backend.
+(** The one value that bounds and cancels verification work.
 
-    A budget bundles a wall-clock deadline with backend-specific work
-    caps (explorer states, CDCL conflicts/propagations). Backends poll
-    {!check} with their current counters and must answer [Unknown]
-    rather than hang or crash when the budget expires — so every
-    [mca_check] invocation terminates with an honest verdict. *)
+    A budget bundles work caps (explorer states or simulation steps,
+    CDCL conflicts and propagations), a wall-clock deadline on
+    {!Clock} and an optional cancellation hook. Every backend polls
+    {!check} with its current counters and must answer [Unknown]
+    rather than hang or crash when the budget expires or is cancelled
+    — so every [mca_check] invocation, sweep cell and served request
+    terminates with an honest verdict. *)
 
 type t
 
 val create :
   ?wall_s:float -> ?steps:int -> ?conflicts:int -> ?propagations:int ->
-  unit -> t
+  ?stop:(unit -> bool) -> unit -> t
 (** Omitted caps are unlimited. The wall-clock deadline starts at
-    creation time; use {!restarted} to re-arm a stored budget. Raises
+    creation time; use {!restarted} to re-arm a stored budget. [stop]
+    is the cooperative cancellation hook (a drained sweep, a stalled
+    attempt, an aborted daemon, a request past its deadline): once it
+    answers [true], {!check} answers [Expired "cancelled"]. Raises
     [Invalid_argument] on negative caps. *)
 
 val unlimited : t
-val is_unlimited : t -> bool
 
-val until : deadline:float -> t
-(** [until ~deadline] is a pure wall-clock budget expiring at the
-    absolute Unix time [deadline] (already-past deadlines give a
-    zero-width window, i.e. immediately [Expired]). This is how the
-    verification service propagates a per-request deadline into the
-    [?stop]/budget chain of the backends: each degradation rung gets
-    the time remaining until the request's deadline, never more. *)
+val restarted : ?stop:(unit -> bool) -> t -> t
+(** Same caps and hook, deadline re-armed from now. A given [stop] is
+    polled after the budget's own hook, so the re-armed budget is
+    cancelled when either answers [true]: the sweep attaches each
+    attempt's supervision hook this way. *)
 
-val restarted : t -> t
-(** Same caps, deadline re-armed from now. *)
-
-val intersect : t -> t -> t
-(** Tightest combination of two budgets: the smaller of each work cap,
-    and the earlier of the two wall-clock deadlines (compared as time
-    remaining from now; the result's window opens now). Used by the
-    parallel sweep driver to combine a global [--timeout] with a
-    per-task cap. *)
-
-val elapsed : t -> float
-(** Wall-clock seconds since creation (or the last {!restarted}). *)
+val share : t -> float -> t
+(** [share t frac] is the budget of one stage of [t]'s work: [frac]
+    (between 0 and 1) of the wall time that remains of [t] now, with
+    [t]'s caps and hook. Without a wall cap, [t] is its own share. *)
 
 type status = Within | Expired of string
-(** [Expired reason] names the first cap that was hit, e.g.
-    ["conflict cap 5000"] or ["deadline 2s"]. *)
+(** [Expired reason] names what ended the work: ["cancelled"], or the
+    first cap that was hit, e.g. ["conflict cap 5000"] or
+    ["deadline 2s"]. *)
 
 val check : steps:int -> conflicts:int -> propagations:int -> t -> status
-(** Compares the caller's counters (and the clock) against the caps; a
-    caller passes 0 for a counter it does not keep. The counters are
-    plain labelled ints, not optional ones, so that a poll at every
-    decision and conflict allocates nothing. *)
-
-val pp : Format.formatter -> t -> unit
+(** Polls, in this order, the hook, the step, conflict and propagation
+    caps against the caller's counters, then the clock; a caller
+    passes 0 for a counter it does not keep. The counters are plain
+    labelled ints, not optional ones, and the clock is read in
+    integer nanoseconds, so that a poll at every decision, conflict
+    and explored state allocates nothing. *)

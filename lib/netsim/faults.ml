@@ -51,11 +51,6 @@ let plan ?(default_link = reliable) ?(links = []) ?(windows = [])
 
 let no_faults = plan ~seed:0 ()
 
-let is_reliable p =
-  p.default_link = reliable
-  && List.for_all (fun (_, lp) -> lp = reliable) p.links
-  && p.windows = [] && p.crashes = []
-
 type event_kind =
   | Dropped
   | Duplicated
@@ -94,8 +89,6 @@ let start plan =
     stats = Hashtbl.create 16;
     rev_events = [];
   }
-
-let plan_of t = t.plan
 
 let stats_for t src dst =
   match Hashtbl.find_opt t.stats (src, dst) with

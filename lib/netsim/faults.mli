@@ -60,8 +60,6 @@ val plan :
   ?windows:window list -> ?crashes:crash list -> seed:int -> unit -> plan
 
 val no_faults : plan
-val is_reliable : plan -> bool
-(** True when the plan can never alter an execution. *)
 
 (** {1 Runtime} *)
 
@@ -69,7 +67,6 @@ type t
 (** A started plan: decision stream plus ledger and event log. *)
 
 val start : plan -> t
-val plan_of : t -> plan
 
 (** Verdict for one [send] on a link. [Pass] carries one entry per
     surviving copy (1 or 2): the number of scheduler steps the copy is

@@ -121,7 +121,7 @@ let open_append ?(flush_every = 1) ?flush_interval_s path =
     pending = 0;
     flush_every;
     flush_interval_s;
-    last_flush = Unix.gettimeofday ();
+    last_flush = Netsim.Clock.now ();
     closed = false;
   }
 
@@ -141,7 +141,7 @@ let flush_locked w =
     w.pending <- 0;
     Unix.fsync w.fd
   end;
-  w.last_flush <- Unix.gettimeofday ()
+  w.last_flush <- Netsim.Clock.now ()
 
 let flush w =
   Mutex.protect w.lock (fun () ->
@@ -159,7 +159,7 @@ let append w record =
       w.pending <- w.pending + 1;
       let interval_due =
         match w.flush_interval_s with
-        | Some s -> Unix.gettimeofday () -. w.last_flush >= s
+        | Some s -> Netsim.Clock.now () -. w.last_flush >= s
         | None -> false
       in
       if w.pending >= w.flush_every || interval_due then flush_locked w)

@@ -44,9 +44,9 @@ let supervise_one policy f key task =
   let rec attempt attempt_no =
     if draining () then Skipped
     else begin
-      let deadline =
-        Option.map (fun d -> Unix.gettimeofday () +. d) policy.deadline_s
-      in
+      (* a [Clock.now_ns] instant: the hook is polled at every solver
+         conflict, and an integer clock read allocates nothing *)
+      let deadline = Option.map Netsim.Clock.after policy.deadline_s in
       (* classification is by what the task *observed*: only a poll that
          answered [true] marks the attempt stalled/drained, so a value
          returned without ever seeing [stop () = true] is always kept *)
@@ -58,7 +58,7 @@ let supervise_one policy f key task =
         end
         else
           match deadline with
-          | Some d when Unix.gettimeofday () >= d ->
+          | Some d when Netsim.Clock.now_ns () >= d ->
               stalled := true;
               true
           | _ -> false

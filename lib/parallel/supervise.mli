@@ -5,11 +5,12 @@
     hostile workload. Each task runs as a sequence of {e attempts}
     inside its worker domain:
 
-    - an attempt is armed with a wall-clock deadline, enforced through
-      the cooperative [stop] hook the task must poll (the same hook the
-      bounded solvers and the explicit checker already poll at every
-      conflict/decision/state boundary) — a stalled attempt is cancelled
-      within one poll, not killed;
+    - an attempt is armed with a deadline on {!Netsim.Clock}, enforced
+      through the cooperative [stop] hook the task must poll (the sweep
+      attaches it to the attempt's {!Netsim.Budget}, which the solvers
+      and the explicit checker poll at every conflict/decision/state
+      boundary) — a stalled attempt is cancelled within one poll, not
+      killed;
     - a failed attempt (uncaught exception) or a stalled one is retried
       after an exponential {!Netsim.Backoff} delay with seeded jitter;
     - after [max_attempts] such attempts the task is {e quarantined}:
@@ -28,7 +29,7 @@
 
 type policy = {
   max_attempts : int;  (** quarantine after this many failed/stalled attempts *)
-  deadline_s : float option;  (** per-attempt wall-clock deadline *)
+  deadline_s : float option;  (** per-attempt deadline, in seconds *)
   backoff : Netsim.Backoff.t;  (** delay schedule between attempts *)
   seed : int;  (** jitter stream seed (per-task streams are derived) *)
 }

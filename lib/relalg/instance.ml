@@ -17,14 +17,7 @@ let create universe bindings =
 
 let universe t = t.universe
 let tuples t name = Hashtbl.find t.table name
-let tuples_opt t name = Hashtbl.find_opt t.table name
 let rels t = List.rev_map (fun n -> (n, Hashtbl.find t.table n)) t.order
-
-let with_rel t name ts =
-  let table = Hashtbl.copy t.table in
-  let order = if Hashtbl.mem table name then t.order else name :: t.order in
-  Hashtbl.replace table name (Tuple.sort_uniq ts);
-  { t with order; table }
 
 let equal a b =
   let norm t =

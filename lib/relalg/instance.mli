@@ -9,12 +9,8 @@ val universe : t -> Universe.t
 val tuples : t -> string -> Tuple.t list
 (** Tuples of a relation; raises [Not_found] for unbound names. *)
 
-val tuples_opt : t -> string -> Tuple.t list option
 val rels : t -> (string * Tuple.t list) list
 (** All bindings in declaration order. *)
-
-val with_rel : t -> string -> Tuple.t list -> t
-(** Adds or replaces a binding. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -441,13 +441,13 @@ let session ?(certify = false) tr =
   in
   { tr; engine; certify; last = None }
 
-let solve_cell ?stop ~budget sn assumptions =
+let solve_cell ~budget sn assumptions =
   let tr = sn.tr in
   match sn.engine with
   | Folded false -> Decided Unsat
   | Folded true -> Decided (Sat (instance_of_model tr (trivial_model tr assumptions)))
   | Solver solver -> (
-      match Sat.Solver.solve_bounded ?stop ~assumptions ~budget solver with
+      match Sat.Solver.solve_bounded ~assumptions ~budget solver with
       | Sat.Solver.Unknown { reason; _ } ->
           if sn.certify then sn.last <- None;
           Unknown reason

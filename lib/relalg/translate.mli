@@ -36,8 +36,8 @@ val circuit : ?symmetry:bool -> Bounds.t -> Ast.formula -> Sat.Formula.t * int
 type outcome = Sat of Instance.t | Unsat
 
 (** An {!outcome} that may also be [Unknown reason] when a
-    {!Netsim.Budget} expired, or the [stop] hook fired, before the SAT
-    solver decided. *)
+    {!Netsim.Budget} expired, or its cancellation hook fired, before the
+    SAT solver decided. *)
 type bounded_outcome = Decided of outcome | Unknown of string
 
 (** An outcome paired with its certification evidence: the DRUP/model
@@ -70,16 +70,14 @@ val session : ?certify:bool -> translation -> session
     that does not certify records nothing. *)
 
 val solve_cell :
-  ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t -> session -> Sat.Cnf.lit list -> bounded_outcome
-(** Budgeted solve under the given assumptions. [stop] is the
-    cooperative-cancellation hook of the parallel drivers, forwarded to
-    {!Sat.Solver.solve_bounded}: when it flips to [true] the answer is
-    [Unknown "cancelled"] within one conflict. On [Unknown] the solver
-    is back at the root level and stays reusable; retrying the same
-    cell with a larger budget resumes warm. Assumptions never leak
-    between calls: they are pseudo-decisions, undone by the root-level
-    backtrack that starts every solve. *)
+(** Budgeted solve under the given assumptions, through
+    {!Sat.Solver.solve_bounded}: when the budget's cancellation hook
+    fires the answer is [Unknown "cancelled"] within one conflict. On
+    [Unknown] the solver is back at the root level and stays reusable;
+    retrying the same cell with a larger budget resumes warm.
+    Assumptions never leak between calls: they are pseudo-decisions,
+    undone by the root-level backtrack that starts every solve. *)
 
 val certify : session -> Sat.Proof.report option
 (** Checks the verdict the last {!solve_cell} on a [~certify:true]

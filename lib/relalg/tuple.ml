@@ -9,8 +9,6 @@ let pp u ppf t =
     (fun ppf i -> Format.pp_print_string ppf (Universe.name u i))
     ppf t
 
-let of_names u names = List.map (Universe.index u) names
-
 let all u n =
   let atoms = Universe.indices u in
   let rec go n =

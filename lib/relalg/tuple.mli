@@ -8,8 +8,6 @@ val concat : t -> t -> t
 val pp : Universe.t -> Format.formatter -> t -> unit
 (** Prints as [a->b->c] using atom names, Alloy-style. *)
 
-val of_names : Universe.t -> string list -> t
-(** Translates atom names to a tuple. Raises [Not_found] on unknown. *)
 
 val all : Universe.t -> int -> t list
 (** [all u n] enumerates every tuple of arity [n] over the universe, in

@@ -45,8 +45,7 @@ let pick_unassigned assigns n =
   let rec loop v = if v > n then None else if assigns.(v) = Cnf.Unknown then Some v else loop (v + 1) in
   loop 1
 
-let solve_internal ?(stop = fun () -> false) ?(budget = Netsim.Budget.unlimited)
-    (p : Cnf.problem) =
+let solve_internal ?(budget = Netsim.Budget.unlimited) (p : Cnf.problem) =
   let assigns = Array.make (p.num_vars + 1) Cnf.Unknown in
   let decisions = ref 0 in
   let rec search () =
@@ -57,9 +56,9 @@ let solve_internal ?(stop = fun () -> false) ?(budget = Netsim.Budget.unlimited)
         | None -> true
         | Some v ->
             incr decisions;
-            (* cancellation and the budget polled per decision, the
-               DPLL analogue of the CDCL conflict-boundary poll *)
-            if stop () then raise (Stopped ("cancelled", !decisions));
+            (* the budget and its cancellation hook polled per
+               decision, the DPLL analogue of the CDCL
+               conflict-boundary poll *)
             (match Netsim.Budget.check ~steps:!decisions ~conflicts:0 ~propagations:0 budget with
             | Netsim.Budget.Expired reason ->
                 raise (Stopped (reason, !decisions))
@@ -89,8 +88,8 @@ let solve_internal ?(stop = fun () -> false) ?(budget = Netsim.Budget.unlimited)
 
 let solve p = solve_internal p
 
-let solve_bounded ?stop ~budget p =
-  match solve_internal ?stop ~budget p with
+let solve_bounded ~budget p =
+  match solve_internal ~budget p with
   | r -> Solver.Decided r
   | exception Stopped (reason, decisions) ->
       Solver.Unknown { reason; conflicts = decisions; propagations = 0 }

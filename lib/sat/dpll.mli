@@ -9,14 +9,13 @@ val solve : Cnf.problem -> Solver.result
 (** Decides the problem by depth-first search. *)
 
 val solve_bounded :
-  ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t ->
   Cnf.problem ->
   Solver.bounded_result
 (** The budgeted entry point, for the differential suite's
     side-by-side runs: decisions count against the budget's step cap,
-    the wall clock is polled per decision, and [stop] is the same
-    cooperative-cancellation hook as {!Solver.solve_bounded} — when it
-    flips to [true] the search returns
-    [Unknown {reason = "cancelled"; _}] within one decision.
-    [Unknown.conflicts] reports decisions (DPLL learns no clauses). *)
+    and the budget, with its cancellation hook, is polled per decision,
+    so a cancelled search returns [Unknown {reason = "cancelled"; _}]
+    within one decision, as {!Solver.solve_bounded} does within one
+    conflict. [Unknown.conflicts] reports decisions (DPLL learns no
+    clauses). *)

@@ -256,15 +256,6 @@ let run_reuse ?(min_vars = 6) ?(max_vars = 16) ?(max_ops = 12) ~count ~seed ()
     reuse_failures = List.rev !failures;
   }
 
-let pp_reuse_outcome ppf o =
-  Format.fprintf ppf "%d schedules, %d warm solves checked, %d failure%s"
-    o.schedules o.reuse_solves
-    (List.length o.reuse_failures)
-    (if List.length o.reuse_failures = 1 then "" else "s");
-  List.iter
-    (fun f -> Format.fprintf ppf "@.  schedule %d: %s" f.index f.detail)
-    o.reuse_failures
-
 let pp_outcome ppf o =
   Format.fprintf ppf
     "%d instances (%d sat, %d unsat), %d proof additions, %d deletions, \

@@ -92,4 +92,3 @@ val run_reuse :
     [max_ops = 12]. An empty [reuse_failures] means the warm solver was
     indistinguishable from a cold one at every step. *)
 
-val pp_reuse_outcome : Format.formatter -> reuse_outcome -> unit

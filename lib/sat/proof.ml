@@ -9,27 +9,14 @@
 
 type step = Add of Cnf.lit array | Delete of Cnf.lit array
 
-type trail = {
-  mutable rev_steps : step list;
-  mutable additions : int;
-  mutable deletions : int;
-}
+type trail = { mutable rev_steps : step list }
 
 exception Certification_failed of string
 
-let create () = { rev_steps = []; additions = 0; deletions = 0 }
-
-let log_add t lits =
-  t.rev_steps <- Add (Array.copy lits) :: t.rev_steps;
-  t.additions <- t.additions + 1
-
-let log_delete t lits =
-  t.rev_steps <- Delete (Array.copy lits) :: t.rev_steps;
-  t.deletions <- t.deletions + 1
-
+let create () = { rev_steps = [] }
+let log_add t lits = t.rev_steps <- Add (Array.copy lits) :: t.rev_steps
+let log_delete t lits = t.rev_steps <- Delete (Array.copy lits) :: t.rev_steps
 let steps t = List.rev t.rev_steps
-let num_additions t = t.additions
-let num_deletions t = t.deletions
 
 let pp_clause ppf c =
   if Array.length c = 0 then Format.pp_print_string ppf "<empty>"
@@ -39,10 +26,6 @@ let pp_clause ppf c =
         if i > 0 then Format.pp_print_char ppf ' ';
         Cnf.pp_lit ppf l)
       c
-
-let pp_step ppf = function
-  | Add c -> Format.fprintf ppf "add %a" pp_clause c
-  | Delete c -> Format.fprintf ppf "delete %a" pp_clause c
 
 (* ---- strict model certification ---- *)
 

@@ -37,9 +37,6 @@ val log_delete : trail -> Cnf.lit array -> unit
 val steps : trail -> step list
 (** The trail in chronological order. *)
 
-val num_additions : trail -> int
-val num_deletions : trail -> int
-
 (** The checkers below take the problem and, as a required argument
     next to it, [units]: literals that hold as unit clauses on top of
     the problem — the assumptions a verdict was found under ([[]] for
@@ -82,5 +79,4 @@ val certify :
     A refutation's [additions] and [deletions] count every step of the
     trail, those after the empty clause included. *)
 
-val pp_step : Format.formatter -> step -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -163,7 +163,6 @@ let enable_proof s =
     s.proof <- Some (Proof.create ())
   end
 
-let proof_enabled s = s.proof <> None
 let proof_steps s = match s.proof with Some t -> Proof.steps t | None -> []
 
 let original_problem s =
@@ -215,10 +214,6 @@ let ensure_vars s n =
     done;
     s.nvars <- n
   end
-
-let new_var s =
-  ensure_vars s (s.nvars + 1);
-  s.nvars
 
 (* ---- the hot path ----
 
@@ -899,7 +894,7 @@ let luby i =
   let sz, seq = expand 1 0 in
   reduce i sz seq
 
-let solve_core ~assumptions ~budget ~stop s =
+let solve_core ~assumptions ~budget s =
   s.conflict_core <- [];
   if not s.ok then Decided Unsat
   else begin
@@ -945,18 +940,16 @@ let solve_core ~assumptions ~budget ~stop s =
       | None ->
         begin
         let assumption_level = decision_level s in
-        (* the budget AND the cancellation hook are polled here, at every
-           conflict/decision boundary — not just at restarts — so a
-           cancelled solve (a drained sweep, a request past its
+        (* the budget, and with it its cancellation hook, is polled here,
+           at every conflict/decision boundary — not just at restarts —
+           so a cancelled solve (a drained sweep, a request past its
            deadline) stops within one conflict *)
         while Option.is_none !result do
           let conflicts = s.n_conflicts - conflicts0 in
           let propagations = s.n_propagations - propagations0 in
-          let status =
-            if stop () then Netsim.Budget.Expired "cancelled"
-            else Netsim.Budget.check ~steps:0 ~conflicts ~propagations budget
-          in
-          match status with
+          match
+            Netsim.Budget.check ~steps:0 ~conflicts ~propagations budget
+          with
           | Netsim.Budget.Expired reason ->
               cancel_until s 0;
               result := Some (Unknown { reason; conflicts; propagations })
@@ -1026,16 +1019,14 @@ let solve_core ~assumptions ~budget ~stop s =
     end
   end
 
-let never_stop () = false
-
-let solve_bounded ?(assumptions = []) ?(stop = never_stop) ~budget s =
-  solve_core ~assumptions ~budget ~stop s
+let solve_bounded ?(assumptions = []) ~budget s =
+  solve_core ~assumptions ~budget s
 
 let failed_assumptions s = s.conflict_core
 
 let solve ?(assumptions = []) s =
   match
-    solve_core ~assumptions ~budget:Netsim.Budget.unlimited ~stop:never_stop s
+    solve_core ~assumptions ~budget:Netsim.Budget.unlimited s
   with
   | Decided r -> r
   | Unknown _ -> assert false (* unlimited budgets never expire *)

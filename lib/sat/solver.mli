@@ -38,9 +38,6 @@ type stats = {
 
 val create : unit -> t
 
-val new_var : t -> Cnf.var
-(** Allocates the next variable. *)
-
 val ensure_vars : t -> int -> unit
 (** [ensure_vars s n] makes variables [1..n] available. *)
 
@@ -66,22 +63,19 @@ val solve : ?assumptions:Cnf.lit list -> t -> result
 
 val solve_bounded :
   ?assumptions:Cnf.lit list ->
-  ?stop:(unit -> bool) ->
   budget:Netsim.Budget.t ->
   t ->
   bounded_result
 (** Like {!solve}, but gives up with [Unknown] once [budget] expires
     (checked against this call's conflict/propagation counts and the
-    wall clock). On [Unknown] the solver backtracks to the root level
-    and stays reusable — learnt clauses are kept, so a retry with a
-    larger budget resumes warm. A decided verdict is certified
-    afterwards, by {!certify}, as one from {!solve} is.
-
-    [stop] is the cooperative-cancellation hook: it is polled together
-    with the budget at {e every} conflict/decision boundary — not merely
-    at restarts — so when it flips to [true] (e.g. a sweep drains or a
-    request passes its deadline) the call returns
-    [Unknown {reason = "cancelled"; _}] within one conflict. *)
+    wall clock) or its cancellation hook fires. The budget is polled at
+    {e every} conflict/decision boundary — not merely at restarts — so
+    a cancelled solve (a sweep drains, a request passes its deadline)
+    returns [Unknown {reason = "cancelled"; _}] within one conflict.
+    On [Unknown] the solver backtracks to the root level and stays
+    reusable — learnt clauses are kept, so a retry with a larger budget
+    resumes warm. A decided verdict is certified afterwards, by
+    {!certify}, as one from {!solve} is. *)
 
 val failed_assumptions : t -> Cnf.lit list
 (** After an [Unsat] answer from {!solve} or {!solve_bounded} under
@@ -114,8 +108,6 @@ val enable_proof : t -> unit
     called before any clause is added (raises [Invalid_argument]
     otherwise), so that the logged trail is checkable against the full
     original CNF. *)
-
-val proof_enabled : t -> bool
 
 val proof_steps : t -> Proof.step list
 (** The DRUP trail logged so far, in chronological order ([[]] when

@@ -150,7 +150,7 @@ let with_retries ~who ~retries ~retry_budget_s ~backoff ~rng ~retryable
   (match retry_budget_s with
   | Some b when b < 0.0 -> invalid_arg (who ^ ": negative budget")
   | _ -> ());
-  let started = Unix.gettimeofday () in
+  let started = Netsim.Clock.now () in
   let report =
     ref
       { attempts = 1; retried_shed = 0; retried_transport = 0;
@@ -172,7 +172,7 @@ let with_retries ~who ~retries ~retry_budget_s ~backoff ~rng ~retryable
         if
           match retry_budget_s with
           | None -> false
-          | Some b -> Unix.gettimeofday () -. started +. delay > b
+          | Some b -> Netsim.Clock.now () -. started +. delay > b
         then begin
           report := { r with gave_up = Some "retry budget exhausted" };
           reply

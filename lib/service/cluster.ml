@@ -226,7 +226,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
   if cfg.epoch < 0 then invalid_arg "Cluster.run_sweep: negative epoch";
   if cfg.repl_listen <> None && cfg.cl_journal = None then
     invalid_arg "Cluster.run_sweep: repl_listen without cl_journal";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Netsim.Clock.now () in
   let tasks = E.sweep_tasks ?scopes () in
   let workers = Array.of_list cfg.workers in
   let n_workers = Array.length workers in
@@ -371,11 +371,10 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
           { mpolicy with M.target }
       in
       ignore (M.certify sn);
-      v
+      E.verdict_of_sat v
     with
-    | Relalg.Translate.Decided Relalg.Translate.Unsat -> Some E.Holds
-    | Relalg.Translate.Decided (Relalg.Translate.Sat _) -> Some E.Violated
-    | Relalg.Translate.Unknown _ | (exception _) -> None
+    | E.Undecided _ | (exception _) -> None
+    | v -> Some v
   in
 
   (* ---- accepting a cell (first result wins) ---- *)
@@ -432,7 +431,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
   in
   let try_worker slot w ~id_suffix ~stolen =
     Atomic.set slot.s_attempting w;
-    slot.s_started <- Unix.gettimeofday ();
+    slot.s_started <- Netsim.Clock.now ();
     Atomic.incr ctr.c_dispatched;
     let outcome =
       match
@@ -561,7 +560,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
 
   (* ---- work stealing ---- *)
   let steal_pass () =
-    let now = Unix.gettimeofday () in
+    let now = Netsim.Clock.now () in
     let best = ref None in
     Array.iter
       (fun slot ->
@@ -637,8 +636,8 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
                   worker_fail i
             end)
           states;
-        let until = Unix.gettimeofday () +. cfg.heartbeat_s in
-        while (not (Atomic.get hb_stop)) && Unix.gettimeofday () < until do
+        let until = Netsim.Clock.now () +. cfg.heartbeat_s in
+        while (not (Atomic.get hb_stop)) && Netsim.Clock.now () < until do
           Unix.sleepf 0.05
         done
       done
@@ -674,7 +673,7 @@ let run_sweep ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes cfg =
         E.sweep_jobs = cfg.dispatchers;
         sweep_seed = cfg.seed;
         cells;
-        sweep_wall = Unix.gettimeofday () -. t0;
+        sweep_wall = Netsim.Clock.now () -. t0;
         sweep_resumed = resumed_count;
         sweep_partial = partial;
       };
@@ -768,7 +767,7 @@ let run_standby ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes
     end
   in
   let fails = ref 0 in
-  let last_ok = ref (Unix.gettimeofday ()) in
+  let last_ok = ref (Netsim.Clock.now ()) in
   let rec loop () =
     if stop () then begin
       close_writer ();
@@ -782,7 +781,7 @@ let run_standby ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes
        with
       | Ok p ->
           fails := 0;
-          last_ok := Unix.gettimeofday ();
+          last_ok := Netsim.Clock.now ();
           epoch_seen := max !epoch_seen p.Repl.pulled_epoch;
           List.iter
             (fun r ->
@@ -792,7 +791,7 @@ let run_standby ?(stop = fun () -> Parallel.Supervise.draining ()) ?scopes
             p.Repl.pulled_records;
           on_replicated !count
       | Result.Error _ -> incr fails);
-      let now = Unix.gettimeofday () in
+      let now = Netsim.Clock.now () in
       if !fails >= sb.sb_down_after && now -. !last_ok >= sb.sb_lease_s then begin
         close_writer ();
         let takeover_epoch = !epoch_seen + 1 in

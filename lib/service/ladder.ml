@@ -25,7 +25,7 @@ let cancelled = function
   | Core.Experiments.Undecided "cancelled" -> true
   | _ -> false
 
-let guarded ?(now = Unix.gettimeofday) t rung run =
+let guarded ?(now = Netsim.Clock.now) t rung run =
   let b = breaker t rung in
   if not (Breaker.admit b ~now:(now ())) then None
   else begin
@@ -43,7 +43,7 @@ let guarded ?(now = Unix.gettimeofday) t rung run =
     Some v
   end
 
-let decide ?(now = Unix.gettimeofday) t rungs =
+let decide ?(now = Netsim.Clock.now) t rungs =
   let trail = ref [] in
   let note rung what = trail := (rung_name rung, what) :: !trail in
   let finish verdict rung_label ~degraded =
@@ -80,7 +80,7 @@ let decide ?(now = Unix.gettimeofday) t rungs =
 type backend =
   | Shared_translation of Core.Mca_model.shared * Core.Mca_model.policy
 
-let consensus_rungs ?stop ~budget_for ~backend ~exhaustive () =
+let consensus_rungs ~budget_for ~backend ~exhaustive () =
   let (Shared_translation (sh, policy)) = backend in
   let cdcl () =
     (* the cached translation: no rebuild, no re-translation — and this
@@ -88,18 +88,12 @@ let consensus_rungs ?stop ~budget_for ~backend ~exhaustive () =
        across every request that hits the same (scope, target). Service
        worker domains are long-lived, which is exactly when the
        per-domain session cache pays. *)
-    match
-      Core.Mca_model.check_consensus_incremental ?stop
-        ~budget:(budget_for Cdcl)
-        (Core.Mca_model.domain_session sh)
-        policy
-    with
-    | Relalg.Translate.Decided Alloylite.Compile.Unsat -> Core.Experiments.Holds
-    | Relalg.Translate.Decided (Alloylite.Compile.Sat _) ->
-        Core.Experiments.Violated
-    | Relalg.Translate.Unknown reason -> Core.Experiments.Undecided reason
+    Core.Experiments.verdict_of_sat
+      (Core.Mca_model.check_consensus_incremental ~budget:(budget_for Cdcl)
+         (Core.Mca_model.domain_session sh)
+         policy)
   in
   [ (Cdcl, cdcl); (Explicit, exhaustive) ]
 
-let check_consensus ?now ?stop ~budget_for ~backend ~exhaustive t =
-  decide ?now t (consensus_rungs ?stop ~budget_for ~backend ~exhaustive ())
+let check_consensus ?now ~budget_for ~backend ~exhaustive t =
+  decide ?now t (consensus_rungs ~budget_for ~backend ~exhaustive ())

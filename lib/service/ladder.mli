@@ -48,11 +48,13 @@ val decide :
   ?now:(unit -> float) ->
   t -> (rung * (unit -> Core.Experiments.sweep_verdict)) list -> answer
 (** Walks the rungs top-down. [Holds]/[Violated] records a breaker
-    success and stops; [Undecided "cancelled"] (drain, or the request
-    deadline observed by the [stop] hook) stops {e without} a breaker
-    transition — cancellation says nothing about the backend's health;
-    any other [Undecided] records a breaker timeout and falls through.
-    [now] (default wall clock) is injected for deterministic tests. *)
+    success and stops; [Undecided "cancelled"] (an abort, or the request
+    deadline observed by the budget's cancellation hook) stops
+    {e without} a breaker transition — cancellation says nothing about
+    the backend's health; any other [Undecided], such as a rung's own
+    share of the deadline expiring, records a breaker timeout and falls
+    through. [now] (default {!Netsim.Clock.now}) is injected for
+    deterministic tests. *)
 
 (** What the SAT rung solves: a cached scope-wide shared translation
     plus the cell's policy. The CDCL rung solves the shared CNF under
@@ -65,7 +67,6 @@ type backend =
   | Shared_translation of Core.Mca_model.shared * Core.Mca_model.policy
 
 val consensus_rungs :
-  ?stop:(unit -> bool) ->
   budget_for:(rung -> Netsim.Budget.t) ->
   backend:backend ->
   exhaustive:(unit -> Core.Experiments.sweep_verdict) ->
@@ -73,12 +74,13 @@ val consensus_rungs :
 (** The standard two rungs for a [check consensus] cell: bounded CDCL
     (with symmetry breaking) and the caller's [exhaustive] thunk — in
     the service this reuses the explicit-state verdict the reply needs
-    anyway, so the bottom rung costs nothing extra. [budget_for] slices
-    the remaining request deadline per rung. *)
+    anyway, so the bottom rung costs nothing extra. [budget_for] gives
+    a rung its budget when the rung starts: in the service, a
+    {!Netsim.Budget.share} of the request's budget, which carries the
+    request's cancellation hook. *)
 
 val check_consensus :
   ?now:(unit -> float) ->
-  ?stop:(unit -> bool) ->
   budget_for:(rung -> Netsim.Budget.t) ->
   backend:backend ->
   exhaustive:(unit -> Core.Experiments.sweep_verdict) ->

@@ -10,10 +10,10 @@
    - the acceptor never blocks on a client either: sockets are
      non-blocking, request lines are assembled incrementally under
      [select], and a client that stalls past [io_deadline] is dropped;
-   - every admitted request carries an absolute deadline; workers thread
-     it into the backends as a [?stop] hook plus per-rung
-     [Netsim.Budget]s, so a hard cell degrades to [UNKNOWN] instead of
-     wedging a worker;
+   - every admitted request runs under one [Netsim.Budget]: its
+     deadline, and a hook that cancels on abort or past that deadline.
+     Each stage of a cell takes a [Netsim.Budget.share] of it, so a hard
+     cell degrades to [UNKNOWN] instead of wedging a worker;
    - [stop] (the SIGTERM path) drains: the listener closes, queued
      requests complete and are journaled, then workers exit — a
      restarted server (or [mca_check --sweep --resume]) picks the
@@ -195,11 +195,11 @@ let rec raise_epoch a e =
 (* ---- non-blocking, deadline-bounded socket I/O -------------------- *)
 
 let rec select_retry rd wr deadline =
-  let now = Unix.gettimeofday () in
+  let now = Netsim.Clock.now () in
   let t = Float.max 0.0 (deadline -. now) in
   match Unix.select rd wr [] t with
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if Unix.gettimeofday () >= deadline then ([], [], [])
+      if Netsim.Clock.now () >= deadline then ([], [], [])
       else select_retry rd wr deadline
   | r -> r
 
@@ -291,7 +291,7 @@ let stats_of t =
   let c = t.counters in
   let breaker_open rung =
     match
-      Breaker.state (Ladder.breaker t.ladder rung) ~now:(Unix.gettimeofday ())
+      Breaker.state (Ladder.breaker t.ladder rung) ~now:(Netsim.Clock.now ())
     with
     | Breaker.Closed -> 0
     | Breaker.Open_until _ | Breaker.Half_open -> 1
@@ -321,25 +321,25 @@ let stats_of t =
   ]
   @ Tenant.stats t.tenants
 
-let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
+(* Each stage takes its share of the request's budget when it starts:
+   the simulation a quarter of what remains, the CDCL rung half, the
+   explicit checker all of it. Every share keeps the request's hook, so
+   an abort or the request's deadline cancels whichever stage is
+   running. *)
+let compute_cell t (req : Wire.request) ~budget =
   let scope_tag, scope = Wire.scope_of_request req in
   match Core.Experiments.lookup_policy req.Wire.policy with
   | None -> Error (Printf.sprintf "unknown policy %S" req.Wire.policy)
   | Some (p, mp) ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Netsim.Clock.now () in
       let cfg =
         Core.Experiments.cell_config ~seed:req.Wire.seed
           ~policy_label:req.Wire.policy ~scope_tag p scope
       in
-      let remaining_until frac =
-        let now = Unix.gettimeofday () in
-        let rem = Float.max 0.0 (abs_deadline -. now) in
-        Netsim.Budget.until ~deadline:(now +. (rem *. frac))
-      in
       let sim_ok =
         match
-          Mca.Protocol.run_sync ~max_rounds:200 ~budget:(remaining_until 0.25)
-            cfg
+          Mca.Protocol.run_sync ~max_rounds:200
+            ~budget:(Netsim.Budget.share budget 0.25) cfg
         with
         | Mca.Protocol.Converged _ -> true
         | _ -> false
@@ -349,12 +349,8 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
          explicit rung's breaker *)
       let exhaustive =
         lazy
-          (match Checker.Explore.run ~stop ~budget:(remaining_until 1.0) cfg with
-          | Checker.Explore.Converges _ -> Core.Experiments.Holds
-          | Checker.Explore.Unknown { reason; _ } ->
-              Core.Experiments.Undecided reason
-          | Checker.Explore.Nonconvergence _ | Checker.Explore.Bad_terminal _ ->
-              Core.Experiments.Violated)
+          (Core.Experiments.verdict_of_explore
+             (Checker.Explore.run ~budget cfg))
       in
       let mp =
         { mp with
@@ -365,14 +361,12 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
         Ladder.Shared_translation
           (shared_for t scope mp.Core.Mca_model.target, mp)
       in
-      (* the ladder's deadline split: CDCL gets half the remaining
-         request time, the explicit checker the rest *)
       let budget_for = function
-        | Ladder.Cdcl -> remaining_until 0.5
-        | Ladder.Explicit -> remaining_until 1.0
+        | Ladder.Cdcl -> Netsim.Budget.share budget 0.5
+        | Ladder.Explicit -> budget
       in
       let answer =
-        Ladder.check_consensus ~stop ~budget_for ~backend
+        Ladder.check_consensus ~budget_for ~backend
           ~exhaustive:(fun () -> Lazy.force exhaustive)
           t.ladder
       in
@@ -398,26 +392,21 @@ let compute_cell t (req : Wire.request) ~stop ~abs_deadline =
           sat_verdict = answer.Ladder.verdict;
           sim_ok;
           exhaustive;
-          cell_seconds = Unix.gettimeofday () -. t0;
+          cell_seconds = Netsim.Clock.now () -. t0;
           origin = Core.Experiments.Computed;
         }
       in
       Ok (cell, answer)
 
-(* The request skeleton both verbs share: the absolute deadline and the
-   stop hook, the locked cache lookup, the verb's compute step, the
-   journal-then-cache insert of a result worth replaying, and the reply
-   with its served counter. A verb supplies its cache and key ([None]
-   bypasses the cache), the reply for a hit, and a compute step that
-   answers the reply plus, when the result may be replayed, the value
-   to cache and the journal record that makes it durable. *)
+(* The request skeleton both verbs share: the request's budget, the
+   locked cache lookup, the verb's compute step, the journal-then-cache
+   insert of a result worth replaying, and the reply with its served
+   counter. A verb supplies its cache and key ([None] bypasses the
+   cache), the reply for a hit, and a compute step that answers the
+   reply plus, when the result may be replayed, the value to cache and
+   the journal record that makes it durable. *)
 let serve_request t fd ~deadline_s ~lock ~cache ~key ~hit ~compute =
-  let now0 = Unix.gettimeofday () in
-  let abs_deadline =
-    now0
-    +. Float.min t.cfg.max_deadline
-         (Option.value deadline_s ~default:t.cfg.default_deadline)
-  in
+  let now0 = Netsim.Clock.now () in
   let reply resp =
     (* count before the write lands: a client that reads its reply and
        immediately asks for stats must see itself in the counter *)
@@ -425,7 +414,7 @@ let serve_request t fd ~deadline_s ~lock ~cache ~key ~hit ~compute =
     if
       not
         (send_line fd
-           ~deadline:(Unix.gettimeofday () +. t.cfg.io_deadline)
+           ~deadline:(Netsim.Clock.now () +. t.cfg.io_deadline)
            (Wire.render_response resp))
     then Atomic.decr t.counters.served
   in
@@ -436,10 +425,20 @@ let serve_request t fd ~deadline_s ~lock ~cache ~key ~hit ~compute =
   match cached with
   | Some v -> reply (hit ~now0 v)
   | None ->
-      let stop () =
-        Atomic.get t.aborting || Unix.gettimeofday () >= abs_deadline
+      (* past the request's deadline is a cancellation, not a stage
+         timing out: the hook fires no later than the wall cap it
+         mirrors, and [check] polls the hook first *)
+      let wall_s =
+        Float.min t.cfg.max_deadline
+          (Option.value deadline_s ~default:t.cfg.default_deadline)
       in
-      let resp, keep = compute ~stop ~abs_deadline in
+      let deadline = Netsim.Clock.after wall_s in
+      let stop () =
+        Atomic.get t.aborting || Netsim.Clock.now_ns () >= deadline
+      in
+      let resp, keep =
+        compute ~budget:(Netsim.Budget.create ~wall_s ~stop ())
+      in
       (match (key, keep) with
       | Some k, Some (v, record) ->
           Option.iter (fun w -> Parallel.Journal.append w record) t.journal_w;
@@ -475,9 +474,9 @@ let serve_check t fd (req : Wire.request) =
     ~hit:(fun ~now0 cell ->
       Atomic.incr c.cached;
       verdict_reply req cell ~rung:"journal" ~cached:true
-        ~secs:(Unix.gettimeofday () -. now0))
-    ~compute:(fun ~stop ~abs_deadline ->
-      match compute_cell t req ~stop ~abs_deadline with
+        ~secs:(Netsim.Clock.now () -. now0))
+    ~compute:(fun ~budget ->
+      match compute_cell t req ~budget with
       | Error msg ->
           Atomic.incr c.errors;
           (Wire.Error { req_id = req.Wire.id; msg }, None)
@@ -517,7 +516,7 @@ let serve_submit t fd (h : Wire.submit_header) spec =
       Tenant.note_served t.tenants h.Wire.tenant;
       Tenant.note_cached t.tenants h.Wire.tenant;
       spec_reply h ~digest r ~cached:true)
-    ~compute:(fun ~stop ~abs_deadline ->
+    ~compute:(fun ~budget ->
       let caps =
         {
           Speccheck.max_bytes = t.cfg.max_spec_bytes;
@@ -527,7 +526,7 @@ let serve_submit t fd (h : Wire.submit_header) spec =
       in
       match
         Speccheck.analyze ~caps ~certify:h.Wire.certify ?cmd:h.Wire.sub_cmd
-          ~stop ~deadline:abs_deadline spec
+          ~budget spec
       with
       | Result.Error d ->
           Atomic.incr c.spec_errors;
@@ -580,7 +579,7 @@ let worker t =
            Atomic.incr t.counters.errors;
            ignore
              (send_line job.fd
-                ~deadline:(Unix.gettimeofday () +. t.cfg.io_deadline)
+                ~deadline:(Netsim.Clock.now () +. t.cfg.io_deadline)
                 (Wire.render_response
                    (Wire.Error
                       { req_id = work_id job.work;
@@ -619,7 +618,7 @@ let shed_reply t req_id =
    and a failed push gives the slot straight back. *)
 let handle_submit t fd h spec =
   let c = t.counters in
-  let io_deadline = Unix.gettimeofday () +. t.cfg.io_deadline in
+  let io_deadline = Netsim.Clock.now () +. t.cfg.io_deadline in
   let refuse resp =
     ignore (send_line fd ~deadline:io_deadline (Wire.render_response resp));
     close_quiet fd
@@ -630,7 +629,7 @@ let handle_submit t fd h spec =
   end
   else
     match
-      Tenant.admit t.tenants ~now:(Unix.gettimeofday ())
+      Tenant.admit t.tenants ~now:(Netsim.Clock.now ())
         ~queue_cap:t.cfg.queue_cap h.Wire.tenant
     with
     | Tenant.Quota { retry_after_s } ->
@@ -653,7 +652,7 @@ type line_action =
 
 let handle_line t fd line =
   let c = t.counters in
-  let io_deadline = Unix.gettimeofday () +. t.cfg.io_deadline in
+  let io_deadline = Netsim.Clock.now () +. t.cfg.io_deadline in
   let refuse resp =
     ignore (send_line fd ~deadline:io_deadline (Wire.render_response resp));
     close_quiet fd
@@ -787,7 +786,7 @@ let acceptor t =
               Atomic.incr t.counters.errors;
               ignore
                 (send_line p.pfd
-                   ~deadline:(Unix.gettimeofday () +. t.cfg.io_deadline)
+                   ~deadline:(Netsim.Clock.now () +. t.cfg.io_deadline)
                    (Wire.render_response
                       (Wire.Error { req_id = ""; msg = "request too long" })));
               drop p;
@@ -800,7 +799,7 @@ let acceptor t =
     else begin
       let fds = t.listen_fd :: List.map (fun p -> p.pfd) !pending in
       let ready, _, _ =
-        select_retry fds [] (Unix.gettimeofday () +. 0.2)
+        select_retry fds [] (Netsim.Clock.now () +. 0.2)
       in
       if List.mem t.listen_fd ready then begin
         let rec accept_all () =
@@ -812,7 +811,7 @@ let acceptor t =
                 {
                   pfd = fd;
                   buf = Buffer.create 128;
-                  expires = Unix.gettimeofday () +. t.cfg.io_deadline;
+                  expires = Netsim.Clock.now () +. t.cfg.io_deadline;
                   mode = Header;
                 }
                 :: !pending;
@@ -825,7 +824,7 @@ let acceptor t =
         in
         accept_all ()
       end;
-      let now = Unix.gettimeofday () in
+      let now = Netsim.Clock.now () in
       pending :=
         List.filter_map
           (fun p ->

@@ -23,10 +23,11 @@
       acceptor never blocks — not on the queue (non-blocking push), not
       on clients (non-blocking sockets under [select], slow readers
       dropped after [io_deadline]).
-    - {b deadline propagation}: every admitted request carries an
-      absolute deadline ([default_deadline] unless the client asked,
-      capped by [max_deadline]) threaded into the backends as a [?stop]
-      hook plus per-rung {!Netsim.Budget}s.
+    - {b deadline propagation}: every admitted request runs under one
+      {!Netsim.Budget}: its deadline ([default_deadline] unless the
+      client asked, capped by [max_deadline]) and a hook that cancels
+      on abort or past that deadline. Each stage takes a
+      {!Netsim.Budget.share} of it when it starts.
     - {b graceful degradation}: the SAT column is answered by the
       {!Ladder} (CDCL → explicit → [UNKNOWN]), with a per-rung
       {!Breaker} so a timing-out backend is skipped while it cools off.
@@ -111,7 +112,7 @@ val start : config -> t
 val stop : ?abort:bool -> t -> unit
 (** Requests a graceful drain. Only flips atomics — safe to call from a
     signal handler. With [abort = true], in-flight backends are also
-    cancelled through their [stop] hooks (they answer [UNKNOWN]
+    cancelled through their budgets' hook (they answer [UNKNOWN]
     "cancelled" and are not journaled). *)
 
 val join : t -> unit

@@ -77,8 +77,7 @@ let run_goal model name f =
   | None, Some f -> f
   | None, None -> Relalg.Ast.tt
 
-let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
-    =
+let analyze ?(caps = default_caps) ?(certify = false) ?cmd ~budget spec =
   let ( let* ) = Result.bind in
   let* () =
     if String.length spec > caps.max_bytes then
@@ -126,19 +125,15 @@ let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
         | None -> Relalg.Ast.tt (* unreachable: elaboration resolved it *))
     | Elaborate.Run (_, name, f, _) -> Relalg.Ast.not_ (run_goal model name f)
   in
-  let started = Unix.gettimeofday () in
-  (* one translation, one session, one solve under the deadline; when
+  let started = Netsim.Clock.now () in
+  (* one translation, one session, one solve under the budget; when
      asked, the verdict that solve found is then checked, and a
      rejected certificate leaves the verdict standing *)
   let session =
     Relalg.Translate.session ~certify
       (Compile.translation compiled (Relalg.Ast.not_ goal))
   in
-  let bounded =
-    Relalg.Translate.solve_cell ?stop
-      ~budget:(Netsim.Budget.until ~deadline)
-      session []
-  in
+  let bounded = Relalg.Translate.solve_cell ~budget session [] in
   let is_check =
     match command with Elaborate.Check _ -> true | Elaborate.Run _ -> false
   in
@@ -167,7 +162,7 @@ let analyze ?(caps = default_caps) ?(certify = false) ?cmd ?stop ~deadline spec
       command = Elaborate.command_label command;
       verdict;
       certified;
-      secs = Unix.gettimeofday () -. started;
+      secs = Netsim.Clock.now () -. started;
     }
 
 (* ---- journal codec ------------------------------------------------ *)

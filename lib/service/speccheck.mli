@@ -5,7 +5,7 @@
     Every stage either advances or produces a typed
     {!Alloylite.Diag.t} — a hostile spec can be rejected, but it can
     never surface a raw exception or hang a worker: solving runs under
-    a {!Netsim.Budget} and the caller's cooperative [stop] hook, and
+    the caller's {!Netsim.Budget}, with its cancellation hook, and
     resource-hungry scopes are refused by {!Alloylite.Compile.universe_estimate}
     before any translation work is done. *)
 
@@ -31,17 +31,19 @@ type result = {
 }
 
 val analyze :
-  ?caps:caps -> ?certify:bool -> ?cmd:string -> ?stop:(unit -> bool) ->
-  deadline:float -> string -> (result, Alloylite.Diag.t) Result.t
-(** [analyze ~deadline spec] runs the full pipeline on raw spec text.
+  ?caps:caps -> ?certify:bool -> ?cmd:string -> budget:Netsim.Budget.t ->
+  string -> (result, Alloylite.Diag.t) Result.t
+(** [analyze ~budget spec] runs the full pipeline on raw spec text.
     [cmd] names the check/run command to execute (default: the file's
     first); [certify] asks for a DRUP-checked verdict: the verdict the
     budgeted solve found is checked by {!Relalg.Translate.certify} on
     the same session, with no second solve, and not at all when that
     solve came back [Unknown]; a rejected certificate keeps the verdict
-    with [certified = false]; [deadline] is an absolute
-    [Unix.gettimeofday]-clock instant bounding the solve; [stop] is
-    polled between solver conflicts for cooperative cancellation. *)
+    with [certified = false]; [budget] bounds the solve, and its
+    cancellation hook is polled between solver conflicts. In the
+    service it is the request's budget, whose deadline runs from the
+    moment a worker takes the request up, so parsing and translation
+    spend it too. *)
 
 (* ---- journal codec ------------------------------------------------ *)
 

@@ -527,6 +527,24 @@ let cell ~seed name =
 
 let explored_policies = [ "submod"; "submod+release"; "nonsubmod"; "nonsubmod+release" ]
 
+(* The budget is polled once per explored state, its hook first: a
+   hook that fires on its k-th poll stops the search at state k. *)
+let test_explore_cancelled () =
+  let cfg = cell ~seed:1 "submod" in
+  List.iter
+    (fun k ->
+      let polls = ref 0 in
+      let stop () =
+        incr polls;
+        !polls >= k
+      in
+      match Checker.Explore.run ~budget:(Netsim.Budget.create ~stop ()) cfg with
+      | Checker.Explore.Unknown { reason; states } ->
+          Alcotest.(check string) "reason" "cancelled" reason;
+          check_int (Printf.sprintf "cancelled at poll %d" k) k states
+      | v -> Alcotest.failf "k = %d: %a" k Checker.Explore.pp_verdict v)
+    [ 1; 17; 1_000 ]
+
 let line3 policy =
   Mca.Protocol.uniform_config ~graph:(Netsim.Topology.line 3) ~num_items:2
     ~base_utilities:[| [| 10; 11 |]; [| 11; 10 |]; [| 9; 9 |] |]
@@ -778,4 +796,6 @@ let suite =
     Alcotest.test_case "packed key bytes equal the frozen key" `Quick test_key_bytes_frozen;
     Alcotest.test_case "exploring allocates < 300 minor words per state" `Quick
       test_explore_allocation;
+    Alcotest.test_case "explore cancelled by the budget's hook" `Quick
+      test_explore_cancelled;
   ]

@@ -363,6 +363,98 @@ let test_budget_caps () =
     (Netsim.Budget.check ~steps:max_int ~conflicts:max_int ~propagations:max_int
        Netsim.Budget.unlimited = Netsim.Budget.Within)
 
+(* The reason a poll answers, or "within". *)
+let poll ?(steps = 0) ?(conflicts = 0) ?(propagations = 0) b =
+  match Netsim.Budget.check ~steps ~conflicts ~propagations b with
+  | Netsim.Budget.Expired reason -> reason
+  | Netsim.Budget.Within -> "within"
+
+let check_reason = Alcotest.(check string)
+
+(* Every cap is hit at once; each is taken away in poll order: the
+   hook, the step, conflict and propagation caps, then the clock. *)
+let test_budget_poll_order () =
+  let fired = ref true in
+  let b =
+    Netsim.Budget.create ~wall_s:0.0 ~steps:1 ~conflicts:1 ~propagations:1
+      ~stop:(fun () -> !fired) ()
+  in
+  check_reason "hook first" "cancelled"
+    (poll ~steps:1 ~conflicts:1 ~propagations:1 b);
+  fired := false;
+  check_reason "then steps" "step cap 1"
+    (poll ~steps:1 ~conflicts:1 ~propagations:1 b);
+  check_reason "then conflicts" "conflict cap 1"
+    (poll ~conflicts:1 ~propagations:1 b);
+  check_reason "then propagations" "propagation cap 1" (poll ~propagations:1 b);
+  check_reason "then the clock" "deadline 0s" (poll b)
+
+let test_budget_share () =
+  let fired = ref false in
+  let b =
+    Netsim.Budget.create ~wall_s:1.0 ~steps:7 ~stop:(fun () -> !fired) ()
+  in
+  let half = Netsim.Budget.share b 0.5 in
+  check_reason "fresh share" "within" (poll half);
+  check_reason "keeps the caps" "step cap 7" (poll ~steps:7 half);
+  fired := true;
+  check_reason "keeps the hook" "cancelled" (poll half);
+  fired := false;
+  (* half of what remained of one second: expired after 0.6 s, while
+     the budget it was shared from has time left *)
+  Unix.sleepf 0.6;
+  check_reason "share expired" "deadline 0.5s" (poll half);
+  check_reason "whole still within" "within" (poll b);
+  let unbounded = Netsim.Budget.share Netsim.Budget.unlimited 0.5 in
+  check_reason "no wall cap, none shared" "within"
+    (poll ~steps:max_int ~conflicts:max_int ~propagations:max_int unbounded)
+
+let test_budget_restarted () =
+  let fired = ref false and attempt = ref false in
+  let b =
+    Netsim.Budget.create ~wall_s:0.05 ~conflicts:3 ~stop:(fun () -> !fired) ()
+  in
+  Unix.sleepf 0.06;
+  check_reason "expired" "deadline 0.05s" (poll b);
+  let r = Netsim.Budget.restarted b in
+  check_reason "re-armed" "within" (poll r);
+  check_reason "keeps the caps" "conflict cap 3" (poll ~conflicts:3 r);
+  fired := true;
+  check_reason "keeps the hook" "cancelled" (poll r);
+  fired := false;
+  let r = Netsim.Budget.restarted ~stop:(fun () -> !attempt) b in
+  check_reason "with a second hook" "within" (poll r);
+  attempt := true;
+  check_reason "the second hook cancels" "cancelled" (poll r);
+  attempt := false;
+  fired := true;
+  check_reason "so does the first" "cancelled" (poll r)
+
+(* The poll runs at every solver conflict and explored state of a
+   served check, on a wall-capped budget with a hook: it must not
+   allocate. *)
+let test_budget_poll_allocation () =
+  let flag = Atomic.make false in
+  let b =
+    Netsim.Budget.create ~wall_s:300.0 ~conflicts:max_int
+      ~stop:(fun () -> Atomic.get flag) ()
+  in
+  let expired = ref 0 in
+  let run () =
+    for i = 1 to 100_000 do
+      match Netsim.Budget.check ~steps:i ~conflicts:i ~propagations:i b with
+      | Netsim.Budget.Within -> ()
+      | Netsim.Budget.Expired _ -> incr expired
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  check_int "every poll within" 0 !expired;
+  if words > 0.0 then
+    Alcotest.failf "100,000 polls allocated %.0f minor words" words
+
 let test_sched_delay_fast_forward () =
   (* a plan that delays every message still drains: the clock
      fast-forwards to the earliest ready_at instead of deadlocking *)
@@ -412,4 +504,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ws_degree;
     QCheck_alcotest.to_alcotest qcheck_tree_edges;
     QCheck_alcotest.to_alcotest qcheck_yen_properties;
+    Alcotest.test_case "budget polls the hook first" `Quick
+      test_budget_poll_order;
+    Alcotest.test_case "budget share" `Quick test_budget_share;
+    Alcotest.test_case "budget re-armed" `Quick test_budget_restarted;
+    Alcotest.test_case "budget poll allocates nothing" `Quick
+      test_budget_poll_allocation;
   ]

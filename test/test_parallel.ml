@@ -221,67 +221,19 @@ let test_pool_scaling_not_slower () =
     Alcotest.failf "jobs=4 slower than jobs=1: %.3fs vs %.3fs (median of 3)"
       m4 m1
 
-(* ---- Budget.intersect ---- *)
-
-let test_budget_intersect_caps () =
-  let a = Netsim.Budget.create ~conflicts:10 ~steps:100 () in
-  let b = Netsim.Budget.create ~conflicts:5 ~propagations:7 () in
-  let i = Netsim.Budget.intersect a b in
-  check "tighter conflict cap" true
-    (match Netsim.Budget.check ~steps:0 ~conflicts:5 ~propagations:0 i with
-    | Netsim.Budget.Expired _ -> true
-    | Netsim.Budget.Within -> false);
-  check "steps cap kept from a" true
-    (match Netsim.Budget.check ~steps:100 ~conflicts:0 ~propagations:0 i with
-    | Netsim.Budget.Expired _ -> true
-    | Netsim.Budget.Within -> false);
-  check "propagation cap kept from b" true
-    (match Netsim.Budget.check ~steps:0 ~conflicts:0 ~propagations:7 i with
-    | Netsim.Budget.Expired _ -> true
-    | Netsim.Budget.Within -> false);
-  check "within all caps" true
-    (Netsim.Budget.check ~conflicts:4 ~steps:99 ~propagations:6 i
-    = Netsim.Budget.Within)
-
-let test_budget_intersect_unlimited () =
-  let b = Netsim.Budget.create ~conflicts:3 () in
-  let i = Netsim.Budget.intersect Netsim.Budget.unlimited b in
-  check "unlimited contributes no caps" true
-    (match Netsim.Budget.check ~steps:0 ~conflicts:3 ~propagations:0 i with
-    | Netsim.Budget.Expired _ -> true
-    | Netsim.Budget.Within -> false);
-  check "still within below the cap" true
-    (Netsim.Budget.check ~steps:0 ~conflicts:2 ~propagations:0 i = Netsim.Budget.Within);
-  check "unlimited ∩ unlimited is unlimited" true
-    (Netsim.Budget.is_unlimited
-       (Netsim.Budget.intersect Netsim.Budget.unlimited Netsim.Budget.unlimited))
-
-let test_budget_intersect_wall () =
-  let a = Netsim.Budget.create ~wall_s:100.0 () in
-  let b = Netsim.Budget.create ~wall_s:0.05 () in
-  let i = Netsim.Budget.intersect a b in
-  check "fresh intersection within" true
-    (Netsim.Budget.check ~steps:0 ~conflicts:0 ~propagations:0 i
-     = Netsim.Budget.Within);
-  Unix.sleepf 0.1;
-  check "earlier deadline wins" true
-    (match Netsim.Budget.check ~steps:0 ~conflicts:0 ~propagations:0 i with
-    | Netsim.Budget.Expired _ -> true
-    | Netsim.Budget.Within -> false)
-
 (* ---- Cooperative cancellation in the solvers ---- *)
 
 let test_cdcl_stop_latency () =
-  (* pigeonhole-8-into-7 needs far more than 100 conflicts; the stop
-     hook flips after 100 polls and the solver must notice within one
-     conflict/decision boundary *)
+  (* pigeonhole-8-into-7 needs far more than 100 conflicts; the
+     budget's hook flips after 100 polls and the solver must notice
+     within one conflict/decision boundary *)
   let polls = ref 0 in
   let stop () =
     incr polls;
     !polls > 100
   in
   let s = Sat.Solver.of_problem (Sat.Gen.pigeonhole 7) in
-  match Sat.Solver.solve_bounded ~stop ~budget:Netsim.Budget.unlimited s with
+  match Sat.Solver.solve_bounded ~budget:(Netsim.Budget.create ~stop ()) s with
   | Sat.Solver.Unknown { reason; conflicts; _ } ->
       check "reason is cancelled" true (reason = "cancelled");
       check "stopped within the poll bound" true (conflicts <= 101)
@@ -294,7 +246,7 @@ let test_dpll_stop_latency () =
     !polls > 50
   in
   match
-    Sat.Dpll.solve_bounded ~stop ~budget:Netsim.Budget.unlimited
+    Sat.Dpll.solve_bounded ~budget:(Netsim.Budget.create ~stop ())
       (Sat.Gen.pigeonhole 6)
   with
   | Sat.Solver.Unknown { reason; conflicts; _ } ->
@@ -320,9 +272,6 @@ let suite =
       test_pool_captures_exceptions;
     Alcotest.test_case "pool scaling: jobs=4 not slower than jobs=1" `Quick
       test_pool_scaling_not_slower;
-    Alcotest.test_case "budget intersect caps" `Quick test_budget_intersect_caps;
-    Alcotest.test_case "budget intersect unlimited" `Quick test_budget_intersect_unlimited;
-    Alcotest.test_case "budget intersect wall clock" `Quick test_budget_intersect_wall;
     Alcotest.test_case "cdcl stop latency bounded" `Quick test_cdcl_stop_latency;
     Alcotest.test_case "dpll stop latency bounded" `Quick test_dpll_stop_latency;
   ]

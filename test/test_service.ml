@@ -875,11 +875,11 @@ let paper_spec =
    check uniqueID for 3 but 4 Int\n\
    run {} for 2 but 4 Int\n"
 
-let far_deadline () = Unix.gettimeofday () +. 30.0
+let ample () = Netsim.Budget.create ~wall_s:30.0 ()
 
 let test_speccheck_pipeline () =
   (* first command by default *)
-  (match Service.Speccheck.analyze ~deadline:(far_deadline ()) paper_spec with
+  (match Service.Speccheck.analyze ~budget:(ample ()) paper_spec with
   | Ok r ->
       check_string "command" "check uniqueID" r.Service.Speccheck.command;
       check "holds" true (r.Service.Speccheck.verdict = Service.Wire.Spec_holds);
@@ -891,7 +891,7 @@ let test_speccheck_pipeline () =
     (fun (what, cmd, spec, want) ->
       match
         Service.Speccheck.analyze ~certify:true ?cmd
-          ~deadline:(far_deadline ()) spec
+          ~budget:(ample ()) spec
       with
       | Ok r ->
           check (what ^ ": verdict") true (r.Service.Speccheck.verdict = want);
@@ -916,7 +916,7 @@ let test_speccheck_pipeline () =
      polled before each), and an UNKNOWN carries no certificate *)
   (match
      Service.Speccheck.analyze ~certify:true ~cmd:"everyoneBids"
-       ~deadline:(Unix.gettimeofday () -. 1.0)
+       ~budget:(Netsim.Budget.create ~wall_s:0.0 ())
        (paper_spec
        ^ "assert everyoneBids { all p: pnode | some p.initBids }\n\
           check everyoneBids for 3 but 4 Int\n")
@@ -931,7 +931,7 @@ let test_speccheck_pipeline () =
       Alcotest.failf "certify past deadline: %s" (Alloylite.Diag.to_string d));
   (* unknown command: typed error listing what the spec defines *)
   (match
-     Service.Speccheck.analyze ~cmd:"ghost" ~deadline:(far_deadline ())
+     Service.Speccheck.analyze ~cmd:"ghost" ~budget:(ample ())
        paper_spec
    with
   | Result.Error d ->
@@ -942,13 +942,13 @@ let test_speccheck_pipeline () =
         | None -> false)
   | Ok _ -> Alcotest.fail "unknown command accepted");
   (* a parse error surfaces with its span, never an exception *)
-  (match Service.Speccheck.analyze ~deadline:(far_deadline ()) "sig a {" with
+  (match Service.Speccheck.analyze ~budget:(ample ()) "sig a {" with
   | Result.Error d ->
       check "parse stage" true (d.Alloylite.Diag.stage = Alloylite.Diag.Parse)
   | Ok _ -> Alcotest.fail "truncated spec accepted");
   (* a resource-hungry scope is refused before translation *)
   match
-    Service.Speccheck.analyze ~deadline:(far_deadline ())
+    Service.Speccheck.analyze ~budget:(ample ())
       "sig a {}\nrun {} for 999999"
   with
   | Result.Error d ->
